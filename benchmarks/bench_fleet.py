@@ -1,21 +1,19 @@
-"""Front-door + fleet sweep: async vs threaded serving, single vs fleet.
+"""Front-door + fleet sweep: connection scaling, single lane vs fleet.
 
 Not a paper figure: this measures what the serving topology buys.  Two
-axes are swept against real subprocess servers (`repro.cli serve`):
+axes are swept against real subprocess servers (`repro.cli serve`, the
+asyncio front door):
 
-* **front door** — the thread-per-connection HTTP server vs the asyncio
-  event loop (``--fleet``), at 16/64/256 concurrent connections.  Both
-  complete every request; what separates them is the resource cost of
-  concurrency, so each point records the server process's peak OS thread
-  count (from ``/proc/<pid>/status``) alongside RPS and latency
-  percentiles.  The gate is **connections sustained per server thread:
-  async >= 4x threaded at the top concurrency** — a resource ratio, so
-  it holds on any core count (RPS parity on 1 CPU is recorded as the
-  documented caveat, not gated).
-* **backends** — the plain in-process service vs a fleet of
-  cpu + 2 simulated GPUs, at 64 connections.  Throughput is recorded;
-  the gate is **byte-identity**: the response bodies for a fixed probe
-  set must be identical across every door and every backend mix.
+* **front door** — 16/64/256 concurrent connections against one
+  in-process lane.  Every request must complete; each point records the
+  server process's peak OS thread count (from ``/proc/<pid>/status``)
+  alongside RPS and latency percentiles — the event loop multiplexes
+  every connection, so the thread count stays flat as connections grow.
+* **backends** — the single in-process lane vs a fleet of cpu + 2
+  simulated GPUs, at 64 connections.  Throughput is recorded.
+
+The gate is **byte-identity**: the response bodies for a fixed probe set
+must be identical at every concurrency and across every backend mix.
 
 Results append a trajectory point to ``bench_results/BENCH_fleet.json``.
 Run directly: ``PYTHONPATH=src python benchmarks/bench_fleet.py``.
@@ -125,8 +123,7 @@ def drive(server: Server, bodies: list[bytes], concurrency: int) -> dict:
 
     def worker(indices: list[int]) -> None:
         # A fresh-connection retry absorbs accept-backlog RSTs under the
-        # connect burst (the thread-per-connection door's listen queue is
-        # tiny); retries are counted — they are part of the result.
+        # connect burst; retries are counted — they are part of the result.
         conn = None
         try:
             for i in indices:
@@ -195,42 +192,36 @@ def drive(server: Server, bodies: list[bytes], concurrency: int) -> dict:
 
 
 def main() -> dict:
-    doors = {
-        "threaded": [],
-        "async": ["--fleet", "--fleet-gpus", "0"],
-    }
-    front_sweep: dict[str, list[dict]] = {name: [] for name in doors}
+    front_sweep: list[dict] = []
     identity: dict[int, bytes] = {}
 
-    for name, extra in doors.items():
-        for concurrency in CONCURRENCY:
-            bodies = build_bodies(concurrency)
-            server = Server(extra)
-            try:
-                point = drive(server, bodies, concurrency)
-            finally:
-                server.stop()
-            responses = point.pop("_responses")
-            for i, raw in responses.items():
-                if i in identity:
-                    assert raw == identity[i], (
-                        f"door {name!r} diverged on probe {i} "
-                        f"at concurrency {concurrency}"
-                    )
-                else:
-                    identity[i] = raw
-            front_sweep[name].append(point)
-            print(
-                f"{name:>8} door, {concurrency:>3} conns: "
-                f"{point['seconds']:.2f}s ({point['requests_per_second']}/s, "
-                f"p95 {point['p95_ms']}ms, {point['server_peak_threads']} "
-                f"server threads)"
-            )
+    for concurrency in CONCURRENCY:
+        bodies = build_bodies(concurrency)
+        server = Server([])
+        try:
+            point = drive(server, bodies, concurrency)
+        finally:
+            server.stop()
+        responses = point.pop("_responses")
+        for i, raw in responses.items():
+            if i in identity:
+                assert raw == identity[i], (
+                    f"probe {i} diverged at concurrency {concurrency}"
+                )
+            else:
+                identity[i] = raw
+        front_sweep.append(point)
+        print(
+            f"front door, {concurrency:>3} conns: "
+            f"{point['seconds']:.2f}s ({point['requests_per_second']}/s, "
+            f"p95 {point['p95_ms']}ms, {point['server_peak_threads']} "
+            f"server threads)"
+        )
 
     backend_sweep = []
     for label, extra in (
         ("single", []),
-        ("fleet-cpu+2gpu", ["--fleet", "--fleet-gpus", "2"]),
+        ("fleet-cpu+2gpu", ["--fleet-gpus", "2"]),
     ):
         bodies = build_bodies(64)
         server = Server(extra)
@@ -261,33 +252,6 @@ def main() -> dict:
     history.append(entry)
     out.write_text(json.dumps(history, indent=2) + "\n")
     print(f"wrote {out}")
-
-    # Gate: concurrency sustained per server thread.  The threaded door
-    # pays ~1 OS thread per connection; the async door multiplexes every
-    # connection on one loop (plus a bounded executor), so its ratio must
-    # be >= 4x better at the top concurrency.  This is a resource ratio,
-    # not a speed race, so it is meaningful on any core count; RPS parity
-    # on few-core machines is the recorded caveat (cpu_count above).
-    top_threaded = front_sweep["threaded"][-1]
-    top_async = front_sweep["async"][-1]
-    ratio = (
-        top_async["connections_per_thread"]
-        / top_threaded["connections_per_thread"]
-    )
-    entry["concurrency_per_thread_ratio"] = round(ratio, 2)
-    out.write_text(json.dumps(history, indent=2) + "\n")
-    assert ratio >= 4.0, (
-        f"async door sustains only {ratio:.1f}x the threaded door's "
-        f"connections-per-thread at {top_async['concurrency']} connections "
-        "(gate: >= 4x)"
-    )
-    if cpus < 4:
-        print(
-            f"RPS comparison caveat: {cpus} CPU(s) visible — both doors are "
-            "compute-bound on the same engine, so throughput parity is "
-            "expected here; the identity gate and the concurrency-per-thread "
-            "gate are the binding checks on this machine."
-        )
     return entry
 
 

@@ -304,8 +304,8 @@ class Client:
     calls (:meth:`align_stream`) use a dedicated connection so a
     long-lived stream never blocks the client's other calls.
 
-    ``api_key`` (sent as ``X-API-Key``) names the tenant for the fleet
-    front door's quota accounting; it is harmless elsewhere.
+    ``api_key`` (sent as ``X-API-Key``) names the tenant for the
+    front door's quota accounting (ignored when no quotas are set).
 
     >>> client = Client("http://127.0.0.1:8642")
     >>> client.healthz()
@@ -476,9 +476,9 @@ class Client:
         whole, a mapping is sent as-is (the server validates it).
 
         ``priority`` (``"interactive"`` or ``"batch"``) and
-        ``deadline_ms`` map to the fleet front door's ``X-Priority`` /
+        ``deadline_ms`` map to the front door's ``X-Priority`` /
         ``X-Deadline-Ms`` headers — dispatch class and deadline-aware
-        admission; the threaded server ignores them.
+        admission.
         """
         body = self._align_body(
             target, query, target_ref, query_ref, options, timeout_s

@@ -18,11 +18,13 @@ Four subcommands:
     modelled speedup report for it.
 
 ``serve``
-    Run the concurrent alignment service (:mod:`repro.service`) behind a
-    versioned JSON/HTTP endpoint: ``POST /v1/align``, ``GET /v1/stats``,
-    ``GET /v1/metrics``, ``GET /v1/healthz`` (legacy unversioned paths
-    307-redirect).  ``--workers N`` shards fused batches across N
-    persistent worker processes with bit-identical results.
+    Run the concurrent alignment service (:mod:`repro.service`) behind the
+    asyncio front door's versioned JSON/HTTP endpoint: ``POST /v1/align``,
+    ``GET /v1/stats``, ``GET /v1/metrics``, ``GET /v1/healthz`` (legacy
+    unversioned paths 307-redirect).  Fused batches run on the fleet
+    scheduler's lanes: ``cpu0``, plus ``pool0`` (``--workers N``, N
+    persistent worker processes) and ``--fleet-gpus`` simulated GPUs, with
+    bit-identical results on every lane.
 
 ``trace``
     Align one FASTA pair with observability enabled (:mod:`repro.obs`)
@@ -256,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="multiprocess backend size; fused batches are sharded across "
-        "N persistent worker processes (0 = in-process extension)",
+        help="add a pool0 lane whose N persistent worker processes shard "
+        "each fused batch (0 = the in-process cpu0 lane only)",
     )
     serve.add_argument(
         "--max-inflight-mb",
@@ -296,36 +298,36 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--fleet",
         action="store_true",
-        help="serve through the asyncio front door and fleet scheduler: "
-        "extension batches are placed across named backend queues "
-        "(in-process + simulated GPUs + the worker pool when --workers>0) "
-        "with least-loaded placement and hedged re-dispatch",
+        help="accepted for compatibility and ignored: serve always runs "
+        "the asyncio front door over the fleet scheduler",
     )
     serve.add_argument(
         "--fleet-gpus",
         type=int,
-        default=2,
-        help="simulated-GPU backends in the fleet (--fleet only)",
+        default=0,
+        help="simulated-GPU backends added to the fleet beside cpu0 "
+        "(and pool0 when --workers>0); extension batches are placed "
+        "least-loaded-first with hedged re-dispatch",
     )
     serve.add_argument(
         "--fleet-gpu-device",
         default="qv100",
         help="device spec for simulated-GPU backends, e.g. qv100, "
-        "titanx, rtx3080 (--fleet only)",
+        "titanx, rtx3080",
     )
     serve.add_argument(
         "--fleet-hedge-ms",
         type=float,
         default=500.0,
         help="straggler threshold before a unit is hedged onto an idle "
-        "backend; 0 disables hedging (--fleet only)",
+        "backend (multi-backend fleets); 0 disables hedging",
     )
     serve.add_argument(
         "--quota",
         default=None,
         help="per-tenant admission quotas as tenant=rate/burst pairs, "
         "e.g. 'default=10/20,alice=100/200'; tenants come from the "
-        "X-API-Key header (--fleet only)",
+        "X-API-Key header",
     )
     _add_scoring_args(serve)
     serve.add_argument(
@@ -609,97 +611,66 @@ def _bench_command(args: argparse.Namespace) -> int:
 
 
 def _build_fleet(args: argparse.Namespace):
-    """Assemble the backend roster + scheduler for ``serve --fleet``."""
+    """The backend roster + scheduler ``serve`` dispatches through."""
     from .fleet import FleetScheduler, InProcessBackend, PoolBackend, SimGpuBackend
     from .gpusim import device_by_name
+    from .obs import MetricsRegistry
 
+    # One registry for the scheduler and the pool: the service splices it
+    # into /v1/metrics.
+    registry = MetricsRegistry()
     backends = [InProcessBackend("cpu0")]
     if args.workers > 0:
-        backends.append(PoolBackend("pool0", workers=args.workers))
+        backends.append(
+            PoolBackend("pool0", workers=args.workers, registry=registry)
+        )
     device = device_by_name(args.fleet_gpu_device)
     for i in range(max(0, args.fleet_gpus)):
         backends.append(SimGpuBackend(f"gpu{i}", device=device))
     hedge_s = args.fleet_hedge_ms / 1000.0 if args.fleet_hedge_ms > 0 else None
-    return FleetScheduler(backends, hedge_after_s=hedge_s)
+    return FleetScheduler(backends, registry=registry, hedge_after_s=hedge_s)
 
 
 def _serve_command(args: argparse.Namespace) -> int:
     from . import obs
-    from .service import AlignmentService, make_server
+    from .fleet import TenantQuotas, serve_fleet
+    from .service import AlignmentService
 
     # Process-wide observability: /v1/metrics appends the global registry,
     # which is where the pipeline and lockstep-engine families (batch
     # occupancy, arena reuse) land.  The tracer bounds itself to the last
     # 32 root spans, so a long-lived server cannot grow without limit.
     obs.enable()
-    config = _config_from_args(args)
-    fleet = _build_fleet(args) if args.fleet else None
+    fleet = _build_fleet(args)
     service = AlignmentService(
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,
         max_queue=args.max_queue,
         max_inflight_bytes=(args.max_inflight_mb * 1024 * 1024) or None,
         cache_entries=args.cache_entries,
-        pool_workers=0 if args.fleet else args.workers,
-        config=config,
+        config=_config_from_args(args),
         store=args.store,
         stream_chunk_bp=args.stream_chunk_bp,
         fleet=fleet,
     )
-    if args.fleet:
-        return _serve_fleet_front_door(args, service, fleet)
-    server = make_server(
-        service,
-        args.host,
-        args.port,
-        quiet=not args.verbose,
-        max_align_body=args.max_body_mb * 1024 * 1024,
-        grace_s=args.grace_s,
-    )
-    host, port = server.server_address[:2]
-    print(
-        f"serving alignments on http://{host}:{port}/v1 "
-        f"(max_batch={args.max_batch}, max_wait={args.max_wait_ms}ms, "
-        f"queue={args.max_queue}, cache={args.cache_entries}, "
-        f"workers={args.workers}, store={args.store or 'none'})",
-        file=sys.stderr,
-    )
-
-    # SIGTERM/SIGINT begin a *bounded graceful drain*: stop accepting,
-    # let in-flight requests finish (streams close with a terminal error
-    # record), then server_close force-closes stragglers after --grace-s.
-    import signal
-
-    def _drain(signum, frame):
-        print(
-            f"draining and shutting down (grace {args.grace_s:g}s)...",
-            file=sys.stderr,
-        )
-        server.initiate_shutdown()
-
-    signal.signal(signal.SIGTERM, _drain)
-    signal.signal(signal.SIGINT, _drain)
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()
-        service.shutdown(drain=True)
-    return 0
-
-
-def _serve_fleet_front_door(args: argparse.Namespace, service, fleet) -> int:
-    """``serve --fleet``: asyncio front door over the fleet scheduler."""
-    from .fleet import TenantQuotas, serve_fleet
-
     quotas = TenantQuotas.from_spec(args.quota) if args.quota else None
 
     def _on_ready(host: str, port: int) -> None:
-        roster = ",".join(fleet.backend_names())
+        roster = ",".join(backend.name for backend in fleet.backends)
         print(
             f"serving alignments on http://{host}:{port}/v1 "
             f"(fleet=[{roster}], hedge={args.fleet_hedge_ms:g}ms, "
             f"quota={args.quota or 'off'}, max_batch={args.max_batch}, "
             f"store={args.store or 'none'})",
+            file=sys.stderr,
+        )
+
+    # SIGTERM/SIGINT begin a *bounded graceful drain*: new requests get
+    # 503, in-flight streams close with a terminal error record, and
+    # connections still open after --grace-s are force-closed.
+    def _on_drain() -> None:
+        print(
+            f"draining and shutting down (grace {args.grace_s:g}s)...",
             file=sys.stderr,
         )
 
@@ -712,6 +683,8 @@ def _serve_fleet_front_door(args: argparse.Namespace, service, fleet) -> int:
             max_align_body=args.max_body_mb * 1024 * 1024,
             grace_s=args.grace_s,
             on_ready=_on_ready,
+            on_drain=_on_drain,
+            access_log=args.verbose,
         )
     finally:
         service.shutdown(drain=True)

@@ -40,6 +40,7 @@ from .task import TaskArrays
 __all__ = [
     "FastzTiming",
     "ablation_times",
+    "anchor_weights",
     "estimate_extension_seconds",
     "extension_weight",
     "time_fastz",
@@ -53,16 +54,27 @@ __all__ = [
 HOST_WEIGHT_PER_SECOND = 5.0e6
 
 
-def extension_weight(suffixes) -> float:
-    """Total extension weight of an interleaved right/left suffix list.
+def anchor_weights(lengths, rows) -> list[int]:
+    """Per-anchor extension weight of spec rows over sources of ``lengths``.
 
-    The same per-anchor weight :func:`~repro.core.pipeline
-    .shard_anchor_suffixes` balances on — the wavefront's reachable
-    extent, ``min(len(t), len(q))`` per one-sided problem — summed over
-    the batch.  One number, computed from lengths alone, that every
-    admission/placement decision can share without touching the codes.
+    Row ``(ti, qi, t, q)`` weighs the wavefront's reachable extent,
+    ``min(len(t), len(q))``, of its right and its left one-sided problem
+    — the weight pool shards are LPT-balanced on, computed from lengths
+    alone without touching the codes.
     """
-    return float(sum(min(len(t), len(q)) for t, q in suffixes))
+    return [
+        min(lengths[ti] - t, lengths[qi] - q) + min(t, q)
+        for ti, qi, t, q in rows
+    ]
+
+
+def extension_weight(spec) -> float:
+    """Total extension weight of one fused batch (an ``ExtensionSpec``).
+
+    The sum of :func:`anchor_weights`, so fleet placement and the pool's
+    shard plan read one number.
+    """
+    return float(sum(anchor_weights([len(c) for c in spec.codes], spec.rows)))
 
 
 def estimate_extension_seconds(

@@ -57,6 +57,7 @@ from .task import FastzTask, TaskArrays, tasks_to_arrays
 
 __all__ = [
     "ChunkResult",
+    "ExtensionSpec",
     "FastzResult",
     "PreparedRequest",
     "extend_suffixes_batched",
@@ -630,6 +631,58 @@ class PreparedRequest:
     def suffixes(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Interleaved right/left extension problems of every anchor."""
         return _anchor_suffixes(self.t_codes, self.q_codes, self.t_pos, self.q_pos)
+
+
+@dataclass(frozen=True)
+class ExtensionSpec:
+    """One fused extension batch: code sources plus one row per anchor.
+
+    The form a batch travels in from the service dispatcher to a fleet
+    lane and on to pool workers.  ``codes`` holds each distinct sequence
+    once; ``digests`` names the store-backed ones (``None`` for raw
+    request codes) so a pool lane can publish them to shared memory
+    instead of pickling them.  Row ``(ti, qi, t, q)`` is one anchor at
+    ``t`` in ``codes[ti]`` and ``q`` in ``codes[qi]``.  Every lane feeds
+    the engine :meth:`suffixes`, so records are bit-identical wherever
+    the batch runs.
+    """
+
+    codes: tuple
+    rows: tuple
+    digests: tuple = ()
+
+    @classmethod
+    def fuse(cls, parts) -> "ExtensionSpec":
+        """One spec from ``(prepared, target_digest, query_digest)`` parts.
+
+        Anchors keep part order.  A sequence shared by several anchors or
+        requests (same digest, or the same array) becomes one source.
+        """
+        codes: list = []
+        digests: list = []
+        index: dict = {}
+        rows: list = []
+
+        def source(array, digest) -> int:
+            key = digest if digest is not None else id(array)
+            if key not in index:
+                index[key] = len(codes)
+                codes.append(array)
+                digests.append(digest)
+            return index[key]
+
+        for prep, t_digest, q_digest in parts:
+            ti = source(prep.t_codes, t_digest)
+            qi = source(prep.q_codes, q_digest)
+            rows.extend((ti, qi, t, q) for t, q in zip(prep.t_pos, prep.q_pos))
+        return cls(tuple(codes), tuple(rows), tuple(digests))
+
+    def suffixes(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Interleaved right/left extension problems, anchor ``k`` at ``2k``."""
+        suffixes: list[tuple[np.ndarray, np.ndarray]] = []
+        for ti, qi, t, q in self.rows:
+            suffixes += _anchor_suffixes(self.codes[ti], self.codes[qi], (t,), (q,))
+        return suffixes
 
 
 def prepare_fastz(

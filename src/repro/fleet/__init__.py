@@ -1,10 +1,12 @@
-"""Heterogeneous fleet serving: device queues, placement, async front door.
+"""Serving lanes and the front door: device queues, placement, asyncio HTTP.
 
-``repro.fleet`` turns the single in-process alignment service into a
-fleet: named backend queues (in-process engine, worker pools, simulated
-GPUs) behind a placement/hedging scheduler, fronted by an asyncio HTTP
-server that multiplexes thousands of connections on one event loop while
-preserving the ``/v1`` contract byte for byte.
+``repro.fleet`` holds the two halves of the serving path around
+:class:`~repro.service.AlignmentService`: the scheduler every fused batch
+runs through — named backend queues (in-process engine, worker pools,
+simulated GPUs) under one placement/hedging policy, a single lane by
+default — and the asyncio HTTP server that multiplexes thousands of
+connections on one event loop and owns the ``/v1`` contract
+(:mod:`repro.fleet.asgi`).
 """
 
 from .asgi import FleetApp

@@ -1,24 +1,62 @@
-"""The asyncio front door's application layer (ASGI-shaped, stdlib only).
+"""The ``/v1`` HTTP contract and its application layer (ASGI-shaped).
 
 :class:`FleetApp` is an ASGI-style callable — ``await app(scope, receive,
-send)`` — implementing the same versioned ``/v1`` surface as the threaded
-server (:mod:`repro.service.http`), byte for byte: same routes, same
-error envelope ``{"error": {"code", "message"}}``, same NDJSON streaming
-records, same legacy 307s.  The request-body contract is literally
-shared code (:func:`~repro.service.http.parse_align_request`,
-:func:`~repro.service.http.register_reference_payload`,
-:func:`~repro.service.http.classify_align_error`), so the two front ends
-cannot drift.
+send)`` — served by :class:`~repro.fleet.server.FleetHTTPServer`, the one
+HTTP front door of ``repro serve``.  This module is also the contract's
+single source of truth, independent of the transport: the routes, the
+request-body validation (:func:`parse_align_request`,
+:func:`register_reference_payload`), the error mapping
+(:func:`classify_align_error`) and the response payloads.
 
-What the async layer adds over the threaded one:
+The surface is versioned under ``/v1``:
 
-* **non-blocking multiplexing** — one event loop serves every
-  connection; an ``/v1/align`` awaits the service future
-  (``asyncio.wrap_future``) instead of parking a thread, so thousands of
-  in-flight requests cost one task each.
+* ``POST /v1/align`` — body ``{"target": "ACGT...", "query": "ACGT...",
+  "timeout_s": 5.0?, "options": {...}?}``; responds with the scored
+  alignments.  Either side may instead be a registered reference:
+  ``{"target_ref": "<digest>"}`` (needs a server configured with a
+  reference store) — exactly one of value/ref per side.  ``options``
+  overrides the server's default
+  :class:`~repro.core.options.FastzOptions` field-by-field and is
+  validated with :meth:`~repro.core.options.FastzOptions.from_mapping`
+  (unknown keys are a 400, not silently ignored).
+* ``POST /v1/align?stream=1`` — same body, streamed response: the
+  streaming pipeline runs on an executor thread and the reply is
+  chunk-encoded NDJSON, one JSON record per line — ``{"type":
+  "partial", ...}`` after each extension batch (threshold-clearing
+  alignments included as they are discovered), then a terminal
+  ``{"type": "summary", ...}`` identical to the non-streaming payload
+  (streamed and barrier results are bit-identical), or ``{"type":
+  "error", ...}`` if the run fails after streaming began.
+* ``POST /v1/references`` — register a reference: ``{"sequence":
+  "ACGTacgt...", "name": "chr1"?}``; idempotent by content digest, the
+  response carries ``{"digest", "length", "registered"}``.  Lowercase
+  input is recorded as the soft-mask sidecar.
+* ``GET /v1/references`` — list registered references.
+* ``GET /v1/stats`` — the :class:`~repro.service.stats.ServiceStats`
+  snapshot as JSON.
+* ``GET /v1/metrics`` — the same counters (plus queue-wait/latency
+  histograms) in Prometheus text exposition format.
+* ``GET /v1/healthz`` — liveness probe (``draining`` once shutdown began).
+
+Errors use one envelope everywhere: ``{"error": {"code": "...",
+"message": "..."}}`` with a stable machine-readable ``code``
+(``bad_request``, ``not_found``, ``payload_too_large``, ``overloaded``,
+``quota_exceeded``, ``shutting_down``, ``deadline_exceeded``,
+``cancelled``, ``store_corrupt``, ``internal``).  Load-shedding 503s and
+quota 429s carry a ``Retry-After`` header.  Raw-sequence ``/v1/align``
+bodies over ``max_align_body`` get **413** ``payload_too_large``
+*before* the body is read — the message points at ``POST
+/v1/references``, the intended path for large sequences.  The original
+unversioned paths (``/align``, ``/stats``, ``/metrics``, ``/healthz``)
+answer with a **307** redirect to their ``/v1`` twin plus a
+``Deprecation: true`` header.
+
+Admission, on top of the contract:
+
 * **tenancy** — per-tenant token-bucket quotas keyed on ``X-API-Key``
   (:mod:`repro.fleet.quota`); an empty bucket answers ``429
-  quota_exceeded`` with ``Retry-After``.
+  quota_exceeded`` with ``Retry-After``.  No quotas configured means
+  no checks.
 * **priority classes** — ``X-Priority: interactive|batch`` maps to the
   fleet scheduler's dispatch classes; interactive requests overtake
   batch work at every queue.  Unknown values are a 400.
@@ -29,9 +67,10 @@ What the async layer adds over the threaded one:
   deadline_exceeded`` instead of burning a backend on a result nobody
   will read.  The deadline also bounds queue time like ``timeout_s``.
 
-CPU-bearing request work (JSON parse + DNA validation, reference-store
-writes, the streaming pipeline) runs on the default executor so the loop
-never stalls behind one request.
+An ``/v1/align`` awaits the service future (``asyncio.wrap_future``)
+instead of parking a thread, and CPU-bearing request work (JSON parse +
+DNA validation, reference-store writes, the streaming pipeline) runs on
+the default executor so the loop never stalls behind one request.
 """
 
 from __future__ import annotations
@@ -40,25 +79,246 @@ import asyncio
 import json
 import math
 import threading
+from concurrent.futures import CancelledError
 
-from ..service.http import (
-    API_PREFIX,
-    DEFAULT_MAX_ALIGN_BODY,
-    LEGACY_PATHS,
-    RequestError,
-    _MAX_REGISTER_BODY,
-    _alignment_payload,
-    _alignment_rows,
-    _classify_stream_error,
-    classify_align_error,
-    parse_align_request,
-    register_reference_payload,
-)
-from ..service.service import AlignmentService
+from ..core.options import FastzOptions
+from ..core.streaming import StreamAborted
+from ..genome.alphabet import encode, encode_with_mask
+from ..service.batcher import DeadlineExceeded
+from ..service.service import AlignmentService, ServiceClosed, ServiceOverloaded
+from ..store import StoreCorrupt, UnknownReference, reference_digest
+from ..store.twobit import runs_from_mask
 from .quota import QuotaExceeded, TenantQuotas
 from .scheduler import PRIORITY_INTERACTIVE, PRIORITY_NAMES
 
-__all__ = ["FleetApp"]
+__all__ = [
+    "API_PREFIX",
+    "DEFAULT_MAX_ALIGN_BODY",
+    "FleetApp",
+    "LEGACY_PATHS",
+    "RequestError",
+    "classify_align_error",
+    "parse_align_request",
+    "register_reference_payload",
+]
+
+#: Version prefix of the current HTTP surface.
+API_PREFIX = "/v1"
+
+#: Pre-versioning paths still honoured via 307 + ``Deprecation: true``.
+LEGACY_PATHS = ("/align", "/healthz", "/metrics", "/stats")
+
+#: Default cap on raw-sequence ``/v1/align`` bodies (a chromosome pair in
+#: text is fine, an accidental multi-GB POST is not); :class:`FleetApp`'s
+#: ``max_align_body`` overrides it.  Oversize bodies 413 with a pointer
+#: at ``POST /v1/references``.
+DEFAULT_MAX_ALIGN_BODY = 64 * 1024 * 1024
+
+#: Registration bodies may legitimately carry whole chromosomes; this is
+#: an absolute backstop, not a tuning knob.
+_MAX_REGISTER_BODY = 1024 * 1024 * 1024
+
+
+class RequestError(Exception):
+    """A request failed validation; carries the full error-envelope triple."""
+
+    def __init__(
+        self,
+        status: int,
+        code: str,
+        message: str,
+        headers: dict[str, str] | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.status = status
+        self.code = code
+        self.message = message
+        self.headers = headers or {}
+
+
+def parse_align_request(payload: dict, service: AlignmentService) -> dict:
+    """Validate a ``/v1/align`` body into submit-ready fields.
+
+    Returns ``{"target_codes", "query_codes", "options", "timeout_s",
+    "target_ref", "query_ref"}`` (codes/refs are ``None`` for the unused
+    form of each side).  Raises :class:`RequestError` on any violation —
+    the single source of truth for the align-body contract.
+    """
+    target = payload.get("target")
+    query = payload.get("query")
+    target_ref = payload.get("target_ref")
+    query_ref = payload.get("query_ref")
+    for field, value in (("target_ref", target_ref), ("query_ref", query_ref)):
+        if value is not None and not isinstance(value, str):
+            raise RequestError(
+                400, "bad_request", f"'{field}' must be a digest string"
+            )
+    if (target is None) == (target_ref is None):
+        raise RequestError(
+            400,
+            "bad_request",
+            "give exactly one of 'target' (DNA string) or 'target_ref' (digest)",
+        )
+    if (query is None) == (query_ref is None):
+        raise RequestError(
+            400,
+            "bad_request",
+            "give exactly one of 'query' (DNA string) or 'query_ref' (digest)",
+        )
+    if target is not None and not isinstance(target, str):
+        raise RequestError(400, "bad_request", "'target' must be a DNA string")
+    if query is not None and not isinstance(query, str):
+        raise RequestError(400, "bad_request", "'query' must be a DNA string")
+    timeout_s = payload.get("timeout_s")
+    # bool is a subclass of int, so isinstance alone would accept
+    # ``"timeout_s": true`` and treat it as a 1-second deadline.
+    if timeout_s is not None and (
+        isinstance(timeout_s, bool) or not isinstance(timeout_s, (int, float))
+    ):
+        raise RequestError(400, "bad_request", "'timeout_s' must be a number")
+
+    options = None
+    raw_options = payload.get("options")
+    if raw_options is not None:
+        if not isinstance(raw_options, dict):
+            raise RequestError(400, "bad_request", "'options' must be a JSON object")
+        try:
+            options = FastzOptions.from_mapping(
+                {**service.default_options.to_mapping(), **raw_options}
+            )
+        except (TypeError, ValueError) as exc:
+            raise RequestError(400, "bad_request", f"bad 'options': {exc}") from None
+
+    # Validate before dispatch: the encoding LUT maps junk to N, so a
+    # malformed body would otherwise be aligned-as-N (or, for other
+    # input bugs, surface as a 500 from deep inside the pipeline).
+    target_codes = query_codes = None
+    if target is not None:
+        try:
+            target_codes = encode(target, strict=True)
+        except ValueError as exc:
+            raise RequestError(
+                400, "bad_request", f"'target' is not a DNA sequence: {exc}"
+            ) from None
+    if query is not None:
+        try:
+            query_codes = encode(query, strict=True)
+        except ValueError as exc:
+            raise RequestError(
+                400, "bad_request", f"'query' is not a DNA sequence: {exc}"
+            ) from None
+    return {
+        "target_codes": target_codes,
+        "query_codes": query_codes,
+        "options": options,
+        "timeout_s": timeout_s,
+        "target_ref": target_ref,
+        "query_ref": query_ref,
+    }
+
+
+def register_reference_payload(store, payload: dict) -> dict:
+    """Validate + apply a ``POST /v1/references`` body; returns the reply.
+
+    Raises :class:`RequestError` on bad input or store write failure.
+    """
+    sequence = payload.get("sequence")
+    if not isinstance(sequence, str):
+        raise RequestError(400, "bad_request", "'sequence' must be a DNA string")
+    name = payload.get("name", "reference")
+    if not isinstance(name, str) or not name:
+        raise RequestError(400, "bad_request", "'name' must be a non-empty string")
+    try:
+        encode(sequence, strict=True)
+    except ValueError as exc:
+        raise RequestError(
+            400, "bad_request", f"'sequence' is not a DNA sequence: {exc}"
+        ) from None
+    # Lowercase input is FASTA soft-masking; keep it in the sidecar.
+    codes, mask = encode_with_mask(sequence)
+    digest = reference_digest(codes, runs_from_mask(mask))
+    existed = store.contains(digest)
+    try:
+        store.add(codes, name=name, mask=mask)
+    except OSError as exc:
+        raise RequestError(
+            500, "internal", f"cannot write store files: {exc}"
+        ) from None
+    return {
+        "digest": digest,
+        "name": name,
+        "length": len(codes),
+        "registered": not existed,
+    }
+
+
+def classify_align_error(exc: BaseException) -> tuple[int, str, str, dict]:
+    """(status, code, message, headers) for a failed align submission.
+
+    The one mapping from service-level exceptions to the error envelope,
+    applied to both the synchronous submit path and the future's result.
+    """
+    if isinstance(exc, UnknownReference):
+        return 404, "not_found", str(exc), {}
+    if isinstance(exc, StoreCorrupt):
+        return 500, "store_corrupt", str(exc), {}
+    if isinstance(exc, ValueError):
+        # e.g. align-by-ref against a server without a store.
+        return 400, "bad_request", str(exc), {}
+    if isinstance(exc, ServiceOverloaded):
+        retry = str(max(1, round(getattr(exc, "retry_after_s", 1.0))))
+        return 503, "overloaded", str(exc), {"Retry-After": retry}
+    if isinstance(exc, ServiceClosed):
+        return 503, "shutting_down", str(exc), {}
+    if isinstance(exc, (DeadlineExceeded, TimeoutError)):
+        return (
+            504,
+            "deadline_exceeded",
+            str(exc) or "request deadline exceeded",
+            {},
+        )
+    if isinstance(exc, CancelledError):
+        return 503, "cancelled", "request cancelled during shutdown", {}
+    return 500, "internal", f"{type(exc).__name__}: {exc}", {}
+
+
+def _alignment_rows(alignments) -> list[dict]:
+    return [
+        {
+            "score": a.score,
+            "target_start": a.target_start,
+            "target_end": a.target_end,
+            "query_start": a.query_start,
+            "query_end": a.query_end,
+            "cigar": a.cigar(),
+        }
+        for a in alignments
+    ]
+
+
+def _alignment_payload(result) -> dict:
+    return {
+        "count": len(result.alignments),
+        "anchors": len(result.tasks),
+        "eager_fraction": round(result.eager_fraction, 4),
+        "alignments": _alignment_rows(result.unique_alignments()),
+    }
+
+
+def _classify_stream_error(exc: Exception) -> tuple[int, str, str]:
+    """(status, code, message) for a streaming failure, pre- or mid-stream."""
+    if isinstance(exc, StreamAborted):
+        return 503, "shutting_down", "server is draining; stream aborted"
+    if isinstance(exc, ServiceClosed):
+        return 503, "shutting_down", str(exc)
+    if isinstance(exc, UnknownReference):
+        return 404, "not_found", str(exc)
+    if isinstance(exc, StoreCorrupt):
+        return 500, "store_corrupt", str(exc)
+    if isinstance(exc, ValueError):
+        return 400, "bad_request", str(exc)
+    return 500, "internal", f"{type(exc).__name__}: {exc}"
+
 
 #: Queue marker: the streaming worker finished; payload is the outcome.
 _STREAM_END = object()
@@ -77,7 +337,7 @@ def _partial_record(partial) -> dict:
 
 
 def _parse_body(body: bytes) -> dict:
-    """JSON-object body or :class:`RequestError` (shared 400 semantics)."""
+    """JSON-object body or :class:`RequestError` (400 semantics)."""
     if not body:
         raise RequestError(400, "bad_request", "body must not be empty")
     try:
@@ -95,10 +355,8 @@ class FleetApp:
     Parameters
     ----------
     service:
-        The :class:`~repro.service.AlignmentService` behind the surface —
-        typically fleet-backed (``fleet=[...]``), but any service works;
-        tenancy/priority/deadline headers degrade gracefully without a
-        scheduler.
+        The :class:`~repro.service.AlignmentService` behind the surface;
+        deadline admission reads its fleet scheduler's estimate.
     draining:
         Shared shutdown flag: once set, new POSTs get 503
         ``shutting_down`` and in-flight streams abort with a terminal
@@ -245,7 +503,7 @@ class FleetApp:
     async def _read_payload(
         self, scope: dict, receive, send, limit: int, over_limit_message: str
     ) -> dict | None:
-        """Body → JSON object, or a reply + ``None`` (mirrors ``_read_json``).
+        """Body → JSON object, or a reply + ``None``.
 
         The size check runs on the scope's Content-Length before the body
         is pulled off the socket, so oversize uploads are refused unread
@@ -308,8 +566,7 @@ class FleetApp:
 
     def _check_deadline(self, fields: dict, deadline_ms: float | None) -> None:
         """Refuse requests the fleet's cost model says cannot make it."""
-        fleet = self.service.fleet
-        if deadline_ms is None or fleet is None:
+        if deadline_ms is None:
             return
         sides = [
             len(codes)
@@ -319,7 +576,7 @@ class FleetApp:
         # By-ref sides have unknown length here; admission then only
         # charges the backlog, which still catches a saturated fleet.
         weight = float(min(sides)) if len(sides) == 2 else 0.0
-        estimate_s = fleet.estimated_wait_s(weight)
+        estimate_s = self.service.fleet.estimated_wait_s(weight)
         if estimate_s * 1e3 > deadline_ms:
             raise RequestError(
                 504,
@@ -408,11 +665,11 @@ class FleetApp:
         """Chunk-encode NDJSON records as the streaming pipeline produces them.
 
         The pipeline runs on an executor thread; ``on_partial`` trampolines
-        each record onto the loop through an :class:`asyncio.Queue`.  The
-        contract matches the threaded server exactly: errors before the
-        first record use the plain envelope + status, errors after
-        streaming began become a terminal ``{"type": "error"}`` record,
-        and the terminal ``summary`` equals the non-streaming payload.
+        each record onto the loop through an :class:`asyncio.Queue`.
+        Errors before the first record use the plain envelope + status,
+        errors after streaming began become a terminal ``{"type":
+        "error"}`` record, and the terminal ``summary`` equals the
+        non-streaming payload.
         """
         loop = asyncio.get_running_loop()
         records: asyncio.Queue = asyncio.Queue()

@@ -1,18 +1,19 @@
 """Fleet execution backends: one named device behind one ``run`` call.
 
 A backend is the unit the :class:`~repro.fleet.scheduler.FleetScheduler`
-routes work to: it executes one fused extension batch — the interleaved
-right/left suffix list of one or more alignment requests — and returns
-per-anchor extension records.  Every backend ultimately calls
-:func:`repro.core.pipeline.extend_suffixes_shard` on the same inputs, so
-**records are bit-identical whichever backend ran them**; backends differ
-only in *where* the arithmetic happens and what it costs:
+routes work to: it executes one fused extension batch — an
+:class:`~repro.core.pipeline.ExtensionSpec` over one or more alignment
+requests — and returns per-anchor extension records.  Every backend
+ultimately calls :func:`repro.core.pipeline.extend_suffixes_shard` on the
+spec's :meth:`~repro.core.pipeline.ExtensionSpec.suffixes`, so **records
+are bit-identical whichever backend ran them**; backends differ only in
+*where* the arithmetic happens and what it costs:
 
 * :class:`InProcessBackend` — the lockstep NumPy engine on a scheduler
-  worker thread (the pre-fleet in-process path, kept warm via the
-  thread-local arenas);
+  worker thread (kept warm via the thread-local arenas);
 * :class:`PoolBackend` — a :class:`~repro.service.pool.WorkerPool` of
-  persistent worker processes; the batch is LPT-sharded across them
+  persistent worker processes; the spec's rows are LPT-sharded across
+  them and store-backed sources travel as shared-memory handles
   (multiple cores, same bytes);
 * :class:`SimGpuBackend` — one simulated GPU: the arithmetic still runs
   on the host (there is no real device), but the backend *accounts* the
@@ -25,8 +26,8 @@ only in *where* the arithmetic happens and what it costs:
 Failure contract: a backend whose *substrate* is gone (closed, killed,
 worker pool unrecoverable) raises :class:`BackendUnavailable` — the
 scheduler re-dispatches the unit elsewhere and retires the backend.  Any
-other exception is the work's own (poisoned batch) and propagates to the
-submitter.
+other exception fails only the unit and propagates to the submitter —
+a poisoned batch, or a pool shard that kept killing its workers.
 
 Test hook (inert unless set): ``REPRO_FLEET_TEST_SLOW_BACKEND`` is
 ``name:seconds`` (comma-separated pairs) — the named backend sleeps that
@@ -43,8 +44,9 @@ import time
 
 from ..align.arena import release_thread_arenas
 from ..core.perfmodel import estimate_extension_seconds, extension_weight
+from ..core.pipeline import extend_suffixes_shard
 from ..gpusim.device import DeviceSpec, QV100_VOLTA
-from ..service.pool import PoolError, WorkerPool
+from ..service.pool import PoolError, PoolUnavailable, WorkerPool
 
 __all__ = [
     "BackendUnavailable",
@@ -124,9 +126,9 @@ class FleetBackend:
 
     # -- execution -----------------------------------------------------------
 
-    def run(self, suffixes, scheme, options, tile: int, *, key: str,
+    def run(self, spec, scheme, options, tile: int, *, key: str,
             cancelled: threading.Event | None = None):
-        """Execute one fused batch; returns per-anchor extension records.
+        """Execute one fused batch (an ``ExtensionSpec``); returns records.
 
         Raises :class:`BackendUnavailable` once :meth:`close` ran.
         ``cancelled`` (set when another dispatch of the same unit already
@@ -141,14 +143,14 @@ class FleetBackend:
             if self._closed.is_set():
                 raise BackendUnavailable(f"backend {self.name!r} is closed")
         start = time.perf_counter()
-        records = self._execute(suffixes, scheme, options, tile, key=key,
+        records = self._execute(spec, scheme, options, tile, key=key,
                                 cancelled=cancelled)
         with self._lock:
             self.busy_seconds += time.perf_counter() - start
             self.completed += 1
         return records
 
-    def _execute(self, suffixes, scheme, options, tile, *, key, cancelled):
+    def _execute(self, spec, scheme, options, tile, *, key, cancelled):
         raise NotImplementedError
 
     # -- lifecycle -----------------------------------------------------------
@@ -185,21 +187,23 @@ class InProcessBackend(FleetBackend):
     def __init__(self, name: str = "cpu0", *, max_inflight: int = 1) -> None:
         super().__init__(name, max_inflight=max_inflight)
 
-    def _execute(self, suffixes, scheme, options, tile, *, key, cancelled):
-        from ..core.pipeline import extend_suffixes_shard
-
-        return extend_suffixes_shard(suffixes, scheme, options, tile)
+    def _execute(self, spec, scheme, options, tile, *, key, cancelled):
+        return extend_suffixes_shard(spec.suffixes(), scheme, options, tile)
 
 
 class PoolBackend(FleetBackend):
     """A persistent multiprocess worker pool behind one fleet queue.
 
     Owns its :class:`~repro.service.pool.WorkerPool` (or adopts one);
-    each run LPT-shards the batch across the pool's workers.  A
-    :class:`~repro.service.pool.PoolError` — workers dying faster than
-    they can be respawned, or the pool closed under us — becomes
-    :class:`BackendUnavailable` so the scheduler re-routes the unit
-    instead of failing it.
+    each run publishes the spec's store-backed sources to shared memory
+    (once per digest) and LPT-shards its rows across the pool's workers.
+    :class:`~repro.service.pool.PoolUnavailable` — the pool closed under
+    us, or a dead worker could not be replaced — becomes
+    :class:`BackendUnavailable`, so the scheduler retires the lane and
+    re-routes the unit.  A plain :class:`~repro.service.pool.PoolError`
+    (one shard kept killing its workers) fails only this unit: it counts
+    as ``degraded``, the service re-runs it in-process, and the lane
+    stays open for the next batch.
     """
 
     kind = "pool"
@@ -219,13 +223,25 @@ class PoolBackend(FleetBackend):
             workers, registry=registry
         )
 
-    def _execute(self, suffixes, scheme, options, tile, *, key, cancelled):
+    def estimate_seconds(self, weight: float) -> float:
+        # Shards run in parallel, one per live worker.
+        return estimate_extension_seconds(weight) / max(1, self.pool.n_alive)
+
+    def _source(self, codes, digest) -> tuple:
+        handle = self.pool.publish(digest, codes) if digest is not None else None
+        return ("inline", codes) if handle is None else ("shm", *handle)
+
+    def _execute(self, spec, scheme, options, tile, *, key, cancelled):
+        sources = [self._source(c, d) for c, d in zip(spec.codes, spec.digests)]
         try:
-            return self.pool.extend(suffixes, scheme, options, tile, key=key)
-        except PoolError as exc:
-            raise BackendUnavailable(
-                f"backend {self.name!r}: {exc}"
-            ) from exc
+            return self.pool.extend_spec(
+                sources, spec.rows, scheme, options, tile, key=key
+            )
+        except PoolUnavailable as exc:
+            raise BackendUnavailable(f"backend {self.name!r}: {exc}") from exc
+        except PoolError:
+            self.pool.note_degraded()
+            raise
 
     def close(self) -> None:
         super().close()
@@ -264,14 +280,10 @@ class SimGpuBackend(FleetBackend):
     def estimate_seconds(self, weight: float) -> float:
         return estimate_extension_seconds(weight, self.device)
 
-    def _execute(self, suffixes, scheme, options, tile, *, key, cancelled):
-        from ..core.pipeline import extend_suffixes_shard
-
-        modelled = estimate_extension_seconds(
-            extension_weight(suffixes), self.device
-        )
+    def _execute(self, spec, scheme, options, tile, *, key, cancelled):
+        modelled = estimate_extension_seconds(extension_weight(spec), self.device)
         start = time.perf_counter()
-        records = extend_suffixes_shard(suffixes, scheme, options, tile)
+        records = extend_suffixes_shard(spec.suffixes(), scheme, options, tile)
         host_spent = time.perf_counter() - start
         with self._lock:
             self.sim_seconds += modelled

@@ -1,12 +1,13 @@
 """The fleet scheduler: named device queues under one placement policy.
 
 KegAlign's MIG runner and SaLoBa's load-balance argument meet here: the
-pipeline's kernel-sized unit of work — one fused extension batch — is
-routed across a heterogeneous set of :class:`~repro.fleet.backends
-.FleetBackend`\\ s (in-process engine, multiprocess pool, N simulated
-GPUs), each behind its own **named queue** with a bounded number of
-concurrently running units (``max_inflight``) and full completion
-tracking.  Three policies, one scheduler:
+pipeline's kernel-sized unit of work — one fused extension batch, an
+:class:`~repro.core.pipeline.ExtensionSpec` — is routed across a
+heterogeneous set of :class:`~repro.fleet.backends.FleetBackend`\\ s
+(in-process engine, multiprocess pool, N simulated GPUs), each behind
+its own **named queue** with a bounded number of concurrently running
+units (``max_inflight``) and full completion tracking.  Three policies,
+one scheduler:
 
 * **placement** — least-loaded-first: a new unit goes to the open lane
   minimising ``backlog_seconds + estimate_seconds(unit)``, where both
@@ -74,7 +75,7 @@ class _Unit:
     """One schedulable batch with its resolution future and bookkeeping."""
 
     seq: int
-    suffixes: list
+    spec: object
     scheme: object
     options: object
     tile: int
@@ -272,7 +273,7 @@ class FleetScheduler:
 
     def submit(
         self,
-        suffixes,
+        spec,
         scheme,
         options,
         tile: int,
@@ -283,9 +284,10 @@ class FleetScheduler:
     ) -> Future:
         """Place one fused batch; returns a future of per-anchor records.
 
-        The records are bit-identical to
-        :func:`repro.core.pipeline.extend_suffixes_shard` on the same
-        list, whichever backend (or backends, after re-dispatch) ran it.
+        ``spec`` is an :class:`~repro.core.pipeline.ExtensionSpec`.  The
+        records are bit-identical to
+        :func:`repro.core.pipeline.extend_suffixes_shard` on its suffixes,
+        whichever backend (or backends, after re-dispatch) ran it.
         """
         with self._lock:
             if self._closed:
@@ -293,12 +295,12 @@ class FleetScheduler:
             self.submitted += 1
         unit = _Unit(
             seq=next(self._seq),
-            suffixes=suffixes,
+            spec=spec,
             scheme=scheme,
             options=options,
             tile=tile,
             key=key,
-            weight=extension_weight(suffixes) if weight is None else float(weight),
+            weight=extension_weight(spec) if weight is None else float(weight),
             priority=int(priority),
         )
         lane = self._place(unit)
@@ -403,7 +405,7 @@ class FleetScheduler:
         self._inflight_gauge.labels(backend=lane.name).set(lane.inflight)
         try:
             records = lane.backend.run(
-                unit.suffixes,
+                unit.spec,
                 unit.scheme,
                 unit.options,
                 unit.tile,
@@ -533,8 +535,10 @@ class FleetScheduler:
             best = min(best, eta)
         return best
 
-    def backend_names(self) -> list[str]:
-        return [lane.name for lane in self._lanes]
+    @property
+    def backends(self) -> list[FleetBackend]:
+        """The fleet's backends, in declaration order."""
+        return [lane.backend for lane in self._lanes]
 
     def stats(self) -> dict:
         """JSON-ready fleet health (the ``fleet`` section of ``/v1/stats``)."""
@@ -554,8 +558,12 @@ class FleetScheduler:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def close(self, timeout: float = 10.0) -> None:
-        """Drain every lane, stop the workers, close the backends."""
+    def close(self, timeout: float | None = 10.0) -> None:
+        """Drain every lane, stop the workers, close the backends.
+
+        ``timeout`` bounds the wait for queued units (``None`` waits for
+        all of them).
+        """
         with self._lock:
             if self._closed:
                 return
@@ -563,10 +571,13 @@ class FleetScheduler:
         for lane in self._lanes:
             for _ in lane.threads:
                 lane.queue.put((_SENTINEL_PRIORITY, next(self._seq), 0, None))
-        deadline = time.monotonic() + timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
         for lane in self._lanes:
             for t in lane.threads:
-                t.join(max(0.0, deadline - time.monotonic()))
+                if deadline is None:
+                    t.join()
+                else:
+                    t.join(max(0.0, deadline - time.monotonic()))
         if self._monitor is not None:
             self._monitor.join(max(self.poll_s * 4, 0.2))
         for lane in self._lanes:

@@ -1,31 +1,30 @@
 """Asyncio HTTP/1.1 server: one event loop, many connections (stdlib only).
 
-The transport half of the fleet front door.  :class:`FleetHTTPServer`
-parses HTTP/1.1 off :mod:`asyncio` streams and drives an ASGI-style app
-(:class:`~repro.fleet.asgi.FleetApp`): requests on one connection are
-handled in sequence (keep-alive), connections are multiplexed by the
-loop — no thread per connection, so concurrency is bounded by sockets,
-not by a thread pool.
+The transport half of ``repro serve``'s front door.
+:class:`FleetHTTPServer` parses HTTP/1.1 off :mod:`asyncio` streams and
+drives an ASGI-style app (:class:`~repro.fleet.asgi.FleetApp`): requests
+on one connection are handled in sequence (keep-alive), connections are
+multiplexed by the loop — no thread per connection, so concurrency is
+bounded by sockets, not by a thread pool.
 
-Framing rules, chosen to match the threaded server's observable
-behaviour:
+Framing rules:
 
 * responses that declare ``Content-Length`` keep the connection alive
   (HTTP/1.1 default) unless either side asked ``Connection: close``;
 * responses without a length (the NDJSON streams) are sent
-  ``Transfer-Encoding: chunked`` and close the connection afterwards,
-  exactly like the threaded server's streams;
+  ``Transfer-Encoding: chunked`` and close the connection afterwards;
 * a request refused *before* its body was read (413 and friends) closes
   the connection — the unread bytes must not be parsed as a next request.
 
-Shutdown is the same bounded graceful drain as the threaded server:
+Shutdown is a bounded graceful drain:
 :meth:`FleetHTTPServer.initiate_shutdown` (thread- and signal-safe)
 flips the shared draining flag — new requests get 503
 ``shutting_down``, in-flight streams end with a terminal error record —
 waits up to ``grace_s`` for active requests (the listener keeps
 accepting so latecomers get the immediate 503 instead of hanging in the
 accept backlog), then stops the listener and force-closes surviving
-connections.
+connections.  With ``access_log`` each request leaves one
+:mod:`http.server`-format line on stderr.
 """
 
 from __future__ import annotations
@@ -33,7 +32,9 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
+import sys
 import threading
+import time
 from http.client import responses as _status_phrases
 from urllib.parse import parse_qs, urlsplit
 
@@ -73,6 +74,7 @@ class FleetHTTPServer:
         *,
         draining: threading.Event,
         grace_s: float = 5.0,
+        access_log: bool = False,
     ) -> None:
         if grace_s < 0:
             raise ValueError("grace_s must be non-negative")
@@ -80,6 +82,7 @@ class FleetHTTPServer:
         self.host = host
         self.port = port
         self.grace_s = float(grace_s)
+        self.access_log = access_log
         self._draining = draining
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -114,25 +117,26 @@ class FleetHTTPServer:
         await self._done.wait()
 
     def initiate_shutdown(self) -> None:
-        """Begin the graceful drain; safe from signal handlers and threads."""
-        loop = self._loop
-        if loop is None:
-            self._draining.set()
-            return
-        loop.call_soon_threadsafe(self._begin_shutdown)
+        """Begin the graceful drain; safe from signal handlers and threads.
+
+        The draining flag flips before this returns — new requests get
+        503 and in-flight streams abort at their next batch boundary —
+        and the drain itself is handed to the loop.
+        """
+        self._draining.set()
+        if self._loop is not None:
+            self._loop.call_soon_threadsafe(self._begin_shutdown)
 
     def _begin_shutdown(self) -> None:
         if self._shutdown_started:
             return
         self._shutdown_started = True
-        self._draining.set()
         asyncio.ensure_future(self._drain())
 
     async def _drain(self) -> None:
-        # The listener stays open through the grace window — matching the
-        # threaded server's drain: latecomers get an immediate 503 from
-        # the draining app instead of hanging in the kernel's accept
-        # backlog against a closed socket.
+        # The listener stays open through the grace window: latecomers get
+        # an immediate 503 from the draining app instead of hanging in the
+        # kernel's accept backlog against a closed socket.
         deadline = asyncio.get_running_loop().time() + self.grace_s
         while self._active_requests > 0:
             if asyncio.get_running_loop().time() >= deadline:
@@ -204,20 +208,25 @@ class FleetHTTPServer:
         if head is None:
             return False
         method, target, version, headers = head
+        requestline = f"{method} {target} {version}"
 
         if "chunked" in headers.get("transfer-encoding", "").lower():
             await self._transport_error(
-                writer, 411, "bad_request", "chunked request bodies not supported"
+                writer, 411, "bad_request", "chunked request bodies not supported",
+                requestline,
             )
             return False
         try:
             content_length = int(headers.get("content-length", 0) or 0)
         except ValueError:
-            await self._transport_error(writer, 400, "bad_request", "bad Content-Length")
+            await self._transport_error(
+                writer, 400, "bad_request", "bad Content-Length", requestline
+            )
             return False
         if content_length < 0 or content_length > _MAX_BODY_BYTES:
             await self._transport_error(
-                writer, 413, "payload_too_large", "request body too large"
+                writer, 413, "payload_too_large", "request body too large",
+                requestline,
             )
             return False
         if headers.get("expect", "").lower() == "100-continue":
@@ -249,13 +258,16 @@ class FleetHTTPServer:
         http11 = version.upper() == "HTTP/1.1"
 
         async def send(event: dict) -> None:
-            if event["type"] == "http.response.start" and not body_consumed:
-                # Refused before the body was read: the connection must
-                # close (the unread bytes cannot be skipped), so say so —
-                # clients then reconnect instead of reusing a dead socket.
-                headers = list(event.get("headers") or [])
-                headers.append(("Connection", "close"))
-                event = {**event, "headers": headers}
+            if event["type"] == "http.response.start":
+                self._log_access(writer, requestline, event["status"])
+                if not body_consumed:
+                    # Refused before the body was read: the connection must
+                    # close (the unread bytes cannot be skipped), so say so
+                    # — clients then reconnect instead of reusing a dead
+                    # socket.
+                    headers = list(event.get("headers") or [])
+                    headers.append(("Connection", "close"))
+                    event = {**event, "headers": headers}
             await self._send_event(state, event)
 
         self._active_requests += 1
@@ -268,7 +280,8 @@ class FleetHTTPServer:
                 state.finished = True
             if not state.started:
                 await self._transport_error(
-                    writer, 500, "internal", "application produced no response"
+                    writer, 500, "internal", "application produced no response",
+                    requestline,
                 )
                 return False
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -278,7 +291,8 @@ class FleetHTTPServer:
         except Exception as exc:
             if not state.started:
                 await self._transport_error(
-                    writer, 500, "internal", f"{type(exc).__name__}: {exc}"
+                    writer, 500, "internal", f"{type(exc).__name__}: {exc}",
+                    requestline,
                 )
             return False
         finally:
@@ -336,10 +350,20 @@ class FleetHTTPServer:
             return
         raise ValueError(f"unknown send event {event['type']!r}")
 
+    def _log_access(self, writer, requestline: str, status: int) -> None:
+        """One :mod:`http.server`-format access line on stderr."""
+        if not self.access_log:
+            return
+        peer = writer.get_extra_info("peername")
+        host = peer[0] if peer else "-"
+        when = time.strftime("%d/%b/%Y %H:%M:%S")
+        sys.stderr.write(f'{host} - - [{when}] "{requestline}" {status} -\n')
+
     async def _transport_error(
-        self, writer, status: int, code: str, message: str
+        self, writer, status: int, code: str, message: str, requestline: str = "-"
     ) -> None:
         """A parse-level refusal, enveloped like every other error."""
+        self._log_access(writer, requestline, status)
         body = json.dumps({"error": {"code": code, "message": message}}).encode()
         phrase = _status_phrases.get(status, "Unknown")
         head = (
@@ -369,15 +393,18 @@ def serve_fleet(
     grace_s: float = 5.0,
     install_signal_handlers: bool = True,
     on_ready=None,
+    on_drain=None,
+    access_log: bool = False,
 ) -> None:
-    """Run the fleet front door until SIGTERM/SIGINT drains it (blocking).
+    """Run the front door until SIGTERM/SIGINT drains it (blocking).
 
     Builds the :class:`~repro.fleet.asgi.FleetApp` over ``service``,
     binds, reports the bound address through ``on_ready(host, port)``,
     then serves until :meth:`FleetHTTPServer.initiate_shutdown` — wired
-    to SIGTERM/SIGINT when ``install_signal_handlers`` — completes the
-    drain.  The service itself is *not* shut down here; the caller owns
-    its lifecycle (the CLI drains it after this returns).
+    to SIGTERM/SIGINT when ``install_signal_handlers``, after calling
+    ``on_drain()`` — completes the drain.  The service itself is *not*
+    shut down here; the caller owns its lifecycle (the CLI drains it
+    after this returns).
     """
 
     async def _amain() -> None:
@@ -389,14 +416,21 @@ def serve_fleet(
             max_align_body=max_align_body,
         )
         server = FleetHTTPServer(
-            app, host, port, draining=draining, grace_s=grace_s
+            app, host, port,
+            draining=draining, grace_s=grace_s, access_log=access_log,
         )
         await server.start()
+
+        def on_signal() -> None:
+            if on_drain is not None:
+                on_drain()
+            server.initiate_shutdown()
+
         if install_signal_handlers:
             loop = asyncio.get_running_loop()
             for signum in (signal.SIGTERM, signal.SIGINT):
                 try:
-                    loop.add_signal_handler(signum, server.initiate_shutdown)
+                    loop.add_signal_handler(signum, on_signal)
                 except (NotImplementedError, RuntimeError):
                     pass
         if on_ready is not None:

@@ -1,20 +1,19 @@
 """Concurrent alignment serving: micro-batching, caching, backpressure.
 
-The serving layer the ROADMAP's "heavy traffic" north star asks for:
 :class:`AlignmentService` accepts many concurrent alignment requests,
 fuses them into bin-aware lockstep batches over the struct-of-arrays
-engine (:mod:`repro.align.batch`), caches results in a keyed LRU, and
-degrades predictably under load (bounded queue, admission control,
-deadlines, drain-aware shutdown).  With ``pool_workers > 0`` the fused
-batches are sharded across a fault-tolerant multiprocess
+engine (:mod:`repro.align.batch`), runs every batch through a
+:class:`~repro.fleet.scheduler.FleetScheduler`, caches results in a
+keyed LRU, and degrades predictably under load (bounded queue, admission
+control, deadlines, drain-aware shutdown).  With ``pool_workers > 0`` the
+fused batches are sharded across a fault-tolerant multiprocess
 :class:`~repro.service.pool.WorkerPool` — bit-identical results on
 multiple cores.  ``repro serve`` exposes it over versioned JSON/HTTP
-(:mod:`repro.service.http`, ``/v1/*``).
+through the asyncio front door (:mod:`repro.fleet.asgi`, ``/v1/*``).
 """
 
 from .batcher import BatchPolicy, DeadlineExceeded
 from .cache import CacheStats, ResultCache
-from .http import ServiceHTTPServer, make_server
 from .pool import PoolError, WorkerPool
 from .request import AlignmentRequest
 from .service import (
@@ -35,9 +34,7 @@ __all__ = [
     "ResultCache",
     "ServiceClosed",
     "ServiceError",
-    "ServiceHTTPServer",
     "ServiceOverloaded",
     "ServiceStats",
     "WorkerPool",
-    "make_server",
 ]

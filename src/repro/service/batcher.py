@@ -9,25 +9,19 @@ The dispatcher is one daemon thread looping over a bounded request queue:
 2. **Fuse** — group the batch by
    :attr:`~repro.service.request.AlignmentRequest.fuse_key` (scoring
    scheme + options); within a group, prepare each request (anchor
-   selection) and concatenate every anchor's left/right extension
-   problems into one suffix list.
-3. **Extend** — run the fused list through
-   :func:`~repro.core.pipeline.extend_suffixes_shard`, which resolves the
-   request's configured engine from the :mod:`repro.align.engines`
-   registry (lockstep inspector plus the bin-aware executor for the
-   batched/wholebin engines), so short and long extensions from
-   *different requests* still never share a lockstep batch.  With a :class:`~repro.service.pool.WorkerPool` backend the
-   fused list is instead sharded LPT-balanced across persistent worker
-   processes — bit-identical records, multiple cores; a broken pool
-   (:class:`~repro.service.pool.PoolError`) degrades the batch back to
-   the in-process path instead of failing it.  With a
-   :class:`~repro.fleet.scheduler.FleetScheduler` attached, the fused
-   group is *submitted* rather than run: the scheduler places it on the
-   least-loaded backend (in-process, pool, or simulated GPU) and the
-   dispatcher moves straight on to draining the next batch — resolution
-   happens from the fleet's completion callback.  Because every backend
-   ultimately calls the same shard kernel on identical inputs, the
-   records stay bit-identical regardless of placement.
+   selection) and fuse every anchor into one
+   :class:`~repro.core.pipeline.ExtensionSpec`: each distinct sequence
+   once (store-backed ones named by digest) plus one row per anchor.
+3. **Extend** — *submit* the spec to the service's
+   :class:`~repro.fleet.scheduler.FleetScheduler`, which places it on a
+   lane (in-process engine, worker pool, or simulated GPU) and runs
+   :func:`~repro.core.pipeline.extend_suffixes_shard` there — the
+   configured registry engine, whose bin-aware executor keeps short and
+   long extensions from *different requests* out of one lockstep batch.
+   The dispatcher moves straight on to draining the next batch;
+   resolution happens from the fleet's completion callback.  Because
+   every lane runs the same shard kernel on identical inputs, the records
+   stay bit-identical regardless of placement.
 4. **Resolve** — split the per-anchor records back per request, fold each
    into a :class:`~repro.core.pipeline.FastzResult` and resolve its
    future.  Results are bit-identical to a direct ``run_fastz`` call
@@ -35,8 +29,9 @@ The dispatcher is one daemon thread looping over a bounded request queue:
 
 A poisoned request (bad codes, hostile anchors...) must only fail its own
 future: preparation failures are caught per request, and if the *fused*
-extension itself raises, the group is retried one request at a time so the
-exception lands on the culprit alone.
+extension fails — poison, a pool shard that kept killing its workers, or
+no lane left — the group is re-run in-process one request at a time so
+the exception lands on the culprit alone.
 """
 
 from __future__ import annotations
@@ -49,9 +44,13 @@ from dataclasses import dataclass, field
 
 from .. import obs
 from ..align.arena import release_thread_arenas
-from ..core.pipeline import extend_suffixes_shard, finish_fastz, prepare_fastz
+from ..core.pipeline import (
+    ExtensionSpec,
+    extend_suffixes_shard,
+    finish_fastz,
+    prepare_fastz,
+)
 from .cache import ResultCache
-from .pool import PoolError, WorkerPool
 from .request import AlignmentRequest
 from .stats import StatsRecorder
 
@@ -92,7 +91,7 @@ class Pending:
     #: cached), but it is recorded ``abandoned`` instead of ``completed``.
     abandoned: bool = False
     #: Fleet dispatch class (interactive=0 overtakes batch=1); ordering
-    #: only, never results.  Ignored without a fleet scheduler.
+    #: only, never results.
     priority: int = 0
 
     @property
@@ -114,19 +113,16 @@ class Dispatcher:
         policy: BatchPolicy,
         cache: ResultCache,
         recorder: StatsRecorder,
-        *,
-        pool: WorkerPool | None = None,
-        fleet=None,
+        fleet,
     ) -> None:
         self._queue = requests
         self._policy = policy
         self._cache = cache
         self._recorder = recorder
-        self._pool = pool
-        #: A :class:`~repro.fleet.scheduler.FleetScheduler`; when set,
-        #: fused extension batches are submitted to it and resolved from
-        #: completion callbacks, so the dispatcher pipelines group after
-        #: group across the fleet's backends instead of blocking on each.
+        #: The :class:`~repro.fleet.scheduler.FleetScheduler` every fused
+        #: group is submitted to; groups resolve from its completion
+        #: callbacks, so the dispatcher pipelines group after group across
+        #: the fleet's lanes instead of blocking on each.
         self._fleet = fleet
         #: When set, drained requests are cancelled instead of executed.
         self.abort = threading.Event()
@@ -144,10 +140,9 @@ class Dispatcher:
     # -- thread body ---------------------------------------------------------
 
     def _run(self) -> None:
-        # The dispatcher thread owns the service's warm lockstep arenas
-        # (in-process extension path): every fused batch it runs through
-        # the pipeline reuses the same slabs via thread_arena().  Drop
-        # them when the thread retires so the memory dies with it.
+        # A group the fleet refuses at submit is re-run on this thread,
+        # warming its lockstep arenas; drop them when the thread retires
+        # so the memory dies with it.
         try:
             while True:
                 item = self._queue.get()
@@ -245,63 +240,30 @@ class Dispatcher:
                 prepared=len(prepared),
                 anchors=sum(prep.n_anchors for _, prep in prepared),
             )
-        if not prepared:
-            return
+        if prepared:
+            self._submit_group(prepared)
 
-        scheme = prepared[0][1].scheme
-        options = prepared[0][1].options
-        tile = prepared[0][1].tile
-        if self._fleet is not None:
-            self._submit_group_to_fleet(prepared, scheme, options, tile)
-            return
-        n_tasks = 2 * sum(prep.n_anchors for _, prep in prepared)
-        try:
-            with obs.span("service.extend", tasks=n_tasks):
-                fused = self._extend_fused(
-                    group[0].request.fuse_key, prepared, scheme, options, tile
-                )
-        except Exception:
-            # A poisoned request broke the fused batch.  Re-run one request
-            # at a time so the exception resolves only the culprit's future.
-            for pending, prep in prepared:
-                try:
-                    per_anchor = extend_suffixes_shard(
-                        prep.suffixes(), scheme, options, tile
-                    )
-                    self._resolve(pending, prep, per_anchor)
-                except Exception as exc:
-                    self._fail(pending, exc)
-            return
-
-        offset = 0
-        for pending, prep in prepared:
-            per_anchor = fused[offset : offset + prep.n_anchors]
-            offset += prep.n_anchors
-            try:
-                self._resolve(pending, prep, per_anchor)
-            except Exception as exc:
-                self._fail(pending, exc)
-
-    def _submit_group_to_fleet(self, prepared, scheme, options, tile) -> None:
+    def _submit_group(self, prepared) -> None:
         """Hand one fused group to the fleet; resolve from its callback.
 
         The dispatcher thread does not wait: the group's future carries a
         completion callback (running on a fleet worker thread) that
         slices the fused records back per request and resolves each
-        future, so consecutive groups pipeline across the fleet's
-        backends.  A group with any interactive member dispatches at
+        future.  A group with any interactive member dispatches at
         interactive priority — one batch request must not demote the
         interactive requests fused with it.
 
-        Failure degrades, never loses work: a fleet-level failure
-        (:class:`~repro.fleet.scheduler.FleetError`, every backend gone)
-        or a poisoned fused batch re-runs the group one request at a time
-        in-process, so the exception lands on the culprit alone — the
-        same isolation contract as the non-fleet path.
+        Failure degrades, never loses work: if the fleet refuses the
+        group or its unit fails, the group is re-run one request at a
+        time in-process, so a poisoned request fails alone and every
+        other request still completes.
         """
-        suffixes: list = []
-        for _, prep in prepared:
-            suffixes.extend(prep.suffixes())
+        first = prepared[0][1]
+        scheme, options, tile = first.scheme, first.options, first.tile
+        spec = ExtensionSpec.fuse(
+            (prep, pending.request.target_digest, pending.request.query_digest)
+            for pending, prep in prepared
+        )
         priority = min(pending.priority for pending, _ in prepared)
         fuse_key = prepared[0][0].request.fuse_key
 
@@ -327,7 +289,7 @@ class Dispatcher:
 
         try:
             future = self._fleet.submit(
-                suffixes, scheme, options, tile, key=fuse_key, priority=priority
+                spec, scheme, options, tile, key=fuse_key, priority=priority
             )
         except Exception:
             degrade()
@@ -342,55 +304,6 @@ class Dispatcher:
                 finish(fused)
 
         future.add_done_callback(on_done)
-
-    def _extend_fused(self, fuse_key, prepared, scheme, options, tile):
-        """Run one fused group's extensions on the pool or in-process.
-
-        On the pool path the group is dispatched as a *spec*: one code
-        source per distinct sequence — a shared-memory handle for
-        store-published references, inline codes otherwise — plus a
-        ``(ti, qi, t, q)`` row per anchor.  Workers rebuild the suffix
-        views locally, so a store-backed shard message carries digests +
-        windows instead of pickled sequence bytes (bit-identical records
-        either way).
-
-        A :class:`PoolError` means the *backend* is broken (workers died
-        repeatedly mid-shard, or the pool is closed) — not that the batch
-        is poisoned — so the batch degrades to the in-process path rather
-        than failing.  Any other exception propagates to the caller's
-        per-request poison-isolation retry.
-        """
-        if self._pool is not None:
-            sources: list = []
-            source_ids: dict = {}
-
-            def source_for(codes, handle) -> int:
-                key = ("shm", handle[1]) if handle is not None else ("mem", id(codes))
-                idx = source_ids.get(key)
-                if idx is None:
-                    idx = len(sources)
-                    sources.append(handle if handle is not None else ("inline", codes))
-                    source_ids[key] = idx
-                return idx
-
-            rows = []
-            for pending, prep in prepared:
-                request = pending.request
-                ti = source_for(prep.t_codes, request.target_source)
-                qi = source_for(prep.q_codes, request.query_source)
-                rows.extend(
-                    (ti, qi, t, q) for t, q in zip(prep.t_pos, prep.q_pos)
-                )
-            try:
-                return self._pool.extend_spec(
-                    sources, rows, scheme, options, tile, key=fuse_key
-                )
-            except PoolError:
-                self._pool.note_degraded()
-        suffixes = []
-        for _, prep in prepared:
-            suffixes.extend(prep.suffixes())
-        return extend_suffixes_shard(suffixes, scheme, options, tile)
 
     def _resolve(self, pending: Pending, prep, per_anchor) -> None:
         with obs.span("service.resolve", anchors=prep.n_anchors):

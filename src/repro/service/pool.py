@@ -3,13 +3,16 @@
 The dispatcher's fused extension batches are CPU-bound numpy loops, so a
 single process caps the service at roughly one core no matter how well
 micro-batching amortises per-request overhead.  :class:`WorkerPool` keeps
-``N`` persistent worker processes and, per fused batch, splits the
-interleaved suffix list into LPT-balanced anchor shards
-(:func:`~repro.core.pipeline.shard_anchor_suffixes`, weight = wavefront
-extent) dispatched one per worker — the SaLoBa workload-balance lever
-applied to the online path.  Because every extension task is independent,
-re-placing shard records by anchor index reproduces the in-process result
-bit for bit at any worker count.
+``N`` persistent worker processes and, per fused batch, splits the batch's
+anchor rows into LPT-balanced shards
+(:func:`~repro.core.perfmodel.anchor_weights`, weight = wavefront extent)
+dispatched one per worker — the SaLoBa workload-balance lever applied to
+the online path.  A shard message carries code sources (shared-memory
+handles for store-published references, inline codes otherwise) plus
+``(ti, qi, t, q)`` rows; the worker rebuilds the suffix views with
+:meth:`~repro.core.pipeline.ExtensionSpec.suffixes`.  Because every
+extension task is independent, re-placing shard records by anchor index
+reproduces the in-process result bit for bit at any worker count.
 
 Robustness, with the patterns proven out by :mod:`repro.jobs.scheduler`:
 
@@ -24,14 +27,15 @@ Robustness, with the patterns proven out by :mod:`repro.jobs.scheduler`:
   re-dispatched, so the requests in that batch still complete; a shard
   that repeatedly kills its workers stops after ``max_redispatch``
   attempts with :class:`PoolError` instead of respawning forever;
-* **graceful degradation** — :class:`PoolError` (spawn failure, shard
-  killing every worker, pool closed) tells the dispatcher to run that
-  batch on the in-process backend; the service keeps serving, just
-  slower.
+* **graceful degradation** — a shard that keeps killing its workers
+  fails only its batch with :class:`PoolError` (the service re-runs it
+  in-process and the pool keeps serving); :class:`PoolUnavailable`
+  (pool closed, or a dead worker cannot be replaced) means the pool
+  itself is gone.
 
 A shard whose *handler* raises (poisoned request) is reported as a
-failure message, not a death: ``extend`` raises ``RuntimeError`` and the
-dispatcher's existing per-request isolation takes over.
+failure message, not a death: ``extend_spec`` raises ``RuntimeError`` and
+the dispatcher's existing per-request isolation takes over.
 
 Test hook (inert unless set): ``REPRO_POOL_TEST_KILL_WORKER`` is a
 comma-separated list of worker ids that ``os._exit(137)`` on their first
@@ -52,11 +56,12 @@ from typing import Any
 
 from ..align.arena import release_thread_arenas
 from ..core.multigpu import greedy_partition
-from ..core.pipeline import extend_suffixes_shard, shard_anchor_suffixes
+from ..core.perfmodel import anchor_weights
+from ..core.pipeline import ExtensionSpec, extend_suffixes_shard
 from ..obs.metrics import MetricsRegistry
 from ..store.shm import ShmPublisher, attach_codes, release_attachments
 
-__all__ = ["PoolError", "WorkerPool"]
+__all__ = ["PoolError", "PoolUnavailable", "WorkerPool"]
 
 #: Test hook: comma-separated worker ids that hard-exit on first task.
 _KILL_ENV = "REPRO_POOL_TEST_KILL_WORKER"
@@ -70,6 +75,10 @@ _DISPATCH_BUCKETS = (
 
 class PoolError(RuntimeError):
     """The pool cannot execute this batch; run it in-process instead."""
+
+
+class PoolUnavailable(PoolError):
+    """The pool itself is gone: closed, or a dead worker cannot be replaced."""
 
 
 def _kill_ids() -> set[str]:
@@ -96,23 +105,6 @@ def _resolve_sources(sources) -> list:
     return out
 
 
-def _spec_suffixes(sources, rows) -> list:
-    """Rebuild the interleaved right/left suffix views from a shard spec.
-
-    Mirrors :func:`repro.core.pipeline._anchor_suffixes` exactly — right
-    extension at ``2k``, reversed left at ``2k + 1`` — over whatever code
-    arrays the sources resolve to, so the extension records come back
-    bit-identical to a pickled-suffix dispatch.
-    """
-    codes = _resolve_sources(sources)
-    suffixes = []
-    for ti, qi, t, q in rows:
-        tc, qc = codes[ti], codes[qi]
-        suffixes.append((tc[t:], qc[q:]))  # right at 2k
-        suffixes.append((tc[:t][::-1], qc[:q][::-1]))  # left at 2k+1
-    return suffixes
-
-
 def _worker_main(worker_id: int, task_q, result_q) -> None:
     """Worker loop: one shard at a time, failures reported not raised.
 
@@ -123,10 +115,10 @@ def _worker_main(worker_id: int, task_q, result_q) -> None:
     Each worker implicitly keeps the pipeline's warm lockstep arenas
     (:func:`repro.align.thread_arena`) alive between shards — the
     process-resident analogue of the device buffers a GPU stream would
-    own — and drops them on the clean-shutdown path.  Work arrives either
-    as pickled suffixes (``("suffixes", ...)``) or as a store-aware spec
-    (``("spec", sources, rows)``) that rebuilds them from shared-memory
-    references — megabytes of sequence shrink to a name + window.
+    own — and drops them on the clean-shutdown path.  Work arrives as
+    ``(sources, rows)``: the shard's rows of an
+    :class:`~repro.core.pipeline.ExtensionSpec` over code sources that
+    resolve here — megabytes of shared sequence shrink to a name.
     """
     parent = os.getppid()
     warm: dict[str, tuple] = {}
@@ -143,18 +135,15 @@ def _worker_main(worker_id: int, task_q, result_q) -> None:
             release_thread_arenas()
             release_attachments()
             return
-        job_id, shard_id, key, params, work = item
+        job_id, shard_id, key, params, (sources, rows) = item
         if str(worker_id) in _kill_ids():
             os._exit(137)
         try:
             if params is not None:
                 warm[key] = params
             scheme, options, tile = warm[key]
-            if work[0] == "spec":
-                suffixes = _spec_suffixes(work[1], work[2])
-            else:
-                suffixes = work[1]
-            records = extend_suffixes_shard(suffixes, scheme, options, tile)
+            spec = ExtensionSpec(tuple(_resolve_sources(sources)), rows)
+            records = extend_suffixes_shard(spec.suffixes(), scheme, options, tile)
         except Exception as exc:  # noqa: BLE001 - fault isolation boundary
             result_q.put(
                 ("fail", job_id, shard_id, f"{type(exc).__name__}: {exc}")
@@ -178,9 +167,8 @@ class _Worker:
 class WorkerPool:
     """``N`` persistent extension workers behind one dispatch call.
 
-    ``extend`` is synchronous and called only from the dispatcher thread;
-    ``close`` may be called from any thread (shutdown) after the
-    dispatcher has stopped.
+    ``extend_spec`` is synchronous and called from one thread at a time
+    (the pool lane's worker); ``close`` may be called from any thread.
     """
 
     def __init__(
@@ -256,7 +244,7 @@ class WorkerPool:
         try:
             self._workers[slot] = self._spawn()
         except Exception as exc:  # pragma: no cover - OS resource exhaustion
-            raise PoolError(f"cannot respawn pool worker: {exc}") from exc
+            raise PoolUnavailable(f"cannot respawn pool worker: {exc}") from exc
         self._set_worker_gauges()
 
     def _set_worker_gauges(self) -> None:
@@ -276,7 +264,7 @@ class WorkerPool:
         return self._closed
 
     def note_degraded(self) -> None:
-        """Record one batch the dispatcher ran in-process after a PoolError."""
+        """Record one batch that fell back in-process after a PoolError."""
         self.degraded += 1
         self._degraded_counter.inc()
 
@@ -336,72 +324,36 @@ class WorkerPool:
         worker.task_q.put((job_id, shard_id, key, payload, work))
         self._shard_counter.labels(slot=slot).inc()
 
-    def extend(self, suffixes, scheme, options, tile: int, *, key: str):
-        """Run one fused batch's extensions sharded across the workers.
-
-        Returns per-anchor extension records in anchor order, bit-identical
-        to :func:`~repro.core.pipeline.extend_suffixes_shard` on the same
-        list.  Raises :class:`PoolError` when the pool cannot execute the
-        batch (degrade in-process) and ``RuntimeError`` when a shard's
-        handler failed (poisoned request: retry per request).
-        """
-        if self._closed:
-            raise PoolError("pool is closed")
-        n_anchors = len(suffixes) // 2
-        if n_anchors == 0:
-            return []
-        shards = shard_anchor_suffixes(suffixes, min(len(self._workers), n_anchors))
-        idx_by_shard = [idx for idx, _sub in shards]
-        work_by_shard = [("suffixes", sub) for _idx, sub in shards]
-        return self._run_shards(
-            work_by_shard, idx_by_shard, n_anchors, scheme, options, tile, key=key
-        )
-
     def extend_spec(self, sources, rows, scheme, options, tile: int, *, key: str):
-        """Store-aware variant of :meth:`extend`: dispatch windows, not bytes.
+        """Run one fused batch's extensions sharded across the workers.
 
         ``sources`` is a list of code sources — ``("shm", name, length)``
         handles from :meth:`publish` or ``("inline", codes)`` for
         unregistered sequences; ``rows`` is one ``(ti, qi, t, q)`` tuple
-        per anchor, in anchor order, indexing into ``sources``.  Workers
-        rebuild the suffix views locally, so a shard message carries only
-        the row table (plus any inline sources) — the >100x dispatch
-        payload reduction of the reference store.
+        per anchor, in anchor order, indexing into ``sources``.  Returns
+        per-anchor extension records in anchor order, bit-identical to
+        :func:`~repro.core.pipeline.extend_suffixes_shard` on the same
+        batch.  Raises :class:`PoolError` when a shard keeps killing its
+        workers, :class:`PoolUnavailable` when the pool is gone, and
+        ``RuntimeError`` when a shard's handler failed (poisoned request).
         """
         if self._closed:
-            raise PoolError("pool is closed")
+            raise PoolUnavailable("pool is closed")
         n_anchors = len(rows)
         if n_anchors == 0:
             return []
-        lengths = [
-            src[2] if src[0] == "shm" else len(src[1]) for src in sources
-        ]
-        # Same weight the suffix path computes: the wavefront's reachable
-        # extent on each side, so the LPT plan (and thus the shard
-        # composition) is identical however the codes are shipped.
-        weights = [
-            min(lengths[ti] - t, lengths[qi] - q) + min(t, q)
-            for ti, qi, t, q in rows
-        ]
-        n_shards = min(len(self._workers), n_anchors)
+        lengths = [src[2] if src[0] == "shm" else len(src[1]) for src in sources]
         idx_by_shard = []
         work_by_shard = []
-        for part in greedy_partition(weights, n_shards):
+        for part in greedy_partition(
+            anchor_weights(lengths, rows), min(len(self._workers), n_anchors)
+        ):
             if not part:
                 continue
             idx = sorted(part)
             idx_by_shard.append(idx)
-            work_by_shard.append(("spec", sources, [rows[k] for k in idx]))
-        return self._run_shards(
-            work_by_shard, idx_by_shard, n_anchors, scheme, options, tile, key=key
-        )
+            work_by_shard.append((sources, [rows[k] for k in idx]))
 
-    def _run_shards(
-        self, work_by_shard, idx_by_shard, n_anchors, scheme, options, tile, *, key
-    ):
-        """Dispatch prepared shard work and collect records by anchor index."""
-        if self._closed:
-            raise PoolError("pool is closed")
         t0 = time.perf_counter()
         job_id = next(self._jobs)
         params = (scheme, options, tile)

@@ -81,12 +81,11 @@ class AlignmentRequest:
     """One caller's alignment job, normalised to code arrays.
 
     Store-backed requests additionally carry the reference's content
-    digest (``target_digest``/``query_digest``), an optional prebuilt
-    seed table from the store's persistent cache, and an optional
-    shared-memory ``(name, length)`` source handle per side so the pool
-    dispatcher can ship windows instead of codes.  None of these change
-    the alignment result — the digest keys the cache cheaply and the
-    table/source only change how the same computation is fed.
+    digest (``target_digest``/``query_digest``) and an optional prebuilt
+    seed table from the store's persistent cache.  Neither changes the
+    alignment result — the digest keys the cache cheaply and names the
+    sequence for shared-memory pool dispatch, and the table only skips
+    the table-build stage.
     """
 
     target: np.ndarray
@@ -99,9 +98,6 @@ class AlignmentRequest:
     query_digest: str | None = field(default=None)
     #: Prebuilt target-side seed table (store cache); skips table build.
     seed_table: object | None = field(default=None, repr=False)
-    #: Shared-memory handles ``("shm", name, length)`` for pool dispatch.
-    target_source: tuple | None = field(default=None, repr=False)
-    query_source: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.target = _as_codes(self.target)

@@ -3,7 +3,8 @@
 Callers submit alignment jobs and get back
 :class:`concurrent.futures.Future` objects; a single dispatcher thread
 (:mod:`repro.service.batcher`) fuses queued jobs into bin-aware lockstep
-batches over the struct-of-arrays engine.  The service adds the
+batches and runs every batch through the service's
+:class:`~repro.fleet.scheduler.FleetScheduler`.  The service adds the
 production-shaped edges around that core:
 
 * **result cache** — submissions are checked against a keyed LRU before
@@ -16,11 +17,12 @@ production-shaped edges around that core:
   bounded (``max_inflight_bytes``); beyond the bound, submissions are
   load-shed with :class:`ServiceOverloaded` (HTTP 503 + ``Retry-After``)
   *before* they can melt the queue with multi-megabyte payloads;
-* **multiprocess backend** — ``pool_workers > 0`` shards each fused
-  batch across persistent worker processes
-  (:class:`~repro.service.pool.WorkerPool`), LPT-balanced by extension
-  weight; results stay bit-identical to the in-process backend, and the
-  dispatcher degrades back to in-process execution if the pool breaks;
+* **execution lanes** — without ``fleet=`` the scheduler has one lane:
+  the in-process engine, or with ``pool_workers > 0`` a
+  :class:`~repro.service.pool.WorkerPool` that shards each fused batch
+  across persistent worker processes, LPT-balanced by extension weight;
+  results stay bit-identical either way, and a batch the pool cannot
+  finish is re-run in-process;
 * **deadlines** — a per-request ``timeout_s`` expires requests that are
   still queued when it elapses
   (:class:`~repro.service.batcher.DeadlineExceeded`);
@@ -110,16 +112,18 @@ class AlignmentService:
     cache_entries:
         LRU result-cache capacity (0 disables caching).
     pool_workers:
-        Multiprocess execution backend: shard each fused extension batch
-        across this many persistent worker processes (0 = run fused
-        batches in-process on the dispatcher thread, the pre-pool
-        behaviour).  Results are bit-identical either way.
+        Without ``fleet=``: shard each fused extension batch across this
+        many persistent worker processes (one ``pool0`` lane); 0 runs
+        batches on one in-process ``cpu0`` lane.  Results are
+        bit-identical either way.  Combining it with ``fleet=`` is a
+        ``ValueError`` — give the fleet a
+        :class:`~repro.fleet.backends.PoolBackend` instead.
     store:
         A :class:`~repro.store.ReferenceStore` (or its root path) backing
         align-by-digest submissions (``target_ref``/``query_ref``): codes
         come off the store's mmap, the persisted seed table skips the
-        table-build stage, and with a pool backend the codes are published
-        to shared memory once so shard dispatch carries digests + windows.
+        table-build stage, and a pool lane publishes the codes to shared
+        memory once so shard dispatch carries digests + windows.
         ``None`` (default) rejects by-ref submissions.
     config, options:
         Defaults applied to submissions that do not bring their own.
@@ -128,13 +132,13 @@ class AlignmentService:
         :meth:`align_stream`; tunes partial-result granularity only —
         streamed results stay bit-identical at any value.
     fleet:
-        Route fused extension batches through a
-        :class:`~repro.fleet.scheduler.FleetScheduler` instead of running
-        them on the dispatcher thread.  Either a ready scheduler (adopted;
-        closed on shutdown) or a list of
+        The lanes fused extension batches run on: either a ready
+        :class:`~repro.fleet.scheduler.FleetScheduler` (adopted; closed
+        on shutdown) or a list of
         :class:`~repro.fleet.backends.FleetBackend`\\ s to build one from
-        (its metrics then share this service's registry).  Results are
-        bit-identical to the in-process path for any backend mix.
+        (its metrics then share this service's registry).  ``None``
+        builds the one-lane fleet described under ``pool_workers``.
+        Results are bit-identical for any backend mix.
 
     Usable as a context manager; exit drains and shuts down.
     """
@@ -160,6 +164,11 @@ class AlignmentService:
             raise ValueError("max_inflight_bytes must be positive or None")
         if pool_workers < 0:
             raise ValueError("pool_workers must be non-negative")
+        if pool_workers and fleet is not None:
+            raise ValueError(
+                "give pool_workers or fleet=, not both: add a PoolBackend "
+                "to the fleet instead"
+            )
         self.policy = BatchPolicy(max_batch=max_batch, max_wait_ms=max_wait_ms)
         self._store = (
             store
@@ -184,32 +193,26 @@ class AlignmentService:
             "repro_service_inflight_bytes",
             "Sequence bytes of queued-but-unresolved requests.",
         )
-        self._pool = (
-            WorkerPool(pool_workers, registry=self._recorder.registry)
-            if pool_workers > 0
-            else None
-        )
-        # ``fleet`` is either a ready FleetScheduler (adopted: the service
-        # closes it on shutdown) or a list of FleetBackends, in which case
-        # the scheduler is built here so its counters land in the same
-        # registry /v1/metrics renders.
-        self._fleet = None
-        if fleet is not None:
-            from ..fleet.scheduler import FleetScheduler
+        # Imported here: repro.fleet imports this module.
+        from ..fleet.backends import InProcessBackend, PoolBackend
+        from ..fleet.scheduler import FleetScheduler
 
-            if isinstance(fleet, FleetScheduler):
-                self._fleet = fleet
-            else:
-                self._fleet = FleetScheduler(
-                    list(fleet), registry=self._recorder.registry
-                )
+        registry = self._recorder.registry
+        if fleet is None:
+            fleet = [
+                PoolBackend("pool0", workers=pool_workers, registry=registry)
+                if pool_workers
+                else InProcessBackend("cpu0")
+            ]
+        # An adopted scheduler is closed on shutdown; one built here puts
+        # its counters in the registry /v1/metrics renders.
+        self._fleet = (
+            fleet
+            if isinstance(fleet, FleetScheduler)
+            else FleetScheduler(list(fleet), registry=registry)
+        )
         self._dispatcher = Dispatcher(
-            self._queue,
-            self.policy,
-            self._cache,
-            self._recorder,
-            pool=self._pool,
-            fleet=self._fleet,
+            self._queue, self.policy, self._cache, self._recorder, self._fleet
         )
         self._dispatcher.start()
 
@@ -239,7 +242,7 @@ class AlignmentService:
         with :class:`DeadlineExceeded`.  ``priority`` is the fleet
         dispatch class (:data:`~repro.fleet.scheduler.PRIORITY_INTERACTIVE`
         or :data:`~repro.fleet.scheduler.PRIORITY_BATCH`); it only affects
-        ordering on a fleet-backed service, never results.
+        ordering, never results.
         """
         return self._submit(
             target,
@@ -262,13 +265,13 @@ class AlignmentService:
         target_side: bool,
         anchors: Anchors | None,
     ) -> tuple:
-        """One side's (codes, digest, shm source, seed table) from value/ref."""
+        """One side's (codes, digest, seed table) from value/ref."""
         if ref is None:
             if value is None:
                 raise ValueError(
                     "each side needs either a sequence or a reference digest"
                 )
-            return value, None, None, None
+            return value, None, None
         if value is not None:
             raise ValueError(
                 "give a sequence or a reference digest per side, not both"
@@ -278,12 +281,6 @@ class AlignmentService:
                 "align-by-ref requires a service configured with store="
             )
         stored = self._store.get(ref)
-        codes = stored.codes
-        source = None
-        if self._pool is not None:
-            handle = self._pool.publish(stored.digest, codes)
-            if handle is not None:
-                source = ("shm", handle[0], handle[1])
         table = None
         if target_side and anchors is None:
             table = self._store.seed_table(
@@ -291,7 +288,7 @@ class AlignmentService:
                 k=config.seed_length,
                 spaced_pattern=config.spaced_pattern,
             )
-        return codes, stored.digest, source, table
+        return stored.codes, stored.digest, table
 
     def _submit(
         self,
@@ -313,10 +310,10 @@ class AlignmentService:
         caller's result wait times out.
         """
         config = config or self.default_config
-        t_codes, t_digest, t_source, seed_table = self._resolve_side(
+        t_codes, t_digest, seed_table = self._resolve_side(
             target, target_ref, config, target_side=True, anchors=anchors
         )
-        q_codes, q_digest, q_source, _ = self._resolve_side(
+        q_codes, q_digest, _ = self._resolve_side(
             query, query_ref, config, target_side=False, anchors=anchors
         )
         request = AlignmentRequest(
@@ -328,8 +325,6 @@ class AlignmentService:
             target_digest=t_digest,
             query_digest=q_digest,
             seed_table=seed_table,
-            target_source=t_source,
-            query_source=q_source,
         )
         with self._lock:
             if self._closed:
@@ -521,21 +516,25 @@ class AlignmentService:
 
     def stats(self) -> ServiceStats:
         """A consistent snapshot of queue depth, latency and cache health."""
+        pool = self.pool
         return self._recorder.snapshot(
             queue_depth=self._recorder.queue_depth,
             cache=self._cache.stats,
-            pool=self._pool.stats() if self._pool is not None else None,
-            fleet=self._fleet.stats() if self._fleet is not None else None,
+            pool=pool.stats() if pool is not None else None,
+            fleet=self._fleet.stats(),
         )
 
     @property
     def pool(self) -> WorkerPool | None:
-        """The multiprocess backend, or None on the in-process backend."""
-        return self._pool
+        """The first pool lane's worker pool, or None without a pool lane."""
+        for backend in self._fleet.backends:
+            if backend.kind == "pool":
+                return backend.pool
+        return None
 
     @property
     def fleet(self):
-        """The fleet scheduler extensions route through, or None."""
+        """The :class:`~repro.fleet.scheduler.FleetScheduler` batches run on."""
         return self._fleet
 
     @property
@@ -561,7 +560,7 @@ class AlignmentService:
         cache_gauge.labels(field="size").set(cache.size)
         cache_gauge.labels(field="capacity").set(cache.capacity)
         text = registry.render()
-        if self._fleet is not None and self._fleet.registry is not registry:
+        if self._fleet.registry is not registry:
             # An externally-built scheduler keeps its own registry; splice
             # its families in so /v1/metrics stays the one scrape target.
             text += self._fleet.registry.render()
@@ -581,7 +580,8 @@ class AlignmentService:
 
         ``drain=True`` completes every already-queued request first;
         ``drain=False`` cancels queued requests (their futures raise
-        ``CancelledError``).  Idempotent.
+        ``CancelledError``).  ``timeout`` bounds the whole wait (``None``
+        waits for the drain to finish).  Idempotent.
         """
         with self._lock:
             already = self._closed
@@ -590,11 +590,11 @@ class AlignmentService:
             if not drain:
                 self._dispatcher.abort.set()
             self._dispatcher.signal_shutdown()
+        deadline = None if timeout is None else time.monotonic() + timeout
         self._dispatcher.thread.join(timeout)
-        if self._pool is not None:
-            self._pool.close()
-        if self._fleet is not None:
-            self._fleet.close()
+        self._fleet.close(
+            None if deadline is None else max(0.0, deadline - time.monotonic())
+        )
 
     def __enter__(self) -> "AlignmentService":
         return self

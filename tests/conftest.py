@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import asyncio
+import threading
+
 import numpy as np
 import pytest
 
+from repro.fleet import FleetApp, FleetHTTPServer
 from repro.genome import build_pair, mutate, random_codes, SegmentClass
 from repro.scoring import default_scheme, unit_scheme
 
@@ -66,3 +70,52 @@ def tiny_genome_pair():
         ],
         rng=77,
     )
+
+
+class Door:
+    """The HTTP front door over ``service``, on its own event-loop thread.
+
+    Boots the real :class:`~repro.fleet.FleetHTTPServer` (the one server
+    ``repro serve`` runs) on an ephemeral port; :meth:`stop` drains it
+    the way SIGTERM does.
+    """
+
+    def __init__(self, service, *, quotas=None, grace_s=30.0, max_align_body=None):
+        self.service = service
+        self.draining = threading.Event()
+        self.app = FleetApp(
+            service,
+            draining=self.draining,
+            quotas=quotas,
+            max_align_body=max_align_body,
+        )
+        self.server = None
+        ready = threading.Event()
+
+        def run():
+            async def main():
+                self.server = FleetHTTPServer(
+                    self.app, "127.0.0.1", 0,
+                    draining=self.draining, grace_s=grace_s,
+                )
+                await self.server.start()
+                ready.set()
+                await self.server.serve_forever()
+
+            asyncio.run(main())
+
+        self.thread = threading.Thread(target=run, daemon=True)
+        self.thread.start()
+        if not ready.wait(10):
+            raise RuntimeError("front door did not start")
+        self.host, self.port = self.server.address
+
+    @property
+    def url(self):
+        return f"http://{self.host}:{self.port}"
+
+    def stop(self):
+        """Drain and join the server; a no-op once it already drained."""
+        if self.thread.is_alive():
+            self.server.initiate_shutdown()
+        self.thread.join(timeout=30)

@@ -24,7 +24,7 @@ from repro.align.engines import (
     unregister_engine,
 )
 from repro.core import FastzOptions, run_fastz, run_fastz_chunk
-from repro.core.pipeline import extend_suffixes_shard, prepare_fastz
+from repro.core.pipeline import ExtensionSpec, extend_suffixes_shard, prepare_fastz
 from repro.fleet import FleetScheduler, InProcessBackend, SimGpuBackend
 from repro.genome import SegmentClass, build_pair
 from repro.lastz import LastzConfig, run_gapped_lastz
@@ -215,7 +215,7 @@ class TestEngineMatrix:
         with FleetScheduler(backends, hedge_after_s=None) as fleet:
             futures = [
                 fleet.submit(
-                    prep.suffixes(), prep.scheme,
+                    ExtensionSpec.fuse([(prep, None, None)]), prep.scheme,
                     replace(prep.options, engine=engine), prep.tile,
                     key=f"registry-{engine}-{i}",
                 )

@@ -1,70 +1,29 @@
-"""Async front-door tests: the /v1 contract, byte for byte, plus tenancy.
+"""Front-door tests over a multi-backend fleet: framing, tenancy, admission.
 
 The fixture boots the real :class:`FleetHTTPServer` (asyncio, one event
-loop) over a fleet-backed service, in a daemon thread; requests go
-through raw :mod:`http.client` sockets or :class:`repro.api.Client`, so
-keep-alive framing, chunked streams and error envelopes are exercised
-exactly as a network client sees them.
+loop) over a service with two backend lanes, in a daemon thread;
+requests go through raw :mod:`http.client` sockets or
+:class:`repro.api.Client`, so keep-alive framing, chunked streams and
+error envelopes are exercised exactly as a network client sees them.
+The transport-independent ``/v1`` contract lives in
+``tests/service/test_http.py``.
 """
 
-import asyncio
 import http.client
 import json
-import threading
 
 import pytest
 
 from repro.api import ApiError, Client
-from repro.fleet import (
-    FleetApp,
-    FleetHTTPServer,
-    InProcessBackend,
-    SimGpuBackend,
-    TenantQuotas,
-)
+from repro.fleet import InProcessBackend, SimGpuBackend, TenantQuotas
 from repro.genome import SegmentClass, build_pair
 from repro.lastz.config import LastzConfig
 from repro.scoring import default_scheme
-from repro.service import AlignmentService, make_server
+from repro.service import AlignmentService
+
+from ..conftest import Door
 
 CONFIG = LastzConfig(scheme=default_scheme(gap_extend=60, ydrop=2400))
-
-
-class _Door:
-    """One FleetHTTPServer running on its own loop thread."""
-
-    def __init__(self, service, *, quotas=None, grace_s=30.0, stream_chunk=None):
-        self.service = service
-        self.draining = threading.Event()
-        self.app = FleetApp(service, draining=self.draining, quotas=quotas)
-        self.server = None
-        ready = threading.Event()
-
-        def run():
-            async def main():
-                self.server = FleetHTTPServer(
-                    self.app, "127.0.0.1", 0,
-                    draining=self.draining, grace_s=grace_s,
-                )
-                await self.server.start()
-                ready.set()
-                await self.server.serve_forever()
-
-            asyncio.run(main())
-
-        self.thread = threading.Thread(target=run, daemon=True)
-        self.thread.start()
-        if not ready.wait(10):
-            raise RuntimeError("fleet server did not start")
-        self.host, self.port = self.server.address
-
-    @property
-    def url(self):
-        return f"http://{self.host}:{self.port}"
-
-    def stop(self):
-        self.server.initiate_shutdown()
-        self.thread.join(timeout=30)
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +45,7 @@ def door():
         config=CONFIG,
         fleet=[InProcessBackend("cpu0"), SimGpuBackend("gpu0")],
     )
-    d = _Door(service)
+    d = Door(service)
     yield d
     d.stop()
     service.shutdown(timeout=60)
@@ -153,38 +112,6 @@ class TestRoutes:
 
 
 class TestAlignContract:
-    def test_byte_identical_to_threaded_server(self, door, pair):
-        target, query = pair
-        body = {"target": target, "query": query}
-        status, _, fleet_raw = _request(
-            door, "POST", "/v1/align", body,
-            headers={"Content-Type": "application/json"},
-        )
-        assert status == 200
-
-        # Same request against the threaded front end over an identical
-        # (fleet-free) service: the response bodies must match byte for
-        # byte — the /v1 contract is shared code, not a lookalike.
-        service = AlignmentService(max_wait_ms=1.0, config=CONFIG)
-        server = make_server(service, "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            host, port = server.server_address[:2]
-            conn = http.client.HTTPConnection(host, port, timeout=300)
-            conn.request(
-                "POST", "/v1/align", body=json.dumps(body).encode(),
-                headers={"Content-Type": "application/json"},
-            )
-            resp = conn.getresponse()
-            threaded_raw = resp.read()
-            conn.close()
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.shutdown(timeout=60)
-        assert fleet_raw == threaded_raw
-
     def test_stream_summary_equals_barrier_payload(self, door, pair):
         target, query = pair
         body = {"target": target, "query": query}
@@ -227,8 +154,7 @@ class TestAlignContract:
 
     def test_oversize_body_413_closes_connection(self, pair):
         service = AlignmentService(max_wait_ms=1.0, config=CONFIG)
-        d = _Door(service)
-        d.app.max_align_body = 64
+        d = Door(service, max_align_body=64)
         try:
             status, headers, raw = _request(
                 d, "POST", "/v1/align", {"target": "A" * 200, "query": "ACGT"},
@@ -334,7 +260,7 @@ class TestQuotas:
     @pytest.fixture()
     def metered(self):
         service = AlignmentService(max_wait_ms=1.0, config=CONFIG)
-        d = _Door(service, quotas=TenantQuotas(default=(0.5, 2)))
+        d = Door(service, quotas=TenantQuotas(default=(0.5, 2)))
         yield d
         d.stop()
         service.shutdown(timeout=60)
@@ -378,7 +304,7 @@ class TestQuotas:
 
 class TestDrain:
     def test_shed_during_stream_keeps_ndjson_wellformed(self, pair):
-        """Satellite: a drain mid-stream must not corrupt the NDJSON.
+        """A drain mid-stream must not corrupt the NDJSON.
 
         Every line the client ever sees — before and after the shed —
         must parse as a standalone JSON record, and the last one must be
@@ -395,7 +321,7 @@ class TestDrain:
         service = AlignmentService(
             max_wait_ms=1.0, config=CONFIG, stream_chunk_bp=1024
         )
-        d = _Door(service)
+        d = Door(service)
         probes = {}
         try:
             conn = http.client.HTTPConnection(d.host, d.port, timeout=300)
@@ -446,7 +372,7 @@ class TestDrain:
     def test_sigterm_style_drain_completes_inflight(self, pair):
         target, query = pair
         service = AlignmentService(max_wait_ms=1.0, config=CONFIG)
-        d = _Door(service)
+        d = Door(service)
         try:
             status, _, raw = _request(
                 d, "POST", "/v1/align", {"target": target, "query": query},

@@ -13,7 +13,11 @@ import time
 import pytest
 
 from repro.core.options import FastzOptions
-from repro.core.pipeline import extend_suffixes_batched, prepare_fastz
+from repro.core.pipeline import (
+    ExtensionSpec,
+    extend_suffixes_batched,
+    prepare_fastz,
+)
 from repro.fleet import (
     BackendUnavailable,
     FleetError,
@@ -62,9 +66,13 @@ def expected(prep):
     )
 
 
+def _spec(prep):
+    return ExtensionSpec.fuse([(prep, None, None)])
+
+
 def _submit(fleet, prep, **kwargs):
     return fleet.submit(
-        prep.suffixes(), prep.scheme, prep.options, prep.tile,
+        _spec(prep), prep.scheme, prep.options, prep.tile,
         key="k", **kwargs,
     )
 
@@ -128,6 +136,18 @@ class TestPlacement:
         with FleetScheduler(backends, hedge_after_s=None) as fleet:
             chosen = fleet._place(type("U", (), {"weight": 1e6})())
             assert chosen.name == "fastgpu"
+
+    def test_idle_pool_lane_wins_over_idle_cpu(self, prep, expected):
+        # Pool shards run on every live worker at once, so an idle
+        # two-worker pool must model as faster than an idle single core
+        # (declaration order would otherwise hand the tie to cpu0).
+        backends = [InProcessBackend("cpu0"), PoolBackend("pool0", workers=2)]
+        with FleetScheduler(backends, hedge_after_s=None) as fleet:
+            got = _submit(fleet, prep).result(timeout=300)
+            by_name = {b["name"]: b for b in fleet.stats()["backends"]}
+        assert got == expected
+        assert by_name["pool0"]["completed"] == 1
+        assert by_name["cpu0"]["completed"] == 0
 
     def test_estimated_wait_inf_when_all_retired(self, prep):
         with FleetScheduler([InProcessBackend("cpu0")], hedge_after_s=None) as fleet:
@@ -231,7 +251,8 @@ class TestFailure:
     def test_poisoned_unit_fails_alone(self, prep, expected):
         with FleetScheduler([InProcessBackend("cpu0")], hedge_after_s=None) as fleet:
             bad = fleet.submit(
-                [object(), object()], prep.scheme, prep.options, prep.tile,
+                ExtensionSpec((object(),), ((0, 0, 1, 1),)),
+                prep.scheme, prep.options, prep.tile,
                 key="bad", weight=1.0,
             )
             with pytest.raises(Exception) as excinfo:
@@ -245,7 +266,7 @@ class TestFailure:
         backend = InProcessBackend("cpu0")
         backend.close()
         with pytest.raises(BackendUnavailable):
-            backend.run(prep.suffixes(), prep.scheme, prep.options, prep.tile, key="k")
+            backend.run(_spec(prep), prep.scheme, prep.options, prep.tile, key="k")
 
 
 class TestValidationAndLifecycle:
@@ -314,7 +335,8 @@ class TestServiceEquivalence:
     def test_bit_identical_across_backend_mixes(self):
         pairs = _pairs(n=3)
         baseline, base_stats = self._run(pairs)
-        assert base_stats.fleet is None
+        # Without fleet= the service runs one in-process lane.
+        assert [b["name"] for b in base_stats.fleet["backends"]] == ["cpu0"]
         mixes = {
             "inprocess": lambda: [InProcessBackend("cpu0")],
             "gpus": lambda: [SimGpuBackend("gpu0"), SimGpuBackend("gpu1")],

@@ -1,19 +1,20 @@
-"""End-to-end tests of the versioned JSON/HTTP endpoint (stdlib client)."""
+"""End-to-end tests of the versioned JSON/HTTP /v1 contract (stdlib client)."""
 
 import http.client
 import json
-import threading
 import urllib.error
 import urllib.request
 import urllib.parse
 
 import pytest
 
+from repro.fleet.asgi import API_PREFIX, LEGACY_PATHS
 from repro.genome import SegmentClass, build_pair
 from repro.lastz.config import LastzConfig
 from repro.scoring import default_scheme
-from repro.service import AlignmentService, make_server
-from repro.service.http import API_PREFIX, LEGACY_PATHS
+from repro.service import AlignmentService
+
+from ..conftest import Door
 
 CONFIG = LastzConfig(scheme=default_scheme(gap_extend=60, ydrop=2400))
 
@@ -21,13 +22,9 @@ CONFIG = LastzConfig(scheme=default_scheme(gap_extend=60, ydrop=2400))
 @pytest.fixture(scope="module")
 def endpoint():
     service = AlignmentService(max_wait_ms=1.0, config=CONFIG)
-    server = make_server(service, "127.0.0.1", 0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield f"http://{host}:{port}", service
-    server.shutdown()
-    server.server_close()
+    door = Door(service)
+    yield door.url, service
+    door.stop()
     service.shutdown(timeout=60)
 
 
@@ -251,15 +248,19 @@ class TestGracefulDrain:
         service = AlignmentService(
             max_wait_ms=1.0, config=CONFIG, stream_chunk_bp=1024
         )
-        server = make_server(service, "127.0.0.1", 0, grace_s=30.0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        yield f"http://{host}:{port}", server, thread
-        server.server_close()
+        door = Door(service, grace_s=30.0)
+        yield door.url, door.server, door.thread
+        door.stop()
         service.shutdown(timeout=60)
 
     def test_mid_stream_drain_sends_terminal_error(self, drain_endpoint):
+        """A drain mid-stream ends the NDJSON cleanly, never corrupts it.
+
+        Every line the client sees — before and after the shed — parses
+        as a standalone JSON record, the last one is the terminal error
+        record, and the chunked framing ends cleanly (EOF after the
+        0-chunk, no truncation mid-line).
+        """
         url, server, thread = drain_endpoint
         pair = build_pair(
             "http-drain",
@@ -282,6 +283,7 @@ class TestGracefulDrain:
             for line in response:
                 if not line.strip():
                     continue
+                assert line.endswith(b"\n"), "record truncated mid-line"
                 records.append(json.loads(line))
                 if len(records) == 1:
                     # First partial arrived: begin the graceful drain.
@@ -301,6 +303,8 @@ class TestGracefulDrain:
                         probes["align"] = None
                     except urllib.error.HTTPError as exc:
                         probes["align"] = (exc.code, json.loads(exc.read()))
+            # The chunked stream ended cleanly: EOF, not an exception.
+            assert response.read() == b""
 
         assert records[0]["type"] == "partial"
         assert records[-1]["type"] == "error"
@@ -322,13 +326,16 @@ class TestGracefulDrain:
 class TestBadRequests:
     def test_invalid_json_400(self, endpoint):
         url, _ = endpoint
-        request = urllib.request.Request(
-            f"{url}/v1/align", data=b"not json", headers={"Content-Type": "text/plain"}
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=30)
-        assert excinfo.value.code == 400
-        assert _error_body(excinfo)["code"] == "bad_request"
+        for content_type in ("text/plain", "application/json"):
+            request = urllib.request.Request(
+                f"{url}/v1/align",
+                data=b"not json",
+                headers={"Content-Type": content_type},
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=30)
+            assert excinfo.value.code == 400
+            assert _error_body(excinfo)["code"] == "bad_request"
 
     def test_missing_fields_400(self, endpoint):
         url, _ = endpoint
@@ -408,3 +415,4 @@ class TestBadRequests:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
+        assert _error_body(excinfo)["code"] == "bad_request"

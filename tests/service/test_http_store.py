@@ -1,7 +1,6 @@
 """HTTP surface of the reference store: /v1/references, align-by-ref, 413."""
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
@@ -10,8 +9,10 @@ import pytest
 from repro.genome import SegmentClass, build_pair
 from repro.lastz.config import LastzConfig
 from repro.scoring import default_scheme
-from repro.service import AlignmentService, make_server
+from repro.service import AlignmentService
 from repro.store import ReferenceStore
+
+from ..conftest import Door
 
 CONFIG = LastzConfig(scheme=default_scheme(gap_extend=60, ydrop=2400))
 
@@ -31,15 +32,9 @@ def pair():
 def endpoint(tmp_path_factory):
     store = ReferenceStore(tmp_path_factory.mktemp("httpstore"))
     service = AlignmentService(max_wait_ms=1.0, config=CONFIG, store=store)
-    server = make_server(
-        service, "127.0.0.1", 0, max_align_body=64 * 1024
-    )
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield f"http://{host}:{port}", service
-    server.shutdown()
-    server.server_close()
+    door = Door(service, max_align_body=64 * 1024)
+    yield door.url, service
+    door.stop()
     service.shutdown(timeout=60)
 
 
@@ -153,11 +148,8 @@ class TestPayloadTooLarge:
 class TestNoStore:
     def test_register_without_store_400(self):
         service = AlignmentService(max_wait_ms=1.0, config=CONFIG)
-        server = make_server(service, "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        url = f"http://{host}:{port}"
+        door = Door(service)
+        url = door.url
         try:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _post(url, "/references", {"sequence": "ACGT" * 10})
@@ -166,6 +158,5 @@ class TestNoStore:
                 _post(url, "/align", {"target_ref": "0" * 64, "query": "ACGT"})
             assert excinfo.value.code == 400
         finally:
-            server.shutdown()
-            server.server_close()
+            door.stop()
             service.shutdown(timeout=60)

@@ -8,6 +8,7 @@ for byte at any worker count, through any number of worker deaths.
 """
 
 import os
+import pickle
 import signal
 import time
 
@@ -16,14 +17,17 @@ import pytest
 
 from repro.core.options import FastzOptions
 from repro.core.pipeline import (
+    ExtensionSpec,
     extend_suffixes_batched,
     prepare_fastz,
     shard_anchor_suffixes,
 )
+from repro.fleet import InProcessBackend, PoolBackend
 from repro.genome import SegmentClass, build_pair
 from repro.lastz.config import LastzConfig
 from repro.scoring import default_scheme
 from repro.service import AlignmentService, PoolError, WorkerPool
+from repro.store import ReferenceStore
 
 CONFIG = LastzConfig(scheme=default_scheme(gap_extend=60, ydrop=2400))
 
@@ -44,21 +48,45 @@ def _pairs(n=4, length=8_000, seed=23):
     return out
 
 
+def _rows(result):
+    return [
+        (a.score, a.target_start, a.target_end,
+         a.query_start, a.query_end, a.cigar())
+        for a in result.unique_alignments()
+    ]
+
+
 def _run_service(pairs, **kwargs):
     """Align every pair on a fresh service; returns comparable tuples."""
     outs = []
     with AlignmentService(max_wait_ms=1.0, config=CONFIG, **kwargs) as service:
         for target, query in pairs:
-            result = service.align(target, query, timeout_s=300)
-            outs.append(
-                [
-                    (a.score, a.target_start, a.target_end,
-                     a.query_start, a.query_end, a.cigar())
-                    for a in result.unique_alignments()
-                ]
-            )
+            outs.append(_rows(service.align(target, query, timeout_s=300)))
         stats = service.stats()
     return outs, stats
+
+
+def _extend(pool, prep, key="k"):
+    """One request's anchors through the pool, codes shipped inline."""
+    spec = ExtensionSpec.fuse([(prep, None, None)])
+    sources = [("inline", codes) for codes in spec.codes]
+    return pool.extend_spec(
+        sources, spec.rows, prep.scheme, prep.options, prep.tile, key=key
+    )
+
+
+@pytest.fixture()
+def shipped(monkeypatch):
+    """Pickled size of the shard work of every pool message sent."""
+    sizes = []
+    send = WorkerPool._send
+
+    def spy(self, slot, job_id, shard_id, key, params, work):
+        sizes.append(len(pickle.dumps(work, protocol=pickle.HIGHEST_PROTOCOL)))
+        return send(self, slot, job_id, shard_id, key, params, work)
+
+    monkeypatch.setattr(WorkerPool, "_send", spy)
+    return sizes
 
 
 @pytest.fixture(scope="module")
@@ -96,15 +124,12 @@ class TestShardPlan:
 
 class TestWorkerPool:
     def test_extend_matches_in_process(self, prep):
-        suffixes = prep.suffixes()
         expected = extend_suffixes_batched(
-            suffixes, prep.scheme, prep.options, prep.tile
+            prep.suffixes(), prep.scheme, prep.options, prep.tile
         )
         pool = WorkerPool(2)
         try:
-            got = pool.extend(
-                suffixes, prep.scheme, prep.options, prep.tile, key="k"
-            )
+            got = _extend(pool, prep)
         finally:
             pool.close()
         assert got == expected
@@ -112,18 +137,17 @@ class TestWorkerPool:
     def test_empty_batch(self):
         pool = WorkerPool(1)
         try:
-            assert pool.extend([], None, None, 16, key="k") == []
+            assert pool.extend_spec([], [], None, None, 16, key="k") == []
         finally:
             pool.close()
 
     def test_warm_cache_ships_params_once(self, prep):
         pool = WorkerPool(1)
         try:
-            suffixes = prep.suffixes()
-            pool.extend(suffixes, prep.scheme, prep.options, prep.tile, key="k")
+            _extend(pool, prep)
             assert "k" in pool._workers[0].seen
             # Second dispatch reuses the worker-resident params.
-            pool.extend(suffixes, prep.scheme, prep.options, prep.tile, key="k")
+            _extend(pool, prep)
             assert pool.dispatches == 2
         finally:
             pool.close()
@@ -133,7 +157,7 @@ class TestWorkerPool:
         pool.close()
         pool.close()  # idempotent
         with pytest.raises(PoolError):
-            pool.extend(prep.suffixes(), prep.scheme, prep.options, prep.tile, key="k")
+            _extend(pool, prep)
 
     def test_stats_shape(self):
         pool = WorkerPool(2)
@@ -175,6 +199,59 @@ class TestServiceEquivalence:
             payload = service.stats().as_dict()
         assert payload["pool"]["workers"] == 2
         assert payload["pool"]["respawns"] == 0
+
+    def test_pool_workers_with_fleet_rejected(self):
+        # The fleet brings its own lanes; pool_workers would spawn
+        # processes no batch is ever routed to.
+        with pytest.raises(ValueError, match="pool_workers"):
+            AlignmentService(pool_workers=2, fleet=[InProcessBackend("cpu0")])
+
+
+#: The two ways a service gets a two-worker pool lane.
+POOL_LANES = {
+    "pool_workers": lambda: {"pool_workers": 2},
+    "fleet": lambda: {"fleet": [PoolBackend("pool0", workers=2)]},
+}
+
+
+@pytest.mark.parametrize("lane", POOL_LANES.values(), ids=POOL_LANES.keys())
+class TestDispatchPayload:
+    """Shard messages carry one code source per sequence, never suffixes."""
+
+    def test_stored_pair_ships_handles_not_bytes(self, tmp_path, shipped, lane):
+        pair = build_pair(
+            "payload",
+            target_length=200_000,
+            query_length=200_000,
+            classes=[SegmentClass("s", 6, 80, 250, divergence=0.05)],
+            rng=29,
+        )
+        store = ReferenceStore(tmp_path / "store")
+        t_digest = store.add(pair.target)
+        q_digest = store.add(pair.query)
+        with AlignmentService(
+            max_wait_ms=1.0, config=CONFIG, store=store, **lane()
+        ) as service:
+            result = service.align(
+                target_ref=t_digest, query_ref=q_digest, timeout_s=300
+            )
+            stats = service.stats()
+        assert result.alignments
+        assert stats.pool["dispatches"] == 1
+        assert shipped, "no shard reached the pool"
+        # Shared-memory handles plus (ti, qi, t, q) rows: a few hundred
+        # bytes, where pickled suffixes would be megabytes.
+        assert sum(shipped) < 4096
+
+    def test_raw_pair_ships_each_sequence_once_per_shard(self, shipped, lane):
+        (target, query), = _pairs(n=1)
+        with AlignmentService(max_wait_ms=1.0, config=CONFIG, **lane()) as service:
+            result = service.align(target, query, timeout_s=300)
+        assert len(result.tasks) >= 4
+        sequence_bytes = target.codes.nbytes + query.codes.nbytes
+        assert len(shipped) == 2
+        for size in shipped:
+            assert size < sequence_bytes + 4096
 
 
 class TestFaultTolerance:
@@ -219,15 +296,27 @@ class TestFaultTolerance:
     def test_repeated_deaths_degrade_to_in_process(self, monkeypatch):
         # Every spawned worker is on the kill list, so each re-dispatch
         # kills its replacement too; past max_redispatch the pool raises
-        # PoolError and the dispatcher must fall back in-process — the
-        # request completes anyway.
-        pairs = _pairs(n=1)
+        # PoolError and that batch falls back in-process — the request
+        # completes anyway.  Only the batch degrades, not the lane: once
+        # the hook is cleared the next request is served by the pool.
+        pairs = _pairs(n=2)
         baseline, _ = _run_service(pairs, pool_workers=0)
         monkeypatch.setenv(KILL_ENV, ",".join(str(i) for i in range(64)))
-        outs, stats = _run_service(pairs, pool_workers=2)
-        assert outs == baseline
+        with AlignmentService(
+            max_wait_ms=1.0, config=CONFIG, pool_workers=2
+        ) as service:
+            first = service.align(*pairs[0], timeout_s=300)
+            stats = service.stats()
+            monkeypatch.delenv(KILL_ENV)
+            second = service.align(*pairs[1], timeout_s=300)
+            recovered = service.stats()
+        assert [_rows(first), _rows(second)] == baseline
         assert stats.failed == 0
         assert stats.pool["degraded"] >= 1
+        assert recovered.failed == 0
+        assert recovered.pool["degraded"] == stats.pool["degraded"]
+        assert recovered.pool["dispatches"] > stats.pool["dispatches"]
+        assert recovered.pool["alive"] == 2
 
     def test_poisoned_request_fails_alone_and_pool_survives(self):
         # Codes value 99 is outside the alphabet and detonates inside the

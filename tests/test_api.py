@@ -1,7 +1,5 @@
 """Tests of the repro.api v1 facade: local entry points and HTTP client."""
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,9 @@ from repro.core.pipeline import run_fastz
 from repro.genome import SegmentClass, build_pair
 from repro.lastz.config import LastzConfig
 from repro.scoring import default_scheme
-from repro.service import AlignmentService, make_server
+from repro.service import AlignmentService
+
+from .conftest import Door
 
 CONFIG = LastzConfig(scheme=default_scheme(gap_extend=60, ydrop=2400))
 
@@ -144,13 +144,9 @@ class TestParseRetryAfter:
 @pytest.fixture(scope="module")
 def endpoint():
     service = AlignmentService(max_wait_ms=1.0, config=CONFIG)
-    server = make_server(service, "127.0.0.1", 0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield f"http://{host}:{port}"
-    server.shutdown()
-    server.server_close()
+    door = Door(service)
+    yield door.url
+    door.stop()
     service.shutdown(timeout=60)
 
 

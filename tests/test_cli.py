@@ -277,6 +277,14 @@ class TestServeParser:
         assert args.max_batch == 1
         assert args.max_wait_ms == 0.0
 
+    def test_fleet_flag_is_accepted_and_gpus_default_to_zero(self):
+        # `--fleet` is inert (serve always runs the fleet front door);
+        # plain `serve` keeps a cpu0-only roster.
+        args = build_parser().parse_args(["serve", "--fleet", "--fleet-gpus", "0"])
+        assert args.fleet is True
+        assert args.fleet_gpus == 0
+        assert build_parser().parse_args(["serve"]).fleet_gpus == 0
+
 
 class TestRefs:
     def test_add_ls_rm(self, fasta_pair, tmp_path, capsys):
