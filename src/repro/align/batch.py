@@ -54,6 +54,26 @@ rows in cache-sized tiles (``REPRO_WHOLEBIN_TILE_ROWS``) that each mask
 their own dead lanes — per-step Python dispatch cost is then paid once
 per bin instead of once per chunk.
 
+Tail handoff
+------------
+A sweep step's cost is mostly per-step NumPy dispatch (DESIGN.md §17
+measures 112 µs with one live row and 178 µs with fifty, against 24-40 µs
+per row-step on the row kernel), so a block that is down to its last few
+long alignments pays the whole per-step cost for almost no work (the
+reason the paper bins by length, §3.3).  Once a block has ``_TAIL_ROWS`` or
+fewer live rows it stops sweeping: at the end of a step (after the plane
+rotation and y-drop retirement) each survivor's S planes for diagonals
+``d`` and ``d - 1``, I/D planes for ``d``, window, best cell, stats and
+traceback are lifted into a :class:`~repro.align.wavefront.
+WavefrontState` and :func:`~repro.align.wavefront.resume_wavefront` —
+the scalar engine's own anti-diagonal loop — finishes the row.  A block
+that starts with that few rows goes to the row kernel without staging
+any slab.  Results stay bit-identical by construction (the handoff
+comment in ``_extend_lockstep`` gives the argument);
+``repro_batch_tail_rows_total``/``repro_batch_tail_steps_total`` count
+the rows and row-kernel steps, while the sweep counters and occupancy
+stay lockstep-only.
+
 The engine reproduces the scalar engine *bit-identically*: same scores,
 same optimal cells (same tie-breaks — the masked out-of-window cells are
 held at exactly ``NEG_INF``, matching the scalar buffers' scrubbed edges),
@@ -76,8 +96,10 @@ from .wavefront import (
     WARP_WIDTH,
     DiagTraceback,
     WavefrontResult,
+    WavefrontState,
     WavefrontStats,
     pick_score_dtype,
+    resume_wavefront,
 )
 
 __all__ = ["batch_wavefront_extend", "wholebin_wavefront_extend"]
@@ -98,6 +120,12 @@ _OCC_BUCKETS = tuple(i / 10 for i in range(1, 11))
 
 #: Score block plane layout: 7 cyclic S/I/D planes + 2 scratch planes.
 _N_SCORE_PLANES = 9
+
+#: Live rows at or below which a block stops sweeping: the survivors are
+#: lifted out of the slabs and finished on the row kernel, and a block that
+#: starts this small never stages slabs.  Near the measured break-even,
+#: where one sweep step costs as much as 4-5 row-kernel steps.
+_TAIL_ROWS = 4
 
 
 def _compact_threshold() -> float:
@@ -303,6 +331,35 @@ def _extend_lockstep(
     targets = [np.asarray(t, dtype=np.uint8) for t, _ in pairs]
     queries = [np.asarray(q, dtype=np.uint8) for _, q in pairs]
     R = len(pairs)
+    sub = np.asarray(scheme.substitution)
+    sub_side = int(sub.shape[0])
+    # The flat-take substitution lookup clips instead of raising, so enforce
+    # the scalar engine's fancy-indexing contract (out-of-alphabet codes are
+    # an error) up front, before any state is staged.
+    for seq in targets:
+        if seq.shape[0] and int(seq.max()) >= sub_side:
+            raise IndexError(
+                f"target codes exceed the {sub_side}-letter alphabet"
+            )
+    for seq in queries:
+        if seq.shape[0] and int(seq.max()) >= sub_side:
+            raise IndexError(
+                f"query codes exceed the {sub_side}-letter alphabet"
+            )
+
+    tail_rows = _TAIL_ROWS
+    if R <= tail_rows:
+        origins = [
+            WavefrontState.origin(
+                t.shape[0], q.shape[0], eager_tile=eager_tile, traceback=traceback
+            )
+            for t, q in zip(targets, queries)
+        ]
+        _finish_on_row_kernel(
+            targets, queries, origins, scheme, prune, results, out_index
+        )
+        return
+
     obs.counter(
         "repro_batch_lockstep_batches_total",
         "Struct-of-arrays lockstep batches advanced.",
@@ -326,22 +383,7 @@ def _extend_lockstep(
         "repro_batch_sweep_dtype_total", "Lockstep sweeps by score dtype."
     ).labels(dtype=sdt.name).inc()
     NEG = sdt.type(NEG_INF)
-    sub = np.asarray(scheme.substitution)
-    sub_side = int(sub.shape[0])
     sub_f = np.ascontiguousarray(sub, dtype=sdt).ravel()
-    # The flat-take substitution lookup clips instead of raising, so enforce
-    # the scalar engine's fancy-indexing contract (out-of-alphabet codes are
-    # an error) up front, before any state is staged.
-    for seq in targets:
-        if seq.shape[0] and int(seq.max()) >= sub_side:
-            raise IndexError(
-                f"target codes exceed the {sub_side}-letter alphabet"
-            )
-    for seq in queries:
-        if seq.shape[0] and int(seq.max()) >= sub_side:
-            raise IndexError(
-                f"query codes exceed the {sub_side}-letter alphabet"
-            )
 
     cap = 128
     blk, _ = arena.block("scores", (_N_SCORE_PLANES, R, cap), sdt)
@@ -525,7 +567,7 @@ def _extend_lockstep(
             _compact()
 
     d = 0
-    while n_live:
+    while n_live > tail_rows:
         d += 1
         np.add(dmn, 1, out=dmn)
         np.maximum(lo_prev, dmn, out=lo)
@@ -829,6 +871,57 @@ def _extend_lockstep(
                     break
                 _maybe_compact()
 
+    # At most ``tail_rows`` rows are left: lift each out of the slabs as a
+    # row-kernel state paused after step ``d`` and finish it there, where a
+    # step costs one row's work instead of a whole sweep's dispatch.  Exact
+    # by construction: the row kernel's next step reads only columns
+    # [lo_prev - 1, hi_prev + 1] of diagonal d and [lo_prev - 1, hi_prev]
+    # of d - 1.  Inside each diagonal's pruned window the planes hold the
+    # scalar engine's values; the columns just outside it that those ranges
+    # reach are the ones the boundary seals pinned to NEG_INF (S at both
+    # edges, I past the top, D below the bottom), which is what the scalar
+    # buffers hold there.  Widening int32 planes to int64 is exact under
+    # ``score_drift_bound``.
+    if n_live:
+        tail = np.flatnonzero(live)
+        # Cells a lifted row swept here stay on the live side of the
+        # occupancy ledger, which thus remains a lockstep-only ratio.
+        live_cells += int(cells[tail].sum()) - tail.shape[0]
+        planes = blk[np.ix_((p_spp, p_sp, p_ip, p_dp), tail)].astype(
+            np.int64, copy=False
+        )
+        states = [
+            WavefrontState(
+                d=d,
+                S_pp=planes[0, k],
+                S_p=planes[1, k],
+                I_p=planes[2, k],
+                D_p=planes[3, k],
+                lo_prev=int(lo_prev[row]),
+                hi_prev=int(hi_prev[row]),
+                best=int(best[row]),
+                best_i=int(best_i[row]),
+                best_j=int(best_j[row]),
+                diagonals=int(diagonals[row]),
+                cells=int(cells[row]),
+                warp_steps=int(warp_steps[row]),
+                boundary_cells=int(warp_steps[row] - diagonals[row]),
+                max_width=int(max_width[row]),
+                tile_tb=None if tile_tb is None else tile_tb[row].copy(),
+                full_tb=None if full_tbs is None else full_tbs[row],
+            )
+            for k, row in enumerate(tail.tolist())
+        ]
+        _finish_on_row_kernel(
+            [targets[row] for row in tail.tolist()],
+            [queries[row] for row in tail.tolist()],
+            states,
+            scheme,
+            prune,
+            results,
+            idx[tail].tolist(),
+        )
+
     if slab_cells:
         obs.histogram(
             "repro_batch_occupancy",
@@ -855,3 +948,28 @@ def _extend_lockstep(
         "repro_batch_sweep_live_cells_total",
         "In-window live cells among swept slab cells.",
     ).inc(live_cells)
+
+
+def _finish_on_row_kernel(
+    targets: list[np.ndarray],
+    queries: list[np.ndarray],
+    states: list[WavefrontState],
+    scheme: ScoringScheme,
+    prune: bool,
+    results: list,
+    out_index: list[int],
+) -> None:
+    """Run each paused row to completion on the row kernel."""
+    steps = 0
+    for t, q, state, k in zip(targets, queries, states, out_index):
+        start = state.diagonals
+        results[k] = resume_wavefront(t, q, scheme, state, prune=prune)
+        steps += results[k].stats.diagonals - start
+    obs.counter(
+        "repro_batch_tail_rows_total",
+        "Lockstep rows finished on the row kernel instead of the sweep.",
+    ).inc(len(states))
+    obs.counter(
+        "repro_batch_tail_steps_total",
+        "Row-kernel anti-diagonal steps of rows finished off the sweep.",
+    ).inc(steps)

@@ -51,6 +51,8 @@ __all__ = [
     "WavefrontStats",
     "WavefrontResult",
     "DiagTraceback",
+    "WavefrontState",
+    "resume_wavefront",
     "wavefront_extend",
     "WARP_WIDTH",
     "INT32_SAFE_DRIFT",
@@ -190,6 +192,77 @@ def _regrow(buf: np.ndarray, cap: int) -> np.ndarray:
     return out
 
 
+@dataclass
+class WavefrontState:
+    """One extension paused after anti-diagonal ``d``.
+
+    Holds exactly what the anti-diagonal loop reads to compute ``d + 1``
+    onwards: S on diagonals ``d - 1`` and ``d`` (``S_pp``/``S_p``), I and
+    D on ``d`` (``I_p``/``D_p``) — int64 buffers of one common length,
+    indexed by the row coordinate ``i`` — plus the window ``[lo_prev,
+    hi_prev]`` the step after ``d`` grows from, the best cell so far, the
+    running :class:`WavefrontStats` counters and the traceback being
+    recorded (an eager ``(tile+1)^2`` ``tile_tb`` corner or a full
+    ``full_tb``).
+    :func:`resume_wavefront` consumes it: the buffers and traceback are
+    advanced in place.
+    """
+
+    d: int
+    S_pp: np.ndarray
+    S_p: np.ndarray
+    I_p: np.ndarray
+    D_p: np.ndarray
+    lo_prev: int
+    hi_prev: int
+    best: int
+    best_i: int
+    best_j: int
+    diagonals: int
+    cells: int
+    warp_steps: int
+    boundary_cells: int
+    max_width: int
+    tile_tb: np.ndarray | None
+    full_tb: DiagTraceback | None
+
+    @classmethod
+    def origin(
+        cls, m: int, n: int, *, eager_tile: int = 0, traceback: bool = False
+    ) -> "WavefrontState":
+        """The state at diagonal 0 of an ``m x n`` extension."""
+        planes = np.full((4, 128), NEG_INF, dtype=np.int64)
+        planes[1, 0] = 0  # diagonal 0: the origin
+        tile = int(eager_tile) if not traceback else 0
+        tile_tb = None
+        if tile > 0:
+            tile_tb = np.zeros((tile + 1, tile + 1), dtype=np.uint8)
+            tile_tb[0, 0] = S_ORIGIN
+        full_tb = None
+        if traceback:
+            full_tb = DiagTraceback((m + 1, n + 1))
+            full_tb.append_diag(0, np.array([S_ORIGIN], dtype=np.uint8))
+        return cls(
+            d=0,
+            S_pp=planes[0],
+            S_p=planes[1],
+            I_p=planes[2],
+            D_p=planes[3],
+            lo_prev=0,
+            hi_prev=0,
+            best=0,
+            best_i=0,
+            best_j=0,
+            diagonals=1,
+            cells=1,
+            warp_steps=1,
+            boundary_cells=0,
+            max_width=1,
+            tile_tb=tile_tb,
+            full_tb=full_tb,
+        )
+
+
 def wavefront_extend(
     target: np.ndarray,
     query: np.ndarray,
@@ -213,6 +286,36 @@ def wavefront_extend(
     prune:
         Disable to compute the exact full matrix (test mode; must then be
         bit-identical to :func:`repro.align.gotoh.gotoh_extend`).
+
+    The sweep itself is :func:`resume_wavefront` entered from
+    :meth:`WavefrontState.origin`.  The same loop also finishes rows the
+    lockstep engines lift out of their slabs mid-sweep
+    (:mod:`repro.align.batch`), so a fresh and a resumed extension run one
+    recurrence and agree bit for bit.
+    """
+    state = WavefrontState.origin(
+        len(target), len(query), eager_tile=eager_tile, traceback=traceback
+    )
+    return resume_wavefront(target, query, scheme, state, prune=prune)
+
+
+def resume_wavefront(
+    target: np.ndarray,
+    query: np.ndarray,
+    scheme: ScoringScheme,
+    state: WavefrontState,
+    *,
+    prune: bool = True,
+) -> WavefrontResult:
+    """Advance ``state`` from diagonal ``state.d + 1`` to the end.
+
+    The single anti-diagonal loop behind :func:`wavefront_extend`.  The
+    state's diagonals are read only in columns ``[lo_prev - 1, hi_prev +
+    1]`` of ``d`` and ``[lo_prev - 1, hi_prev]`` of ``d - 1`` (windows
+    move by at most one column per step); everything else the loop reads
+    it wrote itself.  A state lifted from any engine that holds those
+    columns exactly — edge columns at ``NEG_INF`` — therefore finishes
+    exactly as the uninterrupted sweep would have.
     """
     target = np.asarray(target, dtype=np.uint8)
     query = np.asarray(query, dtype=np.uint8)
@@ -222,43 +325,31 @@ def wavefront_extend(
     ydrop = int(scheme.ydrop) if prune else None
     sub = scheme.substitution
 
-    full_tb = DiagTraceback((m + 1, n + 1)) if traceback else None
-    tile = int(eager_tile) if not traceback else 0
-    tile_tb: np.ndarray | None = None
-    if tile > 0:
-        tile_tb = np.zeros((tile + 1, tile + 1), dtype=np.uint8)
-        tile_tb[0, 0] = S_ORIGIN
-    if full_tb is not None:
-        full_tb.append_diag(0, np.array([S_ORIGIN], dtype=np.uint8))
-
-    cap = 128
-    S_pp = np.full(cap, NEG_INF, dtype=np.int64)
-    S_p = np.full(cap, NEG_INF, dtype=np.int64)
+    tile_tb, full_tb = state.tile_tb, state.full_tb
+    tile = tile_tb.shape[0] - 1 if tile_tb is not None else 0
+    S_pp, S_p, I_p, D_p = state.S_pp, state.S_p, state.I_p, state.D_p
+    cap = S_p.shape[0]
     S_c = np.full(cap, NEG_INF, dtype=np.int64)
-    I_p = np.full(cap, NEG_INF, dtype=np.int64)
     I_c = np.full(cap, NEG_INF, dtype=np.int64)
-    D_p = np.full(cap, NEG_INF, dtype=np.int64)
     D_c = np.full(cap, NEG_INF, dtype=np.int64)
     I_pp = np.full(cap, NEG_INF, dtype=np.int64)
     D_pp = np.full(cap, NEG_INF, dtype=np.int64)
     scratch = np.empty(cap, dtype=np.int64)
 
-    S_p[0] = 0  # diagonal 0: the origin
+    best = state.best
+    best_i, best_j = state.best_i, state.best_j
+    lo_prev, hi_prev = state.lo_prev, state.hi_prev
 
-    best = 0
-    best_i = best_j = 0
-    lo_prev, hi_prev = 0, 0
-
-    diagonals = 1
-    cells = 1
-    warp_steps = 1
-    boundary_cells = 0
-    max_width = 1
+    diagonals = state.diagonals
+    cells = state.cells
+    warp_steps = state.warp_steps
+    boundary_cells = state.boundary_cells
+    max_width = state.max_width
 
     maximum = np.maximum
     subtract = np.subtract
 
-    for d in range(1, m + n + 1):
+    for d in range(state.d + 1, m + n + 1):
         lo = lo_prev if lo_prev > d - n else d - n
         if lo < 0:
             lo = 0

@@ -784,15 +784,18 @@ def _trace_command(args: argparse.Namespace) -> int:
             f"arena: {int(allocs)} allocs / {int(acquires)} slab checkouts"
         )
     steps = registry.counter("repro_batch_sweep_steps_total").value()
-    if steps:
+    tail_rows = registry.counter("repro_batch_tail_rows_total").value()
+    if steps or tail_rows:
         tiles = registry.counter("repro_batch_sweep_tiles_total").value()
         slab = registry.counter("repro_batch_sweep_slab_cells_total").value()
         alive = registry.counter("repro_batch_sweep_live_cells_total").value()
+        tail_steps = registry.counter("repro_batch_tail_steps_total").value()
         masked = (1.0 - alive / slab) if slab else 0.0
         print(
             f"lockstep sweeps:    {int(steps)} anti-diagonal steps / "
             f"{int(tiles)} row-tile sweeps; masked dead-lane fraction "
-            f"{100 * masked:.1f}% of {int(slab)} slab cells"
+            f"{100 * masked:.1f}% of {int(slab)} slab cells; row-kernel "
+            f"tail {int(tail_rows)} rows / {int(tail_steps)} steps"
         )
     # Per-bin executor sweep ledger (the whole-bin tiling/masking tradeoff,
     # visible without a profiler): sweeps per bin and the dead-work share.

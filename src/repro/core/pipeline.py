@@ -273,7 +273,7 @@ def extend_suffixes_wholebin(
         )
 
 
-def _sweep_snapshot() -> tuple[float, float, float]:
+def _sweep_snapshot() -> tuple[float, float, float, float]:
     """Current values of the engine's global sweep ledger counters."""
     return (
         obs.counter(
@@ -288,21 +288,28 @@ def _sweep_snapshot() -> tuple[float, float, float]:
             "repro_batch_sweep_live_cells_total",
             "In-window live cells among swept slab cells.",
         ).value(),
+        obs.counter(
+            "repro_batch_tail_rows_total",
+            "Lockstep rows finished on the row kernel instead of the sweep.",
+        ).value(),
     )
 
 
-def _record_bin_sweeps(ex_sp, bin_id: int, before: tuple[float, float, float]) -> None:
+def _record_bin_sweeps(
+    ex_sp, bin_id: int, before: tuple[float, float, float, float]
+) -> None:
     """Attribute the sweep-ledger delta around one executor bin to that bin.
 
     The delta is read from thread-shared counters, so under concurrent
     engine calls (service threads) the per-bin attribution is approximate;
     on the single-threaded paths ``repro trace`` reports it is exact.
     """
-    steps0, cells0, live0 = before
-    steps1, cells1, live1 = _sweep_snapshot()
+    steps0, cells0, live0, tail0 = before
+    steps1, cells1, live1, tail1 = _sweep_snapshot()
     sweeps = steps1 - steps0
     cells = cells1 - cells0
     live = live1 - live0
+    ex_sp.set(tail_rows=int(tail1 - tail0))
     if cells <= 0:
         return
     obs.counter(

@@ -307,8 +307,15 @@ def find_seeds(
         )
     q_w = q_words[q_pos_all]
 
-    left = np.searchsorted(t_w_sorted, q_w, side="left")
-    right = np.searchsorted(t_w_sorted, q_w, side="right")
+    # Search the query words in ascending order — NumPy's binary search
+    # then keeps the previous key's bound and walks cache-resident paths —
+    # and scatter the bounds back to query order.
+    q_order = np.argsort(q_w)
+    q_w_sorted = q_w[q_order]
+    left = np.empty(q_w.shape[0], dtype=np.intp)
+    right = np.empty(q_w.shape[0], dtype=np.intp)
+    left[q_order] = np.searchsorted(t_w_sorted, q_w_sorted, side="left")
+    right[q_order] = np.searchsorted(t_w_sorted, q_w_sorted, side="right")
     counts = right - left
 
     # Censor high-frequency words and non-matches.

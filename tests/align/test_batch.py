@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.align import batch_wavefront_extend, wavefront_extend, ydrop_extend
+from repro.align import batch, batch_wavefront_extend, wavefront_extend, ydrop_extend
 from repro.align.wavefront import (
     INT32_SAFE_DRIFT,
     max_step_penalty,
@@ -65,6 +65,13 @@ ENGINE_MODES = [
     pytest.param({"eager_tile": 8, "prune": False}, id="unpruned"),
 ]
 
+#: Tail-handoff thresholds besides the default: 0 sweeps every row to the
+#: end, 10_000 sends every block straight to the row kernel.
+TAIL_ROWS = [
+    pytest.param(0, id="tail-never"),
+    pytest.param(10_000, id="tail-at-once"),
+]
+
 
 class TestScalarEquivalence:
     @pytest.mark.parametrize("mode", ENGINE_MODES)
@@ -75,6 +82,16 @@ class TestScalarEquivalence:
         assert len(got) == len(pairs)
         for (t, q), g in zip(pairs, got):
             _assert_results_identical(g, wavefront_extend(t, q, bench_scheme, **mode))
+
+    @pytest.mark.parametrize("tail_rows", TAIL_ROWS)
+    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_bit_identical_across_tail_rows(
+        self, bench_scheme, monkeypatch, mode, seed, tail_rows
+    ):
+        """The cases above at the other handoff thresholds."""
+        monkeypatch.setattr(batch, "_TAIL_ROWS", tail_rows)
+        self.test_bit_identical_to_scalar(bench_scheme, mode, seed)
 
     def test_unit_scheme_exact_mode(self, exact_scheme):
         """With pruning effectively disabled the full matrix is explored;

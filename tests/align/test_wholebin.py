@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.align import (
+    batch,
     batch_wavefront_extend,
     wavefront_extend,
     wholebin_wavefront_extend,
@@ -18,6 +19,7 @@ from repro.align import (
 
 from .test_batch import (
     ENGINE_MODES,
+    TAIL_ROWS,
     _assert_results_identical,
     _mixed_extent_pairs,
     _random_pairs,
@@ -33,6 +35,16 @@ class TestScalarEquivalence:
         assert len(got) == len(pairs)
         for (t, q), g in zip(pairs, got):
             _assert_results_identical(g, wavefront_extend(t, q, bench_scheme, **mode))
+
+    @pytest.mark.parametrize("tail_rows", TAIL_ROWS)
+    @pytest.mark.parametrize("mode", ENGINE_MODES)
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_bit_identical_across_tail_rows(
+        self, bench_scheme, monkeypatch, mode, seed, tail_rows
+    ):
+        """The cases above at the other handoff thresholds."""
+        monkeypatch.setattr(batch, "_TAIL_ROWS", tail_rows)
+        self.test_bit_identical_to_scalar(bench_scheme, mode, seed)
 
     @pytest.mark.parametrize("tile_rows", [1, 3, 17, 10_000])
     def test_tile_rows_invariance(self, bench_scheme, tile_rows):

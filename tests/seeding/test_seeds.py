@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.genome import encode, random_codes
 from repro.seeding import LASTZ_SPACED_SEED, find_seeds, pack_kmers, pack_spaced
@@ -72,11 +72,14 @@ class TestPackSpaced:
             pack_spaced(encode("ACGT"), "000")
 
 
-def _brute_force_matches(t: str, q: str, k: int):
+def _brute_force_matches(t: str, q: str, k: int, max_word_count: int = 10**6):
+    t_words = [t[i : i + k] for i in range(len(t) - k + 1)]
     out = set()
-    for i in range(len(t) - k + 1):
+    for i, word in enumerate(t_words):
+        if t_words.count(word) > max_word_count:
+            continue  # censored: too frequent in the target
         for j in range(len(q) - k + 1):
-            if t[i : i + k] == q[j : j + k]:
+            if word == q[j : j + k]:
                 out.add((i, j))
     return out
 
@@ -99,12 +102,18 @@ class TestFindSeeds:
     @given(
         st.text(alphabet="AC", min_size=5, max_size=25),
         st.text(alphabet="AC", min_size=5, max_size=25),
+        st.sampled_from([10**6, 3]),
     )
-    def test_matches_brute_force(self, t_text, q_text):
+    # Repeat-dense: many query positions share one censored word (AAAAA,
+    # 8 target copies) and one kept word (CCCCC, 3 copies).
+    @example("A" * 12 + "C" * 7, "A" * 12 + "C" * 14, 3)
+    def test_matches_brute_force(self, t_text, q_text, max_word_count):
         k = 5
-        seeds = find_seeds(encode(t_text), encode(q_text), k=k, max_word_count=10**6)
+        seeds = find_seeds(
+            encode(t_text), encode(q_text), k=k, max_word_count=max_word_count
+        )
         got = set(zip(seeds.target_pos.tolist(), seeds.query_pos.tolist()))
-        assert got == _brute_force_matches(t_text, q_text, k)
+        assert got == _brute_force_matches(t_text, q_text, k, max_word_count)
 
     def test_censoring_drops_frequent_words(self, rng):
         word = random_codes(rng, 8)
