@@ -20,7 +20,6 @@ from repro.align import (
     batch_wavefront_extend,
     gotoh_extend,
     wavefront_extend,
-    wholebin_wavefront_extend,
     ydrop_extend,
 )
 from repro.genome import mutate, random_codes
@@ -105,40 +104,6 @@ def test_batch_wavefront_engine(benchmark, suffix_batch):
     assert len(results) == len(pairs)
 
 
-def test_wholebin_wavefront_engine(benchmark, suffix_batch):
-    """The whole-bin engine on the same workload: one SoA block, one step
-    loop, rows swept in cache tiles — no ``batch_size`` chunking at all."""
-    pairs, scheme = suffix_batch
-    results = benchmark(wholebin_wavefront_extend, pairs, scheme, eager_tile=16)
-    benchmark.extra_info["tasks"] = len(results)
-    assert len(results) == len(pairs)
-
-
-def test_wholebin_wavefront_engine_warm_arena(benchmark, suffix_batch):
-    """Steady-state whole-bin path: a warm arena and presorted tasks, the
-    exact shape the executor feeds it; spot-checked against scalar."""
-    pairs, scheme = suffix_batch
-    arena = LockstepArena()
-    ordered = sorted(pairs, key=lambda p: len(p[0]) + len(p[1]))
-    wholebin_wavefront_extend(
-        ordered, scheme, eager_tile=16, arena=arena, presorted=True
-    )
-    results = benchmark(
-        wholebin_wavefront_extend,
-        ordered,
-        scheme,
-        eager_tile=16,
-        arena=arena,
-        presorted=True,
-    )
-    benchmark.extra_info["arena_reuses"] = arena.reuses
-    assert arena.reuses > 0
-    for (t, q), got in zip(ordered[:32], results[:32]):
-        ref = wavefront_extend(t, q, scheme, eager_tile=16)
-        assert (got.score, got.end_i, got.end_j) == (ref.score, ref.end_i, ref.end_j)
-        assert got.stats == ref.stats
-
-
 def test_batch_wavefront_engine_warm_arena(benchmark, suffix_batch):
     """The steady-state service path: every sweep reuses one warm arena.
 
@@ -170,9 +135,7 @@ def test_batch_wavefront_engine_warm_arena(benchmark, suffix_batch):
 
 def test_scalar_vs_batched_pipeline(emit, results_dir):
     """Acceptance gate: the batched engine must beat the per-anchor loop by
-    >=3x on a >=500-anchor workload while staying bit-identical, and the
-    whole-bin engine must beat warm batched by >=2x (same-session A/B,
-    skipped with a recorded caveat on <2-core boxes).
+    >=3x on a >=500-anchor workload while staying bit-identical.
 
     Appends the measurement as a trajectory point to BENCH_engines.json so
     engine regressions are visible across sessions.
@@ -211,11 +174,6 @@ def test_scalar_vs_batched_pipeline(emit, results_dir):
     t_arena2, _ = timed(replace(BENCH_OPTIONS, engine="batched"))
     t_arena = min(t_arena, t_arena2)
     t_pool, pooled = timed(replace(BENCH_OPTIONS, engine="batched"), workers=2)
-    # Whole-bin engine, same warm-arena min-of-2 treatment as batched.
-    timed(replace(BENCH_OPTIONS, engine="wholebin"))  # warm the arenas
-    t_whole, whole = timed(replace(BENCH_OPTIONS, engine="wholebin"))
-    t_whole2, _ = timed(replace(BENCH_OPTIONS, engine="wholebin"))
-    t_whole = min(t_whole, t_whole2)
 
     n = len(scalar.tasks)
     if not smoke:
@@ -224,7 +182,6 @@ def test_scalar_vs_batched_pipeline(emit, results_dir):
         (batched, "batched"),
         (arena_run, "batched+warm-arena"),
         (pooled, "batched+pool"),
-        (whole, "wholebin"),
     ):
         assert ref.tasks == scalar.tasks, f"{alt}: task profiles diverged"
         assert [
@@ -239,7 +196,7 @@ def test_scalar_vs_batched_pipeline(emit, results_dir):
         emit(
             "bench_engines_smoke",
             f"engine smoke on {spec.name} @ scale 0.25 ({n} anchors): "
-            "scalar/batched/warm-arena/pool/wholebin bit-identical "
+            "scalar/batched/warm-arena/pool bit-identical "
             "(timing gates skipped)",
         )
         return
@@ -263,9 +220,6 @@ def test_scalar_vs_batched_pipeline(emit, results_dir):
         "speedup": round(speedup, 2),
         "arena_speedup": round(t_scalar / t_arena, 2),
         "pool_speedup": round(t_scalar / t_pool, 2),
-        "wholebin_seconds": round(t_whole, 4),
-        "wholebin_speedup": round(t_scalar / t_whole, 2),
-        "wholebin_vs_batched": round(t_arena / t_whole, 2),
         "batch_size": BENCH_OPTIONS.batch_size,
     }
     lines = [
@@ -277,33 +231,8 @@ def test_scalar_vs_batched_pipeline(emit, results_dir):
         f"({t_scalar / t_arena:.1f}x)",
         f"  batched + pool(2):      {t_pool * 1e3:9.1f} ms  "
         f"({t_scalar / t_pool:.1f}x)",
-        f"  whole-bin lockstep:     {t_whole * 1e3:9.1f} ms  "
-        f"({t_scalar / t_whole:.1f}x, {t_arena / t_whole:.1f}x vs warm batched)",
         "  results bit-identical across engines",
     ]
-    # In-session A/B gate: whole-bin against the warm batched engine.
-    # Both legs run in this process on this machine, so the ratio is
-    # meaningful whenever real cores back it; on a <2-core box wall-clock
-    # is scheduler-noise-bound and the gate is skipped with the caveat
-    # recorded (same policy as the cross-session arena gate below).
-    vs_batched = t_arena / t_whole
-    if cpus >= 2:
-        assert vs_batched >= 2.0, (
-            f"wholebin engine only {vs_batched:.2f}x over warm batched "
-            f"(gate: >= 2x)"
-        )
-        lines.append(
-            f"  wholebin vs batched: {vs_batched:.1f}x (gate >= 2x passed)"
-        )
-    else:
-        point["wholebin_gate"] = (
-            f"skipped: {cpus} cpu visible; single-core wall-clock is "
-            "scheduler-noise-bound, the measured wholebin_vs_batched ratio "
-            "is recorded but not asserted"
-        )
-        lines.append(
-            f"  wholebin vs batched: {vs_batched:.1f}x (gate skipped: {cpus} cpu)"
-        )
     # Cross-session gate: the arena engine against the previous entry's
     # batched time.  Prior entries were recorded on earlier sessions'
     # machines, so the ratio is only meaningful with real cores under it;

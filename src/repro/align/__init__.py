@@ -3,7 +3,7 @@
 from .alignment import Alignment, merge_ops
 from .arena import LockstepArena, release_thread_arenas, thread_arena
 from .banded import banded_extend
-from .batch import batch_wavefront_extend, wholebin_wavefront_extend
+from .batch import batch_wavefront_extend
 from .diagonal import (
     DiagonalLayout,
     diagonal_span,
@@ -77,6 +77,5 @@ __all__ = [
     "unskew_matrix",
     "walk_traceback",
     "wavefront_extend",
-    "wholebin_wavefront_extend",
     "ydrop_extend",
 ]

@@ -29,9 +29,8 @@ All per-task score state is stacked row-wise:
 * finished tasks become masked *tombstones* (their window is pinned shut
   with sentinels, so they stop contributing to the union range and every
   per-row update skips them via ``where=``); slabs are physically
-  compacted only when the dead fraction exceeds a threshold
-  (``REPRO_BATCH_COMPACT_THRESHOLD``, default 0.5), instead of fancy-index
-  copying every slab on every retirement.
+  compacted only when the dead fraction exceeds ``_COMPACT_THRESHOLD``
+  (0.5), instead of fancy-index copying every slab on every retirement.
 
 Allocation model
 ----------------
@@ -46,13 +45,14 @@ recurrences, window masking and y-drop pruning write into the arena
 planes with ``out=``/``where=`` ufuncs — the hot loop allocates only
 O(N)-sized vectors, never O(N x width) temporaries.
 
-Two entry points drive the same sweep core: :func:`batch_wavefront_extend`
-splits the task list into ``batch_size`` chunks, each advanced by its own
-anti-diagonal loop; :func:`wholebin_wavefront_extend` packs an entire
-length bin into one block and advances it with a single loop, sweeping
-rows in cache-sized tiles (``REPRO_WHOLEBIN_TILE_ROWS``) that each mask
-their own dead lanes — per-step Python dispatch cost is then paid once
-per bin instead of once per chunk.
+Composition
+-----------
+:func:`batch_wavefront_extend` is the one entry.  It orders the task list
+by total length (or keeps the caller's order, ``presorted=True``) and cuts
+it into blocks of at most ``batch_size`` rows; each block is advanced by
+its own anti-diagonal loop, one masked sweep over the whole block per
+step.  ``batch_size`` therefore bounds slab memory, and length-neighbours
+sharing a block keep its union window tight.
 
 Tail handoff
 ------------
@@ -84,8 +84,6 @@ the property-style equivalence suite.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from .. import obs
@@ -102,7 +100,7 @@ from .wavefront import (
     resume_wavefront,
 )
 
-__all__ = ["batch_wavefront_extend", "wholebin_wavefront_extend"]
+__all__ = ["batch_wavefront_extend"]
 
 #: Window sentinels for tombstoned (retired) rows: ``lo`` is pushed above
 #: any reachable diagonal and ``hi`` below zero, so a dead row's window can
@@ -110,11 +108,9 @@ __all__ = ["batch_wavefront_extend", "wholebin_wavefront_extend"]
 _DEAD_LO = np.int64(1) << 40
 _DEAD_HI = np.int64(-3)
 
-_COMPACT_ENV = "REPRO_BATCH_COMPACT_THRESHOLD"
-_DEFAULT_COMPACT_THRESHOLD = 0.5
-
-_TILE_ROWS_ENV = "REPRO_WHOLEBIN_TILE_ROWS"
-_DEFAULT_TILE_ROWS = 1024
+#: Dead-row fraction above which slabs are physically compacted (read at
+#: call time, so tests can monkeypatch it).
+_COMPACT_THRESHOLD = 0.5
 
 _OCC_BUCKETS = tuple(i / 10 for i in range(1, 11))
 
@@ -126,30 +122,6 @@ _N_SCORE_PLANES = 9
 #: starts this small never stages slabs.  Near the measured break-even,
 #: where one sweep step costs as much as 4-5 row-kernel steps.
 _TAIL_ROWS = 4
-
-
-def _compact_threshold() -> float:
-    """Dead-row fraction above which slabs are physically compacted."""
-    raw = os.environ.get(_COMPACT_ENV)
-    if raw:
-        try:
-            return float(raw)
-        except ValueError:
-            pass
-    return _DEFAULT_COMPACT_THRESHOLD
-
-
-def _wholebin_tile_rows() -> int:
-    """Rows per cache tile for whole-bin sweeps (env-overridable)."""
-    raw = os.environ.get(_TILE_ROWS_ENV)
-    if raw:
-        try:
-            rows = int(raw)
-            if rows > 0:
-                return rows
-        except ValueError:
-            pass
-    return _DEFAULT_TILE_ROWS
 
 
 def _coerce_forced_dtype(score_dtype: str | np.dtype | None) -> np.dtype | None:
@@ -181,25 +153,30 @@ def batch_wavefront_extend(
     same keyword arguments; results come back in input order and are
     bit-identical to the per-task calls.
 
+    Composition
+    -----------
+    Pairs are ordered by ``len(t) + len(q)`` — or kept in the caller's
+    order with ``presorted=True``, when it already sorted them by expected
+    sweep depth (the executor's inspector-measured extents, a better key
+    than raw length) — and cut into blocks of at most ``batch_size`` rows,
+    each advanced to completion by its own anti-diagonal loop.
+    Composition never changes any result — only slab occupancy.
+
     Memory model
     ------------
-    One lockstep slab holds ``batch_size`` rows times the widest union
-    window the chunk reaches — O(batch_size x max_extent) score cells
-    (int32 when provably safe, else int64), regardless of how many pairs
-    are passed.  ``batch_size=None`` packs *everything* into a single
-    slab, so slab memory then grows with ``len(pairs)``; callers with
-    unbounded task lists (the pipeline executor, service workers) must
-    pass a bound — they all forward ``FastzOptions.batch_size``.  Slabs
-    are checked out of ``arena`` and reused across chunks; pass a warm
+    One lockstep slab holds a block's rows times the widest union window
+    the block reaches — O(batch_size x max_extent) score cells (int32 when
+    provably safe, else int64), regardless of how many pairs are passed.
+    ``batch_size=None`` packs *everything* into a single block, so slab
+    memory then grows with ``len(pairs)``; callers with unbounded task
+    lists (the pipeline, service workers) must pass a bound — they all
+    forward ``FastzOptions.batch_size``.  Slabs are checked out of
+    ``arena`` and reused across blocks; pass a warm
     :class:`~repro.align.arena.LockstepArena` to reuse them across *calls*
     as well (one arena per thread/process — arenas are not thread-safe).
     ``score_dtype`` ("int32"/"int64") overrides the automatic promotion
     decision, e.g. to force the int64 path in tests; forcing int32 on a
     workload whose drift bound exceeds the int32 budget is undefined.
-    ``presorted=True`` says the caller already ordered ``pairs`` by
-    expected sweep depth (e.g. the executor's inspector-measured extents,
-    a better key than raw length), suppressing the internal length sort.
-    Composition never changes any result — only slab occupancy.
     """
     results: list[WavefrontResult | None] = [None] * len(pairs)
     if not pairs:
@@ -210,100 +187,28 @@ def batch_wavefront_extend(
     if arena is None:
         arena = LockstepArena()
     step = int(batch_size) if batch_size else len(pairs)
-    # Occupancy-aware chunk composition: when the task list is split into
-    # several lockstep chunks, grouping tasks of similar total length keeps
-    # each chunk's union window tight and lets whole chunks retire early
-    # (tasks are independent, so composition never changes any result;
-    # results are still returned in input order).
-    if len(pairs) > step and not presorted:
-        order: list[int] = sorted(
+    # Length neighbours share a block, keeping its union window tight and
+    # letting whole blocks retire early; results come back in input order.
+    if presorted:
+        order = list(range(len(pairs)))
+    else:
+        order = sorted(
             range(len(pairs)),
             key=lambda i: len(pairs[i][0]) + len(pairs[i][1]),
         )
-    else:
-        order = list(range(len(pairs)))
     for start in range(0, len(pairs), step):
-        chunk = order[start : start + step]
+        block = order[start : start + step]
         _extend_lockstep(
-            [pairs[i] for i in chunk],
+            [pairs[i] for i in block],
             scheme,
             eager_tile,
             traceback,
             prune,
             results,
-            chunk,
+            block,
             arena,
             forced,
         )
-    return results  # type: ignore[return-value]
-
-
-def wholebin_wavefront_extend(
-    pairs: list[tuple[np.ndarray, np.ndarray]],
-    scheme: ScoringScheme,
-    *,
-    eager_tile: int = 0,
-    traceback: bool = False,
-    prune: bool = True,
-    arena: LockstepArena | None = None,
-    score_dtype: str | np.dtype | None = None,
-    presorted: bool = False,
-    tile_rows: int | None = None,
-) -> list[WavefrontResult]:
-    """Extend an *entire bin* of suffix pairs as one lockstep SoA block.
-
-    Same contract and bit-identical results as
-    :func:`batch_wavefront_extend`, but the composition is inverted: where
-    the batched entry splits the task list into ``batch_size`` chunks and
-    drives one Python anti-diagonal loop *per chunk*, this entry packs
-    every pair into a single arena-backed score block and advances the
-    whole bin with one anti-diagonal loop — one NumPy sweep per diagonal
-    per row tile, the CPU analogue of launching one bulk-synchronous
-    kernel per wavefront step for the whole bin (paper §3.3).  The
-    per-step Python/ufunc dispatch overhead is amortised over every live
-    task at once instead of ``batch_size`` of them, which is where the
-    engine's remaining time went (``repro trace`` on the batched engine).
-
-    Inside each step the bin is swept in row tiles of ``tile_rows``
-    (default ``REPRO_WHOLEBIN_TILE_ROWS`` or 1024): each tile computes
-    its own union column range, so one monster alignment widens only its
-    own tile's sweep — the cache-locality/dead-lane-masking tradeoff is
-    per tile, not per bin.  Dead rows are masked tombstones exactly as in
-    the batched engine (all-dead tiles are skipped outright), dtype
-    promotion stays per block, and retirement/compaction fold into the
-    sweep unchanged.  Slab memory is O(len(pairs) x max_extent) — callers
-    feed length-binned task sets (the pipeline executor) so extents are
-    homogeneous by construction.
-    """
-    results: list[WavefrontResult | None] = [None] * len(pairs)
-    if not pairs:
-        return []
-    if tile_rows is not None and tile_rows <= 0:
-        raise ValueError("tile_rows must be positive")
-    forced = _coerce_forced_dtype(score_dtype)
-    if arena is None:
-        arena = LockstepArena()
-    # Extent-similar neighbours keep each row tile's union window tight;
-    # executors pass inspector-measured orderings via presorted=True.
-    if len(pairs) > 1 and not presorted:
-        order = sorted(
-            range(len(pairs)),
-            key=lambda i: len(pairs[i][0]) + len(pairs[i][1]),
-        )
-    else:
-        order = list(range(len(pairs)))
-    _extend_lockstep(
-        [pairs[i] for i in order],
-        scheme,
-        eager_tile,
-        traceback,
-        prune,
-        results,
-        order,
-        arena,
-        forced,
-        tile_rows=tile_rows if tile_rows is not None else _wholebin_tile_rows(),
-    )
     return results  # type: ignore[return-value]
 
 
@@ -317,17 +222,8 @@ def _extend_lockstep(
     out_index: list[int],
     arena: LockstepArena,
     forced_dtype: np.dtype | None,
-    tile_rows: int | None = None,
 ) -> None:
-    """Advance one lockstep slab to completion.
-
-    ``tile_rows=None`` sweeps the slab as a single row tile per step (the
-    batched engine's behaviour); an integer partitions each step's sweep
-    into contiguous row tiles of that size, each with its own union column
-    range (the whole-bin engine).  Tiling never changes results — every
-    per-row recurrence, mask, seal and prune is computed from the row's
-    own window, and a tile's column range always covers its rows' windows.
-    """
+    """Advance one lockstep block to completion."""
     targets = [np.asarray(t, dtype=np.uint8) for t, _ in pairs]
     queries = [np.asarray(q, dtype=np.uint8) for _, q in pairs]
     R = len(pairs)
@@ -440,11 +336,10 @@ def _extend_lockstep(
 
     live = np.ones(R, dtype=bool)
     n_live = R
-    compact_frac = _compact_threshold()
+    compact_frac = _COMPACT_THRESHOLD
     slab_cells = 0
     live_cells = 0
     sweep_steps = 0
-    tile_sweeps = 0
 
     tile_tb: np.ndarray | None = None
     if tile > 0:
@@ -640,212 +535,187 @@ def _extend_lockstep(
         else:
             lo_next, hi_next = lo, hi
         sweep_steps += 1
-        t_step = R if tile_rows is None else tile_rows
+        W = H - L + 1
+        slab_cells += R * W
+        sc0 = blk[7, :, :W]
+        sc1 = blk[8, :, :W]
+        b_in = bool_blk[0, :, :W]
+        b_dv = bool_blk[1, :, :W]
+        b_a = bool_blk[2, :, :W]
+        b_b = bool_blk[3, :, :W]
+        s_ch = u8_blk[0, :, :W]
+        u8a = u8_blk[1, :, :W]
 
-        # One sweep per row tile: each tile computes its own union column
-        # range [Lt, Ht], so the per-row recurrences, window masks, seals
-        # and prunes below are exactly the single-tile computation applied
-        # to a row subset — tiling changes locality and masked-lane waste,
-        # never values.  With tile_rows=None the loop body runs once with
-        # [Lt, Ht] == [L, H]: the classic batched sweep.
-        for r0 in range(0, R, t_step):
-            r1 = min(r0 + t_step, R)
-            lo_t = lo[r0:r1]
-            hi_t = hi[r0:r1]
-            Lt = int(lo_t.min())
-            Ht = int(hi_t.max())
-            if Lt > Ht:  # every row in this tile is a tombstone
-                continue
-            tile_sweeps += 1
-            nt = r1 - r0
-            Wt = Ht - Lt + 1
-            slab_cells += nt * Wt
-            sc0 = blk[7, r0:r1, :Wt]
-            sc1 = blk[8, r0:r1, :Wt]
-            b_in = bool_blk[0, r0:r1, :Wt]
-            b_dv = bool_blk[1, r0:r1, :Wt]
-            b_a = bool_blk[2, r0:r1, :Wt]
-            b_b = bool_blk[3, r0:r1, :Wt]
-            s_ch = u8_blk[0, r0:r1, :Wt]
-            u8a = u8_blk[1, r0:r1, :Wt]
+        # Scrub the recycled buffer's union-window edges (windows move by at
+        # most one column per step; interior columns are overwritten below).
+        if L >= 1:
+            S_c[:, L - 1] = I_c[:, L - 1] = D_c[:, L - 1] = NEG
+        S_c[:, H + 1] = I_c[:, H + 1] = D_c[:, H + 1] = NEG
 
-            # Scrub the recycled buffer's union-window edges (windows move
-            # by at most one column per step; interior columns are
-            # overwritten below).
-            if Lt >= 1:
-                S_c[r0:r1, Lt - 1] = I_c[r0:r1, Lt - 1] = D_c[r0:r1, Lt - 1] = NEG
-            S_c[r0:r1, Ht + 1] = I_c[r0:r1, Ht + 1] = D_c[r0:r1, Ht + 1] = NEG
+        Sp = S_p[:, L : H + 1]
+        Ip = I_p[:, L : H + 1]
+        Icur = I_c[:, L : H + 1]
+        Dcur = D_c[:, L : H + 1]
+        Scur = S_c[:, L : H + 1]
 
-            Sp = S_p[r0:r1, Lt : Ht + 1]
-            Ip = I_p[r0:r1, Lt : Ht + 1]
-            Icur = I_c[r0:r1, Lt : Ht + 1]
-            Dcur = D_c[r0:r1, Lt : Ht + 1]
-            Scur = S_c[r0:r1, Lt : Ht + 1]
+        # --- I(i, j): from diagonal d-1, same index -------------------------
+        np.subtract(Ip, e, out=Icur)
+        np.subtract(Sp, oe, out=sc0)
+        np.maximum(Icur, sc0, out=Icur)
+        if H == d:  # cell (d, 0) has no insertion parent
+            top = np.flatnonzero(hi == d)
+            Icur[top, d - L] = NEG
 
-            # --- I(i, j): from diagonal d-1, same index ---------------------
-            np.subtract(Ip, e, out=Icur)
-            np.subtract(Sp, oe, out=sc0)
-            np.maximum(Icur, sc0, out=Icur)
-            if Ht == d:  # cell (d, 0) has no insertion parent
-                top = np.flatnonzero(hi_t == d)
-                if top.shape[0]:
-                    Icur[top, hi_t[top] - Lt] = NEG
+        # --- D(i, j): from diagonal d-1, index i-1 --------------------------
+        if L >= 1:
+            np.subtract(D_p[:, L - 1 : H], e, out=Dcur)
+            np.subtract(S_p[:, L - 1 : H], oe, out=sc0)
+            np.maximum(Dcur, sc0, out=Dcur)
+        else:
+            Dcur[:, 0] = NEG  # cell (0, d) has no deletion parent
+            np.subtract(D_p[:, 0:H], e, out=Dcur[:, 1:])
+            np.subtract(S_p[:, 0:H], oe, out=sc0[:, 1:])
+            np.maximum(Dcur[:, 1:], sc0[:, 1:], out=Dcur[:, 1:])
 
-            # --- D(i, j): from diagonal d-1, index i-1 ----------------------
-            if Lt >= 1:
-                np.subtract(D_p[r0:r1, Lt - 1 : Ht], e, out=Dcur)
-                np.subtract(S_p[r0:r1, Lt - 1 : Ht], oe, out=sc0)
-                np.maximum(Dcur, sc0, out=Dcur)
+        # --- S = max(I, D, diag) --------------------------------------------
+        np.maximum(Icur, Dcur, out=Scur)
+        if L >= 1:
+            tg = Tpad[:, L - 1 : H]
+        else:
+            tg = u8_blk[2, :, :W]
+            tg[:, 0] = 0
+            tg[:, 1:] = Tpad[:, 0:H]
+        if H == d:
+            qg = u8_blk[3, :, :W]
+            qg[:, -1] = 0
+            if W > 1:
+                qg[:, :-1] = Qpad[:, 0 : d - L][:, ::-1]
+        else:
+            qg = Qpad[:, d - H - 1 : d - L][:, ::-1]
+        # Substitution lookup: flat 5x5 take via a uint8 index plane.
+        np.multiply(tg, 5, out=u8a)
+        np.add(u8a, qg, out=u8a)
+        np.take(sub_f, u8a, out=sc1, mode="clip")
+        if L >= 1:
+            np.add(sc1, S_pp[:, L - 1 : H], out=sc1)
+        else:
+            np.add(sc1[:, 1:], S_pp[:, 0:H], out=sc1[:, 1:])
+        # The matrix-edge cells (i == 0, present iff L == 0; i == d, present
+        # iff H == d) have no diagonal parent: neutralise the candidate at
+        # the two union-edge columns (in-window edge cells always have a
+        # real I or D parent, so the NEG candidate never wins there).  The
+        # max itself must stay gated to each row's window: the diag parent
+        # plane was masked by *its own* (wider, pre-prune) window two steps
+        # ago, so outside [lo, hi] it can still hold real values that an
+        # ungated max would resurrect past the y-drop threshold.
+        if L == 0:
+            sc1[:, 0] = NEG
+        if H == d:
+            sc1[:, -1] = NEG
+        cols = cols_all[L : H + 1]
+        np.greater_equal(cols, lo[:, None], out=b_in)
+        np.less_equal(cols, hi[:, None], out=b_b)
+        np.logical_and(b_in, b_b, out=b_in)
+        np.maximum(Scur, sc1, out=Scur, where=b_in)
+
+        # --- traceback recording --------------------------------------------
+        if full_tbs is not None or record_tile:
+            # b_in still holds the in-window mask from the S max above;
+            # diag_valid differs from it only at the matrix edges.
+            np.copyto(b_dv, b_in)
+            if L == 0:
+                b_dv[:, 0] = False
+            if H == d:
+                b_dv[:, -1] = False
+            np.copyto(s_ch, np.uint8(S_FROM_D))
+            np.equal(Scur, Icur, out=b_a)
+            np.copyto(s_ch, np.uint8(S_FROM_I), where=b_a)
+            np.equal(Scur, sc1, out=b_a)
+            np.logical_and(b_a, b_dv, out=b_a)
+            np.copyto(s_ch, np.uint8(S_DIAG), where=b_a)
+            np.subtract(Ip, e, out=sc0)
+            np.subtract(Sp, oe, out=sc1)
+            np.greater(sc0, sc1, out=b_a)  # i_from_i
+            if L >= 1:
+                np.subtract(D_p[:, L - 1 : H], e, out=sc0)
+                np.subtract(S_p[:, L - 1 : H], oe, out=sc1)
+                np.greater(sc0, sc1, out=b_b)  # d_from_d
             else:
-                Dcur[:, 0] = NEG  # cell (0, d) has no deletion parent
-                np.subtract(D_p[r0:r1, 0:Ht], e, out=Dcur[:, 1:])
-                np.subtract(S_p[r0:r1, 0:Ht], oe, out=sc0[:, 1:])
-                np.maximum(Dcur[:, 1:], sc0[:, 1:], out=Dcur[:, 1:])
+                b_b[:, 0] = False
+                np.subtract(D_p[:, 0:H], e, out=sc0[:, 1:])
+                np.subtract(S_p[:, 0:H], oe, out=sc1[:, 1:])
+                np.greater(sc0[:, 1:], sc1[:, 1:], out=b_b[:, 1:])
+            # Pack parent bits into s_ch; bits are disjoint so add == OR.
+            np.add(s_ch, np.uint8(4), out=s_ch, where=b_a)
+            np.add(s_ch, np.uint8(8), out=s_ch, where=b_b)
+            if full_tbs is not None:
+                off = (lo - L).tolist()
+                w_l = width.tolist()
+                lo_l = lo.tolist()
+                for row in np.flatnonzero(live).tolist():
+                    start = off[row]
+                    full_tbs[row].append_diag(
+                        lo_l[row], s_ch[row, start : start + w_l[row]].copy()
+                    )
+            else:
+                t_lo = max(L, d - tile)
+                t_hi = min(H, tile)
+                if t_lo <= t_hi:
+                    rr, pp = np.nonzero(b_in[:, t_lo - L : t_hi - L + 1])
+                    if rr.shape[0]:
+                        ii = pp + t_lo
+                        tile_tb[rr, ii, d - ii] = s_ch[rr, pp + (t_lo - L)]
 
-            # --- S = max(I, D, diag) ----------------------------------------
-            np.maximum(Icur, Dcur, out=Scur)
-            if Lt >= 1:
-                tg = Tpad[r0:r1, Lt - 1 : Ht]
+        # --- prune window edges against completed-diagonal best -------------
+        # The alive test is gated to each row's window (b_in), so stale plane
+        # values and out-of-window garbage never keep a row alive.
+        if ydrop is not None:
+            np.greater_equal(Scur, thr[:, None], out=b_a)
+            np.logical_and(b_a, b_in, out=b_a)
+            first = b_a.argmax(axis=1)
+            has_alive[:] = b_a[rows_all, first]
+            last = W - 1 - b_a[:, ::-1].argmax(axis=1)
+            np.add(first, L, out=lo_next)
+            np.add(last, L, out=hi_next)
+            seal_rows = np.flatnonzero(has_alive)
+        else:
+            seal_rows = np.flatnonzero(live)
+        # Seal each surviving row's window in the planes.  Later steps read
+        # outside [lo_next, hi_next] only at the two boundary columns (the
+        # window can move by at most one column per step), so pin exactly
+        # those cells to NEG_INF — mirroring the scalar engine's scrubbed
+        # buffer edges — instead of masking the whole slab.  S is read both
+        # as gap and diagonal parent on either side; I is read one column
+        # past the top edge, D one past the bottom.  Everything further out
+        # is never read again: stale pruned-away values decay in place and
+        # stay strictly below ``best``, so they can't disturb the alive test
+        # (window-gated) or the best-cell argmax (a new optimum strictly
+        # exceeds every stale or pruned cell).
+        if seal_rows.shape[0]:
+            hcol = hi_next[seal_rows] + 1
+            S_c[seal_rows, hcol] = NEG
+            I_c[seal_rows, hcol] = NEG
+            lcol = lo_next[seal_rows] - 1
+            inb = lcol >= 0
+            if not inb.all():
+                lrows, lcol = seal_rows[inb], lcol[inb]
             else:
-                tg = u8_blk[2, r0:r1, :Wt]
-                tg[:, 0] = 0
-                tg[:, 1:] = Tpad[r0:r1, 0:Ht]
-            if Ht == d:
-                qg = u8_blk[3, r0:r1, :Wt]
-                qg[:, -1] = 0
-                if Wt > 1:
-                    qg[:, :-1] = Qpad[r0:r1, 0 : d - Lt][:, ::-1]
-            else:
-                qg = Qpad[r0:r1, d - Ht - 1 : d - Lt][:, ::-1]
-            # Substitution lookup: flat 5x5 take via a uint8 index plane.
-            np.multiply(tg, 5, out=u8a)
-            np.add(u8a, qg, out=u8a)
-            np.take(sub_f, u8a, out=sc1, mode="clip")
-            if Lt >= 1:
-                np.add(sc1, S_pp[r0:r1, Lt - 1 : Ht], out=sc1)
-            else:
-                np.add(sc1[:, 1:], S_pp[r0:r1, 0:Ht], out=sc1[:, 1:])
-            # The matrix-edge cells (i == 0, present iff Lt == 0; i == d,
-            # present iff Ht == d) have no diagonal parent: neutralise the
-            # candidate at the two union-edge columns (in-window edge cells
-            # always have a real I or D parent, so the NEG candidate never
-            # wins there).  The max itself must stay gated to each row's
-            # window: the diag parent plane was masked by *its own* (wider,
-            # pre-prune) window two steps ago, so outside [lo, hi] it can
-            # still hold real values that an ungated max would resurrect
-            # past the y-drop threshold.
-            if Lt == 0:
-                sc1[:, 0] = NEG
-            if Ht == d:
-                sc1[:, -1] = NEG
-            cols = cols_all[Lt : Ht + 1]
-            np.greater_equal(cols, lo_t[:, None], out=b_in)
-            np.less_equal(cols, hi_t[:, None], out=b_b)
-            np.logical_and(b_in, b_b, out=b_in)
-            np.maximum(Scur, sc1, out=Scur, where=b_in)
+                lrows = seal_rows
+            S_c[lrows, lcol] = NEG
+            D_c[lrows, lcol] = NEG
 
-            # --- traceback recording ----------------------------------------
-            if full_tbs is not None or record_tile:
-                # b_in still holds the in-window mask from the S max above;
-                # diag_valid differs from it only at the matrix edges.
-                np.copyto(b_dv, b_in)
-                if Lt == 0:
-                    b_dv[:, 0] = False
-                if Ht == d:
-                    b_dv[:, -1] = False
-                np.copyto(s_ch, np.uint8(S_FROM_D))
-                np.equal(Scur, Icur, out=b_a)
-                np.copyto(s_ch, np.uint8(S_FROM_I), where=b_a)
-                np.equal(Scur, sc1, out=b_a)
-                np.logical_and(b_a, b_dv, out=b_a)
-                np.copyto(s_ch, np.uint8(S_DIAG), where=b_a)
-                np.subtract(Ip, e, out=sc0)
-                np.subtract(Sp, oe, out=sc1)
-                np.greater(sc0, sc1, out=b_a)  # i_from_i
-                if Lt >= 1:
-                    np.subtract(D_p[r0:r1, Lt - 1 : Ht], e, out=sc0)
-                    np.subtract(S_p[r0:r1, Lt - 1 : Ht], oe, out=sc1)
-                    np.greater(sc0, sc1, out=b_b)  # d_from_d
-                else:
-                    b_b[:, 0] = False
-                    np.subtract(D_p[r0:r1, 0:Ht], e, out=sc0[:, 1:])
-                    np.subtract(S_p[r0:r1, 0:Ht], oe, out=sc1[:, 1:])
-                    np.greater(sc0[:, 1:], sc1[:, 1:], out=b_b[:, 1:])
-                # Pack parent bits into s_ch; bits are disjoint so add == OR.
-                np.add(s_ch, np.uint8(4), out=s_ch, where=b_a)
-                np.add(s_ch, np.uint8(8), out=s_ch, where=b_b)
-                if full_tbs is not None:
-                    off = (lo_t - Lt).tolist()
-                    w_l = width[r0:r1].tolist()
-                    lo_l = lo_t.tolist()
-                    for row in np.flatnonzero(live[r0:r1]).tolist():
-                        start = off[row]
-                        full_tbs[r0 + row].append_diag(
-                            lo_l[row], s_ch[row, start : start + w_l[row]].copy()
-                        )
-                else:
-                    t_lo = max(Lt, d - tile)
-                    t_hi = min(Ht, tile)
-                    if t_lo <= t_hi:
-                        rr, pp = np.nonzero(b_in[:, t_lo - Lt : t_hi - Lt + 1])
-                        if rr.shape[0]:
-                            ii = pp + t_lo
-                            tile_tb[rr + r0, ii, d - ii] = s_ch[rr, pp + (t_lo - Lt)]
-
-            # --- prune window edges against completed-diagonal best ---------
-            # The alive test is gated to each row's window (b_in), so stale
-            # plane values and out-of-window garbage never keep a row alive.
-            if ydrop is not None:
-                np.greater_equal(Scur, thr[r0:r1, None], out=b_a)
-                np.logical_and(b_a, b_in, out=b_a)
-                first = b_a.argmax(axis=1)
-                alive_t = b_a[rows_all[:nt], first]
-                last = Wt - 1 - b_a[:, ::-1].argmax(axis=1)
-                has_alive[r0:r1] = alive_t
-                np.add(first, Lt, out=lo_next[r0:r1])
-                np.add(last, Lt, out=hi_next[r0:r1])
-                seal_rows = np.flatnonzero(alive_t) + r0
-            else:
-                seal_rows = np.flatnonzero(live[r0:r1]) + r0
-            # Seal each surviving row's window in the planes.  Later steps
-            # read outside [lo_next, hi_next] only at the two boundary
-            # columns (the window can move by at most one column per step),
-            # so pin exactly those cells to NEG_INF — mirroring the scalar
-            # engine's scrubbed buffer edges — instead of masking the whole
-            # slab.  S is read both as gap and diagonal parent on either
-            # side; I is read one column past the top edge, D one past the
-            # bottom.  Everything further out is never read again: stale
-            # pruned-away values decay in place and stay strictly below
-            # ``best``, so they can't disturb the alive test (window-gated)
-            # or the best-cell argmax (a new optimum strictly exceeds every
-            # stale or pruned cell).
-            if seal_rows.shape[0]:
-                hcol = hi_next[seal_rows] + 1
-                S_c[seal_rows, hcol] = NEG
-                I_c[seal_rows, hcol] = NEG
-                lcol = lo_next[seal_rows] - 1
-                inb = lcol >= 0
-                if not inb.all():
-                    lrows, lcol = seal_rows[inb], lcol[inb]
-                else:
-                    lrows = seal_rows
-                S_c[lrows, lcol] = NEG
-                D_c[lrows, lcol] = NEG
-
-            # --- best-cell tracking (ties: smallest i+j, then smallest i) ---
-            d_best_t = d_best[r0:r1]
-            np.maximum.reduce(Scur, axis=1, out=d_best_t)
-            imp_t = improved[r0:r1]
-            np.greater(d_best_t, best[r0:r1], out=imp_t)
-            if ydrop is not None:
-                np.logical_and(imp_t, has_alive[r0:r1], out=imp_t)
-            else:
-                np.logical_and(imp_t, live[r0:r1], out=imp_t)
-            if imp_t.any():
-                w_idx = Scur.argmax(axis=1)
-                np.copyto(best[r0:r1], d_best_t, where=imp_t)
-                np.copyto(best_i[r0:r1], w_idx + Lt, where=imp_t)
-                np.copyto(best_j[r0:r1], d - best_i[r0:r1], where=imp_t)
+        # --- best-cell tracking (ties: smallest i+j, then smallest i) -------
+        np.maximum.reduce(Scur, axis=1, out=d_best)
+        np.greater(d_best, best, out=improved)
+        if ydrop is not None:
+            np.logical_and(improved, has_alive, out=improved)
+        else:
+            np.logical_and(improved, live, out=improved)
+        if improved.any():
+            w_idx = Scur.argmax(axis=1)
+            np.copyto(best, d_best, where=improved)
+            np.copyto(best_i, w_idx + L, where=improved)
+            np.copyto(best_j, d - best_i, where=improved)
 
         # Retired rows are never read after finalize, so the per-row stats
         # run ungated (tombstones accumulate garbage that compaction drops).
@@ -928,18 +798,14 @@ def _extend_lockstep(
             "Live cells / union-window slab cells per lockstep sweep.",
             buckets=_OCC_BUCKETS,
         ).observe(live_cells / slab_cells)
-    # Sweep accounting: steps is the anti-diagonal loop count, tiles the
-    # row-tile vector sweeps executed inside them; slab vs live cells is
-    # the masked-lane (dead-work) ledger the executor turns into per-bin
-    # occupancy and ``repro trace`` prints as a masked fraction.
+    # Sweep accounting: steps is the anti-diagonal loop count; slab vs live
+    # cells is the masked-lane (dead-work) ledger the pipeline puts on its
+    # inspector and executor spans and ``repro trace`` prints as a masked
+    # fraction.
     obs.counter(
         "repro_batch_sweep_steps_total",
         "Anti-diagonal lockstep sweep steps advanced.",
     ).inc(sweep_steps)
-    obs.counter(
-        "repro_batch_sweep_tiles_total",
-        "Row-tile vector sweeps executed within lockstep steps.",
-    ).inc(tile_sweeps)
     obs.counter(
         "repro_batch_sweep_slab_cells_total",
         "Union-window slab cells swept (live work plus masked dead lanes).",

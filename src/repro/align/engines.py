@@ -9,7 +9,9 @@ paths all funnel through those sites, so the blast radius was the whole
 serving stack.  The registry collapses that to one table:
 
 * :func:`register_engine` — decorator that publishes a callable under a
-  name (``@register_engine("wholebin")``);
+  name (``@register_engine("batched")``); stacking it publishes one
+  callable under several names, as the lockstep engine is published
+  under both ``"batched"`` and ``"wholebin"``;
 * :func:`get_engine` — resolves a name to its callable, with an error
   message that lists every valid name;
 * :func:`registered_engines` — the sorted name list, read by
@@ -72,7 +74,7 @@ class ExtensionEngine(Protocol):
 _LAZY_BUILTINS: dict[str, tuple[str, str]] = {
     "scalar": ("repro.core.pipeline", "_extend_suffixes_scalar"),
     "batched": ("repro.core.pipeline", "extend_suffixes_batched"),
-    "wholebin": ("repro.core.pipeline", "extend_suffixes_wholebin"),
+    "wholebin": ("repro.core.pipeline", "extend_suffixes_batched"),
 }
 
 _REGISTRY: dict[str, Callable] = {}

@@ -59,7 +59,7 @@ import sys
 from typing import Sequence as Seq
 
 from .align.engines import registered_engines
-from .core import run_fastz, time_fastz, time_feng_baseline
+from .core import FastzOptions, run_fastz, time_fastz, time_feng_baseline
 from .genome import SegmentClass, build_pair, read_fasta, write_fasta
 from .gpusim import ALL_DEVICES
 from .lastz import (
@@ -121,6 +121,15 @@ def _add_store_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_batch_size_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--batch-size",
+        type=int,
+        default=FastzOptions.batch_size,
+        help="rows per lockstep block (batched/wholebin; bounds slab memory)",
+    )
+
+
 def _load_side(spec: str, args: argparse.Namespace):
     """Resolve one sequence argument: FASTA path or ``ref:<digest-prefix>``.
 
@@ -165,16 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
         default="lastz",
         help="pipeline variant (default: sequential gapped LASTZ; "
         "fastz-<engine> picks a registered extension engine, e.g. "
-        "fastz-batched for lockstep chunks, fastz-wholebin for "
-        "single-block bin sweeps)",
+        "fastz-batched (or its other name, fastz-wholebin) for the "
+        "lockstep engine)",
     )
-    align.add_argument(
-        "--batch-size",
-        type=int,
-        default=256,
-        help="extensions per lockstep batch (fastz-batched only; "
-        "fastz-wholebin sweeps each bin as one block)",
-    )
+    _add_batch_size_arg(align)
     align.add_argument(
         "--workers",
         type=int,
@@ -351,12 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="batched",
         help="extension engine to trace (default: batched)",
     )
-    trace.add_argument(
-        "--batch-size",
-        type=int,
-        default=256,
-        help="extensions per lockstep batch (batched engine)",
-    )
+    _add_batch_size_arg(trace)
     trace.add_argument(
         "--metrics",
         action="store_true",
@@ -423,12 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="scalar",
         help="extension engine inside each chunk task",
     )
-    wga.add_argument(
-        "--batch-size",
-        type=int,
-        default=256,
-        help="extensions per lockstep batch (batched engine)",
-    )
+    _add_batch_size_arg(wga)
     wga.add_argument(
         "--fresh",
         action="store_true",
@@ -694,7 +687,6 @@ def _serve_command(args: argparse.Namespace) -> int:
 def _trace_command(args: argparse.Namespace) -> int:
     from . import obs
     from .analysis.traffic import traffic_report
-    from .core import FastzOptions
     from .obs.tracing import render_span_tree
 
     target, stored = _load_side(args.target, args)
@@ -786,19 +778,18 @@ def _trace_command(args: argparse.Namespace) -> int:
     steps = registry.counter("repro_batch_sweep_steps_total").value()
     tail_rows = registry.counter("repro_batch_tail_rows_total").value()
     if steps or tail_rows:
-        tiles = registry.counter("repro_batch_sweep_tiles_total").value()
         slab = registry.counter("repro_batch_sweep_slab_cells_total").value()
         alive = registry.counter("repro_batch_sweep_live_cells_total").value()
         tail_steps = registry.counter("repro_batch_tail_steps_total").value()
         masked = (1.0 - alive / slab) if slab else 0.0
         print(
-            f"lockstep sweeps:    {int(steps)} anti-diagonal steps / "
-            f"{int(tiles)} row-tile sweeps; masked dead-lane fraction "
+            f"lockstep sweeps:    {int(steps)} anti-diagonal steps; "
+            "masked dead-lane fraction "
             f"{100 * masked:.1f}% of {int(slab)} slab cells; row-kernel "
             f"tail {int(tail_rows)} rows / {int(tail_steps)} steps"
         )
-    # Per-bin executor sweep ledger (the whole-bin tiling/masking tradeoff,
-    # visible without a profiler): sweeps per bin and the dead-work share.
+    # Per-bin executor sweep ledger (visible without a profiler): sweeps
+    # per bin and the dead-work share.
     bin_sweeps = {
         dict(key).get("bin", "?"): child.value
         for key, child in registry.counter("repro_batch_bin_sweeps_total").samples()

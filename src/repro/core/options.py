@@ -53,14 +53,14 @@ class FastzOptions:
     #: Host DP engine driving the functional pipeline, resolved through
     #: the :mod:`repro.align.engines` registry: ``"scalar"`` runs one
     #: extension at a time (the original per-anchor Python loop),
-    #: ``"batched"`` advances struct-of-arrays batches of extensions in
-    #: lockstep (:mod:`repro.align.batch`), ``"wholebin"`` advances each
-    #: length bin as one tiled lockstep block — bit-identical results
-    #: across all registered engines, only wall-clock differs.
+    #: ``"batched"`` — also registered as ``"wholebin"`` — advances
+    #: struct-of-arrays blocks of extensions in lockstep
+    #: (:mod:`repro.align.batch`) — bit-identical results across all
+    #: registered engines, only wall-clock differs.
     engine: str = "scalar"
-    #: Max extensions sharing one lockstep batch under the batched engine
-    #: (bounds slab memory; executor batches are additionally composed
-    #: per length bin so short and long tasks never share a batch).
+    #: Max rows in one lockstep block, under either name of the lockstep
+    #: engine (bounds slab memory; executor blocks are additionally
+    #: composed per length bin so short and long tasks never share one).
     batch_size: int = 256
     #: Score-plane dtype for the lockstep engine: ``"auto"`` uses int32
     #: whenever the worst-case score drift provably fits (halving score

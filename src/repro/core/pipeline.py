@@ -18,14 +18,12 @@ fleet backends, streaming, jobs) resolve names with ``get_engine``:
 
 * ``"scalar"`` — the original per-anchor loop over
   :func:`~repro.align.wavefront.wavefront_extend`;
-* ``"batched"`` — the struct-of-arrays lockstep engine
-  (:mod:`repro.align.batch`): the inspector advances all anchors' wavefronts
-  together, and executor tasks are composed into per-length-bin batches
-  (§3.3's inter-task parallelism) before being advanced in lockstep;
-* ``"wholebin"`` — the same lockstep core, but each length bin advances
-  as *one* block of anti-diagonal sweeps
-  (:func:`~repro.align.batch.wholebin_wavefront_extend`): no per-chunk
-  Python loops, rows swept in cache tiles with dead lanes masked.
+* ``"batched"``, also registered as ``"wholebin"`` — the struct-of-arrays
+  lockstep engine (:mod:`repro.align.batch`): the inspector advances all
+  anchors' wavefronts together, and executor tasks are composed into
+  per-length-bin batches (§3.3's inter-task parallelism) before being
+  advanced in lockstep, in blocks of at most ``FastzOptions.batch_size``
+  rows.
 
 All engines produce bit-identical results; ``run_fastz(..., workers=N)``
 additionally shards the anchor set across a ``multiprocessing`` pool for
@@ -42,7 +40,7 @@ import numpy as np
 from .. import obs
 from ..align.alignment import Alignment
 from ..align.arena import thread_arena
-from ..align.batch import batch_wavefront_extend, wholebin_wavefront_extend
+from ..align.batch import batch_wavefront_extend
 from ..align.engines import get_engine, register_engine
 from ..align.extend import combine_alignment
 from ..align.wavefront import WavefrontResult, wavefront_extend
@@ -62,7 +60,6 @@ __all__ = [
     "PreparedRequest",
     "extend_suffixes_batched",
     "extend_suffixes_shard",
-    "extend_suffixes_wholebin",
     "finish_fastz",
     "prepare_fastz",
     "run_fastz",
@@ -214,65 +211,6 @@ def _anchor_suffixes(
     return suffixes
 
 
-@register_engine("batched")
-def extend_suffixes_batched(
-    suffixes: list[tuple[np.ndarray, np.ndarray]],
-    scheme: ScoringScheme,
-    options: FastzOptions,
-    tile: int,
-) -> list[_AnchorExtension]:
-    """Lockstep inter-task extension: batched inspector, bin-aware executor.
-
-    ``suffixes`` is the interleaved right/left layout of
-    :func:`_anchor_suffixes` and may concatenate the anchors of *several*
-    alignment requests — the extension problems are independent, so the
-    alignment service fuses concurrent requests into one call and the
-    per-anchor records come back bit-identical to per-request runs.
-
-    The inspector advances every anchor's left and right wavefronts in
-    struct-of-arrays batches of ``options.batch_size``.  Executor tasks are
-    then grouped by the inspector-measured alignment-length bin
-    (:func:`~repro.core.binning.assign_bins`) so short and long extensions
-    never share a lockstep batch — the load-balance argument of §3.3 —
-    and each bin is advanced in lockstep with full packed traceback.
-    """
-    with obs.span(
-        "fastz.extend", engine="batched", anchors=len(suffixes) // 2
-    ) as sp:
-        return _extend_suffixes_lockstep_impl(
-            suffixes, scheme, options, tile, sp, wholebin=False
-        )
-
-
-@register_engine("wholebin")
-def extend_suffixes_wholebin(
-    suffixes: list[tuple[np.ndarray, np.ndarray]],
-    scheme: ScoringScheme,
-    options: FastzOptions,
-    tile: int,
-) -> list[_AnchorExtension]:
-    """Whole-bin lockstep extension: one SoA sweep block per length bin.
-
-    Same inspector -> bin-aware executor composition as
-    :func:`extend_suffixes_batched`, but each stage feeds the engine
-    *whole bins*: the inspector advances every anchor's wavefronts in one
-    :func:`~repro.align.batch.wholebin_wavefront_extend` block, and each
-    executor bin becomes a single block too (extent-ordered, rows swept
-    in cache tiles with dead lanes masked) instead of ``batch_size``
-    chunks each driving their own Python loop.  Per-bin sweep counts and
-    the masked-lane fraction are recorded on the ``fastz.executor`` span
-    and the ``repro_batch_bin_*`` counters, so ``repro trace`` shows the
-    tiling/masking tradeoff directly.  Results are bit-identical to the
-    other engines.
-    """
-    with obs.span(
-        "fastz.extend", engine="wholebin", anchors=len(suffixes) // 2
-    ) as sp:
-        return _extend_suffixes_lockstep_impl(
-            suffixes, scheme, options, tile, sp, wholebin=True
-        )
-
-
 def _sweep_snapshot() -> tuple[float, float, float, float]:
     """Current values of the engine's global sweep ledger counters."""
     return (
@@ -295,21 +233,36 @@ def _sweep_snapshot() -> tuple[float, float, float, float]:
     )
 
 
-def _record_bin_sweeps(
-    ex_sp, bin_id: int, before: tuple[float, float, float, float]
-) -> None:
-    """Attribute the sweep-ledger delta around one executor bin to that bin.
+def _record_sweeps(
+    sp, before: tuple[float, float, float, float]
+) -> tuple[float, float, float]:
+    """Put the sweep-ledger delta since ``before`` on span ``sp``.
 
-    The delta is read from thread-shared counters, so under concurrent
-    engine calls (service threads) the per-bin attribution is approximate;
-    on the single-threaded paths ``repro trace`` reports it is exact.
+    Returns ``(sweeps, slab cells, live cells)``.  The delta is read from
+    thread-shared counters, so under concurrent engine calls (service
+    threads) the attribution is approximate; on the single-threaded paths
+    ``repro trace`` reports it is exact.
     """
     steps0, cells0, live0, tail0 = before
     steps1, cells1, live1, tail1 = _sweep_snapshot()
     sweeps = steps1 - steps0
     cells = cells1 - cells0
     live = live1 - live0
-    ex_sp.set(tail_rows=int(tail1 - tail0))
+    sp.set(tail_rows=int(tail1 - tail0))
+    if cells > 0:
+        sp.set(
+            sweeps=int(sweeps),
+            occupancy=round(live / cells, 4),
+            masked_fraction=round(1.0 - live / cells, 4),
+        )
+    return sweeps, cells, live
+
+
+def _record_bin_sweeps(
+    ex_sp, bin_id: int, before: tuple[float, float, float, float]
+) -> None:
+    """Attribute the sweep-ledger delta around one executor bin to that bin."""
+    sweeps, cells, live = _record_sweeps(ex_sp, before)
     if cells <= 0:
         return
     obs.counter(
@@ -324,33 +277,44 @@ def _record_bin_sweeps(
         "repro_batch_bin_masked_cells_total",
         "Masked dead-lane cells swept per executor length bin.",
     ).labels(bin=bin_id).inc(max(cells - live, 0))
-    ex_sp.set(
-        sweeps=int(sweeps),
-        occupancy=round(live / cells, 4),
-        masked_fraction=round(1.0 - live / cells, 4),
-    )
 
 
-def _extend_suffixes_lockstep_impl(
+@register_engine("wholebin")
+@register_engine("batched")
+def extend_suffixes_batched(
     suffixes: list[tuple[np.ndarray, np.ndarray]],
     scheme: ScoringScheme,
     options: FastzOptions,
     tile: int,
-    sp,
-    *,
-    wholebin: bool,
 ) -> list[_AnchorExtension]:
+    """Lockstep inter-task extension: batched inspector, bin-aware executor.
+
+    ``suffixes`` is the interleaved right/left layout of
+    :func:`_anchor_suffixes` and may concatenate the anchors of *several*
+    alignment requests — the extension problems are independent, so the
+    alignment service fuses concurrent requests into one call and the
+    per-anchor records come back bit-identical to per-request runs.
+
+    The inspector advances every anchor's left and right wavefronts in
+    length-sorted lockstep blocks of at most ``options.batch_size`` rows.
+    Executor tasks are then grouped by the inspector-measured
+    alignment-length bin (:func:`~repro.core.binning.assign_bins`) so short
+    and long extensions never share a lockstep block — the load-balance
+    argument of §3.3 — and each bin, sorted by measured extent, is advanced
+    in blocks of the same cap with full packed traceback.  Each stage's
+    sweep ledger (sweeps, row-kernel tail rows, occupancy, masked-lane
+    fraction) goes on its ``fastz.inspector`` / ``fastz.executor`` span,
+    and per bin on the ``repro_batch_bin_*`` counters.
+
+    Registered as both ``"batched"`` and ``"wholebin"``; the
+    ``fastz.extend`` span reports the name the caller chose.
+    """
     n_anchors = len(suffixes) // 2
-    with obs.span("fastz.inspector", tasks=len(suffixes)):
-        if wholebin:
-            insp = wholebin_wavefront_extend(
-                suffixes,
-                scheme,
-                eager_tile=tile,
-                arena=thread_arena("inspector"),
-                score_dtype=options.score_dtype_override,
-            )
-        else:
+    with obs.span(
+        "fastz.extend", engine=options.engine, anchors=n_anchors
+    ) as sp:
+        with obs.span("fastz.inspector", tasks=len(suffixes)) as insp_sp:
+            before = _sweep_snapshot()
             insp = batch_wavefront_extend(
                 suffixes,
                 scheme,
@@ -359,89 +323,77 @@ def _extend_suffixes_lockstep_impl(
                 arena=thread_arena("inspector"),
                 score_dtype=options.score_dtype_override,
             )
-    insp_r = insp[0::2]
-    insp_l = insp[1::2]
+            _record_sweeps(insp_sp, before)
+        insp_r = insp[0::2]
+        insp_l = insp[1::2]
 
-    eager = np.fromiter(
-        (insp_l[k].eager_hit and insp_r[k].eager_hit for k in range(n_anchors)),
-        dtype=bool,
-        count=n_anchors,
-    )
-    pending = np.flatnonzero(~eager)
-    n_eager = int(eager.sum())
-    sp.set(eager=n_eager, executor_anchors=int(pending.shape[0]))
-    obs.counter(
-        "repro_pipeline_anchors_total", "Anchors extended by the pipeline."
-    ).inc(n_anchors)
-    obs.counter(
-        "repro_pipeline_eager_total",
-        "Anchors fully resolved by the inspector's eager tile.",
-    ).inc(n_eager)
-
-    # --- bin-aware executor batch composition (§3.3) ------------------------
-    # Extent is known after the inspector; group executor jobs per bin so a
-    # lockstep batch never mixes short and long alignments.
-    finals: dict[tuple[int, int], WavefrontResult] = {}
-    if pending.shape[0]:
-        extents = np.fromiter(
-            (
-                max(
-                    insp_l[k].end_i + insp_r[k].end_i,
-                    insp_l[k].end_j + insp_r[k].end_j,
-                )
-                for k in pending
-            ),
-            dtype=np.int64,
-            count=pending.shape[0],
+        eager = np.fromiter(
+            (insp_l[k].eager_hit and insp_r[k].eager_hit for k in range(n_anchors)),
+            dtype=bool,
+            count=n_anchors,
         )
-        if options.binning:
-            bins = assign_bins(
-                extents, np.zeros(pending.shape[0], dtype=bool), options.bin_edges
+        pending = np.flatnonzero(~eager)
+        n_eager = int(eager.sum())
+        sp.set(eager=n_eager, executor_anchors=int(pending.shape[0]))
+        obs.counter(
+            "repro_pipeline_anchors_total", "Anchors extended by the pipeline."
+        ).inc(n_anchors)
+        obs.counter(
+            "repro_pipeline_eager_total",
+            "Anchors fully resolved by the inspector's eager tile.",
+        ).inc(n_eager)
+
+        # --- bin-aware executor batch composition (§3.3) --------------------
+        # Extent is known after the inspector; group executor jobs per bin so
+        # a lockstep block never mixes short and long alignments.
+        finals: dict[tuple[int, int], WavefrontResult] = {}
+        if pending.shape[0]:
+            extents = np.fromiter(
+                (
+                    max(
+                        insp_l[k].end_i + insp_r[k].end_i,
+                        insp_l[k].end_j + insp_r[k].end_j,
+                    )
+                    for k in pending
+                ),
+                dtype=np.int64,
+                count=pending.shape[0],
             )
-        else:
-            bins = np.zeros(pending.shape[0], dtype=np.int64)
-        for bin_id in np.unique(bins):
-            jobs: list[tuple[int, int]] = []  # (anchor index, side: 0=right 1=left)
-            job_pairs: list[tuple[np.ndarray, np.ndarray]] = []
-            job_extents: list[int] = []
-            for k in pending[bins == bin_id]:
-                for side in (0, 1):
-                    ins = (insp_r, insp_l)[side][k]
-                    t_suffix, q_suffix = suffixes[2 * k + side]
-                    if options.executor_trimming:
-                        t_suffix = t_suffix[: ins.end_i]
-                        q_suffix = q_suffix[: ins.end_j]
-                    jobs.append((int(k), side))
-                    job_pairs.append((t_suffix, q_suffix))
-                    job_extents.append(ins.end_i + ins.end_j)
-            # Occupancy-aware composition: order the bin's jobs by the
-            # inspector-measured extent (not raw suffix length) so the
-            # engine's lockstep rows pack tasks of similar true depth —
-            # with trimming off, suffix lengths say nothing about how far
-            # the y-drop wavefront actually reaches.  Results are keyed by
-            # (anchor, side), so ordering never changes output.  The
-            # whole-bin engine always sorts: extent neighbours share a row
-            # tile, keeping each tile's union window tight.
-            if wholebin or len(jobs) > options.batch_size:
-                by_extent = sorted(
-                    range(len(jobs)), key=job_extents.__getitem__
+            if options.binning:
+                bins = assign_bins(
+                    extents,
+                    np.zeros(pending.shape[0], dtype=bool),
+                    options.bin_edges,
                 )
+            else:
+                bins = np.zeros(pending.shape[0], dtype=np.int64)
+            for bin_id in np.unique(bins):
+                jobs: list[tuple[int, int]] = []  # (anchor, side: 0=right 1=left)
+                job_pairs: list[tuple[np.ndarray, np.ndarray]] = []
+                job_extents: list[int] = []
+                for k in pending[bins == bin_id]:
+                    for side in (0, 1):
+                        ins = (insp_r, insp_l)[side][k]
+                        t_suffix, q_suffix = suffixes[2 * k + side]
+                        if options.executor_trimming:
+                            t_suffix = t_suffix[: ins.end_i]
+                            q_suffix = q_suffix[: ins.end_j]
+                        jobs.append((int(k), side))
+                        job_pairs.append((t_suffix, q_suffix))
+                        job_extents.append(ins.end_i + ins.end_j)
+                # Order the bin's jobs by the inspector-measured extent (not
+                # raw suffix length) so each lockstep block packs tasks of
+                # similar true depth — with trimming off, suffix lengths say
+                # nothing about how far the y-drop wavefront actually
+                # reaches.  Results are keyed by (anchor, side), so ordering
+                # never changes output.
+                by_extent = sorted(range(len(jobs)), key=job_extents.__getitem__)
                 jobs = [jobs[i] for i in by_extent]
                 job_pairs = [job_pairs[i] for i in by_extent]
-            with obs.span(
-                "fastz.executor", bin=int(bin_id), tasks=len(job_pairs)
-            ) as ex_sp:
-                before = _sweep_snapshot()
-                if wholebin:
-                    ran = wholebin_wavefront_extend(
-                        job_pairs,
-                        scheme,
-                        traceback=True,
-                        arena=thread_arena(f"executor:{int(bin_id)}"),
-                        score_dtype=options.score_dtype_override,
-                        presorted=True,
-                    )
-                else:
+                with obs.span(
+                    "fastz.executor", bin=int(bin_id), tasks=len(job_pairs)
+                ) as ex_sp:
+                    before = _sweep_snapshot()
                     ran = batch_wavefront_extend(
                         job_pairs,
                         scheme,
@@ -451,48 +403,48 @@ def _extend_suffixes_lockstep_impl(
                         score_dtype=options.score_dtype_override,
                         presorted=True,
                     )
-                _record_bin_sweeps(ex_sp, int(bin_id), before)
-            obs.counter(
-                "repro_pipeline_executor_tasks_total",
-                "Executor extension tasks dispatched, by length bin.",
-            ).labels(bin=int(bin_id)).inc(len(job_pairs))
-            for (k, side), result in zip(jobs, ran):
-                finals[(k, side)] = result
+                    _record_bin_sweeps(ex_sp, int(bin_id), before)
+                obs.counter(
+                    "repro_pipeline_executor_tasks_total",
+                    "Executor extension tasks dispatched, by length bin.",
+                ).labels(bin=int(bin_id)).inc(len(job_pairs))
+                for (k, side), result in zip(jobs, ran):
+                    finals[(k, side)] = result
 
-    out: list[_AnchorExtension] = []
-    for k in range(n_anchors):
-        if eager[k]:
-            out.append((insp_l[k], insp_r[k], insp_l[k], insp_r[k], 0))
-            continue
-        fb = 0
-        sides: list[WavefrontResult] = []
-        for side in (0, 1):
-            ins = (insp_r, insp_l)[side][k]
-            result = finals[(k, side)]
-            if options.executor_trimming and (
-                result.score,
-                result.end_i,
-                result.end_j,
-            ) != (ins.score, ins.end_i, ins.end_j):
-                # Trimmed rerun disagreed with the inspector: exact fallback,
-                # exactly as the scalar executor does.
-                t_suffix, q_suffix = suffixes[2 * k + side]
-                result = wavefront_extend(
-                    t_suffix[: ins.end_i],
-                    q_suffix[: ins.end_j],
-                    scheme,
-                    traceback=True,
-                    prune=False,
-                )
-                fb += 1
-            sides.append(result)
-        if fb:
-            obs.counter(
-                "repro_pipeline_executor_fallbacks_total",
-                "Trimmed executor reruns that disagreed with the inspector.",
-            ).inc(fb)
-        out.append((insp_l[k], insp_r[k], sides[1], sides[0], fb))
-    return out
+        out: list[_AnchorExtension] = []
+        for k in range(n_anchors):
+            if eager[k]:
+                out.append((insp_l[k], insp_r[k], insp_l[k], insp_r[k], 0))
+                continue
+            fb = 0
+            sides: list[WavefrontResult] = []
+            for side in (0, 1):
+                ins = (insp_r, insp_l)[side][k]
+                result = finals[(k, side)]
+                if options.executor_trimming and (
+                    result.score,
+                    result.end_i,
+                    result.end_j,
+                ) != (ins.score, ins.end_i, ins.end_j):
+                    # Trimmed rerun disagreed with the inspector: exact
+                    # fallback, exactly as the scalar executor does.
+                    t_suffix, q_suffix = suffixes[2 * k + side]
+                    result = wavefront_extend(
+                        t_suffix[: ins.end_i],
+                        q_suffix[: ins.end_j],
+                        scheme,
+                        traceback=True,
+                        prune=False,
+                    )
+                    fb += 1
+                sides.append(result)
+            if fb:
+                obs.counter(
+                    "repro_pipeline_executor_fallbacks_total",
+                    "Trimmed executor reruns that disagreed with the inspector.",
+                ).inc(fb)
+            out.append((insp_l[k], insp_r[k], sides[1], sides[0], fb))
+        return out
 
 
 def shard_anchor_suffixes(

@@ -235,7 +235,7 @@ class TestDeferredCompaction:
     def test_bit_identical_across_thresholds(
         self, bench_scheme, monkeypatch, threshold
     ):
-        monkeypatch.setenv("REPRO_BATCH_COMPACT_THRESHOLD", threshold)
+        monkeypatch.setattr(batch, "_COMPACT_THRESHOLD", float(threshold))
         pairs = _mixed_extent_pairs(31)
         got = batch_wavefront_extend(pairs, bench_scheme, eager_tile=8)
         for (t, q), g in zip(pairs, got):
@@ -245,7 +245,7 @@ class TestDeferredCompaction:
         from repro import obs
         from repro.obs import MetricsRegistry
 
-        monkeypatch.setenv("REPRO_BATCH_COMPACT_THRESHOLD", "0.01")
+        monkeypatch.setattr(batch, "_COMPACT_THRESHOLD", 0.01)
         registry, _ = obs.enable(MetricsRegistry())
         try:
             batch_wavefront_extend(_mixed_extent_pairs(33), bench_scheme, eager_tile=8)
@@ -253,10 +253,3 @@ class TestDeferredCompaction:
             assert registry.counter("repro_batch_arena_acquires_total").value() >= 1
         finally:
             obs.disable()
-
-    def test_invalid_threshold_falls_back_to_default(self, bench_scheme, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_COMPACT_THRESHOLD", "not-a-number")
-        pairs = _mixed_extent_pairs(37)
-        got = batch_wavefront_extend(pairs, bench_scheme, eager_tile=8)
-        for (t, q), g in zip(pairs, got):
-            _assert_results_identical(g, wavefront_extend(t, q, bench_scheme, eager_tile=8))

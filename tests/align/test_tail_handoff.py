@@ -5,7 +5,7 @@ sweeping: each survivor's S/I/D planes, window, best cell, stats and
 traceback are lifted out of the slabs and :func:`~repro.align.wavefront.
 resume_wavefront` finishes it.  Blocks that start that small never stage
 slabs.  Results must stay bit-identical to the scalar engine whatever the
-threshold, the mode, the dtype, the row tiling or the compaction history
+threshold, the mode, the dtype, the row order or the compaction history
 at the moment of the handoff.
 """
 
@@ -16,12 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
-from repro.align import (
-    batch,
-    batch_wavefront_extend,
-    wavefront_extend,
-    wholebin_wavefront_extend,
-)
+from repro.align import batch, batch_wavefront_extend, wavefront_extend
 from repro.genome import mutate, random_codes
 from repro.obs import MetricsRegistry
 from repro.scoring import default_scheme
@@ -31,8 +26,8 @@ from .test_batch import ENGINE_MODES, _assert_results_identical, _mixed_extent_p
 ENGINES = [
     pytest.param(batch_wavefront_extend, id="batched"),
     pytest.param(
-        lambda pairs, scheme, **kw: wholebin_wavefront_extend(
-            pairs, scheme, presorted=True, tile_rows=2, **kw
+        lambda pairs, scheme, **kw: batch_wavefront_extend(
+            pairs, scheme, presorted=True, **kw
         ),
         id="wholebin",
     ),
@@ -121,7 +116,7 @@ class TestMidSweepHandoff:
         assert [s for s in handoffs if s.d > 0]
 
     def test_after_compaction(self, bench_scheme, engine, handoffs, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_COMPACT_THRESHOLD", "0.01")
+        monkeypatch.setattr(batch, "_COMPACT_THRESHOLD", 0.01)
         registry, _ = obs.enable(MetricsRegistry())
         try:
             _check_against_scalar(
@@ -217,14 +212,13 @@ def _pair_sets(draw):
     pairs=_pair_sets(),
     mode=st.sampled_from([param.values[0] for param in ENGINE_MODES]),
     tail_rows=st.sampled_from([0, 1, 2, 4, 7, 10_000]),
-    wholebin=st.booleans(),
+    presorted=st.booleans(),
 )
-def test_handoff_matches_row_kernel(pairs, mode, tail_rows, wholebin):
-    """Any threshold, any mode, either engine: scalar-identical results."""
+def test_handoff_matches_row_kernel(pairs, mode, tail_rows, presorted):
+    """Any threshold, any mode, either row order: scalar-identical results."""
     with _tail_rows(tail_rows):
-        if wholebin:
-            got = wholebin_wavefront_extend(pairs, _SCHEME, tile_rows=3, **mode)
-        else:
-            got = batch_wavefront_extend(pairs, _SCHEME, batch_size=5, **mode)
+        got = batch_wavefront_extend(
+            pairs, _SCHEME, batch_size=5, presorted=presorted, **mode
+        )
     for (t, q), g in zip(pairs, got):
         _assert_results_identical(g, wavefront_extend(t, q, _SCHEME, **mode))

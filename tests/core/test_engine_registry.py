@@ -47,7 +47,7 @@ class TestRegistryContract:
 
         assert get_engine("scalar") is pipeline._extend_suffixes_scalar
         assert get_engine("batched") is pipeline.extend_suffixes_batched
-        assert get_engine("wholebin") is pipeline.extend_suffixes_wholebin
+        assert get_engine("wholebin") is pipeline.extend_suffixes_batched
 
     def test_engines_satisfy_protocol(self):
         for name in registered_engines():
@@ -255,6 +255,46 @@ class TestWholebinObservability:
                 assert 0 <= masked.get(bin_id, 0) <= slab[bin_id]
         finally:
             obs.disable()
+
+    def test_inspector_span_carries_sweep_ledger(self, anchored):
+        """The inspector span gets the ledger the executor spans carry."""
+        from repro import obs
+        from repro.obs import MetricsRegistry
+
+        _, tracer = obs.enable(MetricsRegistry())
+        try:
+            _run(anchored, replace(BENCH_OPTIONS, engine="wholebin"))
+            (insp,) = tracer.last_root("fastz.run").find("fastz.inspector")
+        finally:
+            obs.disable()
+        attrs = insp.attributes
+        assert attrs["sweeps"] >= 1 and attrs["tail_rows"] >= 0
+        assert 0 <= attrs["masked_fraction"] <= 1
+        assert attrs["occupancy"] == pytest.approx(1 - attrs["masked_fraction"])
+
+    def test_wholebin_blocks_capped_by_batch_size(self, anchored, monkeypatch):
+        """``"wholebin"`` names the one lockstep engine: no lockstep block
+        exceeds ``batch_size`` rows, and the extend span keeps the name."""
+        from repro import obs
+        from repro.align import batch
+        from repro.obs import MetricsRegistry
+
+        sizes = []
+        lockstep = batch._extend_lockstep
+
+        def spy(pairs, *args, **kwargs):
+            sizes.append(len(pairs))
+            return lockstep(pairs, *args, **kwargs)
+
+        monkeypatch.setattr(batch, "_extend_lockstep", spy)
+        _, tracer = obs.enable(MetricsRegistry())
+        try:
+            _run(anchored, replace(BENCH_OPTIONS, engine="wholebin", batch_size=8))
+            (extend,) = tracer.last_root("fastz.run").find("fastz.extend")
+        finally:
+            obs.disable()
+        assert sizes and max(sizes) == 8
+        assert extend.attributes["engine"] == "wholebin"
 
 
 def dict_by_bin(counter):

@@ -36,6 +36,17 @@ class TestParser:
         assert args.engine == "lastz"
         assert args.gap_open == 400
 
+    def test_batch_size_defaults_to_options(self):
+        from repro.core import FastzOptions
+
+        for argv in (
+            ["align", "a.fa", "b.fa"],
+            ["trace", "a.fa", "b.fa"],
+            ["wga", "a.fa", "b.fa", "--job-dir", "jd"],
+        ):
+            args = build_parser().parse_args(argv)
+            assert args.batch_size == FastzOptions().batch_size
+
 
 class TestAlign:
     def test_lastz_engine(self, fasta_pair, capsys):
