@@ -6,31 +6,40 @@ the CPU analogue of launching one GPU kernel per seed — exactly the
 per-problem regime the paper's inter-task parallelism exists to kill
 (§3.1, §3.3).  This module is the batch analogue of the paper's kernels: N
 extension tasks are packed into struct-of-arrays state and every iteration
-advances the *next anti-diagonal of every live task* with one set of masked
-2-D numpy operations, the way one bulk-synchronous kernel launch advances
+advances the *next anti-diagonal of every live task* with one set of 2-D
+numpy operations, the way one bulk-synchronous kernel launch advances
 every alignment in a bin by one wavefront step.
 
 Layout
 ------
-All per-task score state is stacked row-wise:
+All per-task score state is stacked coordinate-major: the DP row
+coordinate ``i`` outermost, the block's tasks (its *rows*) innermost.  It
+is the NumPy counterpart of the paper's Figure 4 transform
+(:mod:`repro.align.diagonal`): the cells one step touches are contiguous.
 
-* cyclic three-diagonal buffers ``S/I/D`` become ``(N, cap)`` planes of one
+* cyclic three-diagonal buffers ``S/I/D`` become ``(cap, N)`` planes of one
   arena-backed score block indexed by the absolute row coordinate ``i``
   (same bijection as the scalar engine's buffers), rotated by plane-index
   swap each step;
 * per-task active windows live in ``lo``/``hi`` vectors; each step computes
-  only the union column range ``[min(lo), max(hi)]`` and masks each row to
-  its own window — the tighter the batch's length distribution, the less
-  masked-out waste, which is the measurable CPU analogue of §3.3's
-  length-binned load balance (recorded as the ``repro_batch_occupancy``
-  histogram: live cells over union-window slab cells);
-* sequence codes are staged **once** into padded ``(N, L)`` slabs; growth
-  zero-extends the slab and stages only the new columns;
-* finished tasks become masked *tombstones* (their window is pinned shut
-  with sentinels, so they stop contributing to the union range and every
-  per-row update skips them via ``where=``); slabs are physically
-  compacted only when the dead fraction exceeds ``_COMPACT_THRESHOLD``
-  (0.5), instead of fancy-index copying every slab on every retirement.
+  only the union coordinate range ``[L, H] = [min(lo), max(hi)]``, which is
+  one ``(W, N)`` slice of every plane, whose rows are contiguous runs of N
+  cells; the I, D and diagonal parents are the same slice shifted by at
+  most one plane row.  Cells outside a task's own window are swept too —
+  the tighter the batch's length distribution, the less of that waste,
+  which is the measurable CPU analogue of §3.3's length-binned load
+  balance (recorded as the ``repro_batch_occupancy`` histogram: live cells
+  over union-window slab cells);
+* no masked (``where=``) ufunc runs over a window block: the per-task
+  window is one unsigned compare, ``(i - lo) < width``, and it enters the
+  recurrence arithmetically (the gate comment in ``_extend_lockstep``);
+* sequence codes are staged **once** into padded ``(L, N)`` slabs; growth
+  zero-extends the slab and stages only the new coordinates;
+* finished tasks become *tombstones* (their window is pinned shut with
+  sentinels, so they stop contributing to the union range and are never in
+  window); slabs are physically compacted only when the dead fraction
+  exceeds ``_COMPACT_THRESHOLD`` (0.5), instead of gathering every slab on
+  every retirement.
 
 Allocation model
 ----------------
@@ -39,25 +48,25 @@ LockstepArena`; a warm engine performs no slab allocations in steady
 state.  The score planes are int32 whenever
 :func:`~repro.align.wavefront.score_drift_bound` proves the sweep cannot
 wrap past int32 around the ``NEG_INF`` sentinel (every op is
-add/subtract/max, so int32 and int64 sweeps are then bit-identical); the
-engine transparently falls back to int64 otherwise.  All per-diagonal
-recurrences, window masking and y-drop pruning write into the arena
-planes with ``out=``/``where=`` ufuncs — the hot loop allocates only
-O(N)-sized vectors, never O(N x width) temporaries.
+add/subtract/min/max, so int32 and int64 sweeps are then bit-identical);
+the engine transparently falls back to int64 otherwise.  All per-diagonal
+recurrences, window tests and y-drop pruning write into the arena planes
+with ``out=`` ufuncs — the hot loop allocates only O(N)-sized vectors,
+never O(N x width) temporaries.
 
 Composition
 -----------
 :func:`batch_wavefront_extend` is the one entry.  It orders the task list
 by total length (or keeps the caller's order, ``presorted=True``) and cuts
 it into blocks of at most ``batch_size`` rows; each block is advanced by
-its own anti-diagonal loop, one masked sweep over the whole block per
-step.  ``batch_size`` therefore bounds slab memory, and length-neighbours
+its own anti-diagonal loop, one sweep over the whole block's union window
+per step.  ``batch_size`` therefore bounds slab memory, and length-neighbours
 sharing a block keep its union window tight.
 
 Tail handoff
 ------------
 A sweep step's cost is mostly per-step NumPy dispatch (DESIGN.md §17
-measures 112 µs with one live row and 178 µs with fifty, against 24-40 µs
+measures 76 µs with one live row and 95 µs with fifty, against 19-34 µs
 per row-step on the row kernel), so a block that is down to its last few
 long alignments pays the whole per-step cost for almost no work (the
 reason the paper bins by length, §3.3).  Once a block has ``_TAIL_ROWS`` or
@@ -75,11 +84,13 @@ the rows and row-kernel steps, while the sweep counters and occupancy
 stay lockstep-only.
 
 The engine reproduces the scalar engine *bit-identically*: same scores,
-same optimal cells (same tie-breaks — the masked out-of-window cells are
-held at exactly ``NEG_INF``, matching the scalar buffers' scrubbed edges),
-same eager-tile hits and packed traceback bytes, and the same
-:class:`WavefrontStats` accounting.  ``tests/align/test_batch.py`` holds
-the property-style equivalence suite.
+same optimal cells (same tie-breaks — the cells just outside each window
+are sealed at exactly ``NEG_INF``, matching the scalar buffers' scrubbed
+edges, and cells further out stay below ``best``), same eager-tile hits
+and packed traceback bytes, and the same :class:`WavefrontStats`
+accounting.  ``tests/align/test_batch.py`` holds the property-style
+equivalence suite and a generated differential against the row kernel
+and the Gotoh oracle.
 """
 
 from __future__ import annotations
@@ -89,7 +100,7 @@ import numpy as np
 from .. import obs
 from ..scoring import NEG_INF, ScoringScheme
 from .arena import LockstepArena
-from .traceback import S_DIAG, S_FROM_D, S_FROM_I, S_ORIGIN, walk_traceback
+from .traceback import S_FROM_D, S_ORIGIN, walk_traceback
 from .wavefront import (
     WARP_WIDTH,
     DiagTraceback,
@@ -120,7 +131,7 @@ _N_SCORE_PLANES = 9
 #: Live rows at or below which a block stops sweeping: the survivors are
 #: lifted out of the slabs and finished on the row kernel, and a block that
 #: starts this small never stages slabs.  Near the measured break-even,
-#: where one sweep step costs as much as 4-5 row-kernel steps.
+#: where one sweep step costs as much as 3-4 row-kernel steps.
 _TAIL_ROWS = 4
 
 
@@ -184,6 +195,11 @@ def batch_wavefront_extend(
     if batch_size is not None and batch_size <= 0:
         raise ValueError("batch_size must be positive")
     forced = _coerce_forced_dtype(score_dtype)
+    pairs = [
+        (np.asarray(t, dtype=np.uint8), np.asarray(q, dtype=np.uint8))
+        for t, q in pairs
+    ]
+    _check_alphabet(pairs, int(np.asarray(scheme.substitution).shape[0]))
     if arena is None:
         arena = LockstepArena()
     step = int(batch_size) if batch_size else len(pairs)
@@ -212,6 +228,39 @@ def batch_wavefront_extend(
     return results  # type: ignore[return-value]
 
 
+def _check_alphabet(
+    pairs: list[tuple[np.ndarray, np.ndarray]], sub_side: int
+) -> None:
+    """Raise ``IndexError`` if any target or query code is out of alphabet.
+
+    The sweep's flat-take substitution lookup clips instead of raising, so
+    the scalar engine's fancy-indexing contract (out-of-alphabet codes are
+    an error) is enforced up front, before any state is staged.  Suffixes
+    are usually views of one whole sequence (the inspector passes
+    ``t_codes[t:]`` and ``t_codes[:t][::-1]`` for every anchor), so each
+    distinct uint8 backing array is scanned once per call; a suffix itself
+    is scanned only when its backing holds an out-of-alphabet code or it
+    has no uint8 ndarray backing.
+    """
+    clean: dict[int, bool] = {}
+    for side, name in ((0, "target"), (1, "query")):
+        for pair in pairs:
+            seq = pair[side]
+            if not seq.shape[0]:
+                continue
+            base = seq.base
+            if isinstance(base, np.ndarray) and base.dtype == np.uint8:
+                ok = clean.get(id(base))
+                if ok is None:
+                    ok = clean[id(base)] = int(base.max()) < sub_side
+                if ok:
+                    continue
+            if int(seq.max()) >= sub_side:
+                raise IndexError(
+                    f"{name} codes exceed the {sub_side}-letter alphabet"
+                )
+
+
 def _extend_lockstep(
     pairs: list[tuple[np.ndarray, np.ndarray]],
     scheme: ScoringScheme,
@@ -224,24 +273,9 @@ def _extend_lockstep(
     forced_dtype: np.dtype | None,
 ) -> None:
     """Advance one lockstep block to completion."""
-    targets = [np.asarray(t, dtype=np.uint8) for t, _ in pairs]
-    queries = [np.asarray(q, dtype=np.uint8) for _, q in pairs]
+    targets = [t for t, _ in pairs]
+    queries = [q for _, q in pairs]
     R = len(pairs)
-    sub = np.asarray(scheme.substitution)
-    sub_side = int(sub.shape[0])
-    # The flat-take substitution lookup clips instead of raising, so enforce
-    # the scalar engine's fancy-indexing contract (out-of-alphabet codes are
-    # an error) up front, before any state is staged.
-    for seq in targets:
-        if seq.shape[0] and int(seq.max()) >= sub_side:
-            raise IndexError(
-                f"target codes exceed the {sub_side}-letter alphabet"
-            )
-    for seq in queries:
-        if seq.shape[0] and int(seq.max()) >= sub_side:
-            raise IndexError(
-                f"query codes exceed the {sub_side}-letter alphabet"
-            )
 
     tail_rows = _TAIL_ROWS
     if R <= tail_rows:
@@ -279,34 +313,36 @@ def _extend_lockstep(
         "repro_batch_sweep_dtype_total", "Lockstep sweeps by score dtype."
     ).labels(dtype=sdt.name).inc()
     NEG = sdt.type(NEG_INF)
-    sub_f = np.ascontiguousarray(sub, dtype=sdt).ravel()
+    GATE = sdt.type(np.iinfo(sdt).max)  # see the diagonal gate below
+    sub_f = np.ascontiguousarray(scheme.substitution, dtype=sdt).ravel()
 
     cap = 128
-    blk, _ = arena.block("scores", (_N_SCORE_PLANES, R, cap), sdt)
+    blk, _ = arena.block("scores", (_N_SCORE_PLANES, cap, R), sdt)
     blk[:7] = NEG
-    bool_blk, _ = arena.block("bools", (4, R, cap), np.bool_)
-    u8_blk, _ = arena.block("scratch8", (4, R, cap), np.uint8)
+    bool_blk, _ = arena.block("bools", (2, cap, R), np.bool_)
+    u8_blk, _ = arena.block("scratch8", (4, cap, R), np.uint8)
+    off_blk, _ = arena.block("scratch64", (cap, R), np.int64)
     cols_all = np.arange(cap, dtype=np.int64)
     # Cyclic rotation swaps plane *indices*; views are re-derived per step.
     p_spp, p_sp, p_sc = 0, 1, 2
     p_ip, p_ic = 3, 4
     p_dp, p_dc = 5, 6
-    blk[p_sp, :, 0] = 0  # diagonal 0: the origin
+    blk[p_sp, 0] = 0  # diagonal 0: the origin
 
     t_len = q_len = 64
-    Tpad, _ = arena.block("codes_t", (R, t_len), np.uint8)
-    Qpad, _ = arena.block("codes_q", (R, q_len), np.uint8)
+    Tpad, _ = arena.block("codes_t", (t_len, R), np.uint8)
+    Qpad, _ = arena.block("codes_q", (q_len, R), np.uint8)
     Tpad[:] = 0
     Qpad[:] = 0
     for row in range(R):
         seq = targets[row]
         stop = min(int(seq.shape[0]), t_len)
         if stop:
-            Tpad[row, :stop] = seq[:stop]
+            Tpad[:stop, row] = seq[:stop]
         seq = queries[row]
         stop = min(int(seq.shape[0]), q_len)
         if stop:
-            Qpad[row, :stop] = seq[:stop]
+            Qpad[:stop, row] = seq[:stop]
 
     lo_prev = np.zeros(R, dtype=np.int64)
     hi_prev = np.zeros(R, dtype=np.int64)
@@ -410,22 +446,31 @@ def _extend_lockstep(
 
     def _compact() -> None:
         """Physically repack live rows to the front of every slab."""
-        nonlocal R, blk, bool_blk, u8_blk, Tpad, Qpad, tile_tb, full_tbs
-        nonlocal targets, queries, idx, m, n, lo, hi, lo_prev, hi_prev
+        nonlocal R, blk, bool_blk, u8_blk, off_blk, Tpad, Qpad, tile_tb
+        nonlocal full_tbs, targets, queries, idx, m, n, lo, hi, lo_prev, hi_prev
         nonlocal best, best_i, best_j, thr, d_best, live
         nonlocal dmn, width, strips, improved, scr_b, rows_all
         nonlocal diagonals, cells, warp_steps, max_width
         nonlocal lo_nb, hi_nb, has_alive
         keep = np.flatnonzero(live)
         k = keep.shape[0]
-        blk[:7, :k] = blk[:7, keep]
-        blk = blk[:, :k]
-        bool_blk = bool_blk[:, :k]
-        u8_blk = u8_blk[:, :k]
-        Tpad[:k] = Tpad[keep]
-        Tpad = Tpad[:k]
-        Qpad[:k] = Qpad[keep]
-        Qpad = Qpad[:k]
+        # Only the completed planes are read before being rewritten, and
+        # only within one coordinate of the live rows' last windows (the
+        # current planes are recomputed over the union window and scrubbed
+        # at its edges before any read).
+        c0 = max(int(lo_prev[keep].min()) - 1, 0)
+        c1 = int(hi_prev[keep].max()) + 2
+        for p in (p_spp, p_sp, p_ip, p_dp):
+            plane = blk[p, c0:c1]
+            plane[:, :k] = plane[:, keep]
+        blk = blk[:, :, :k]
+        bool_blk = bool_blk[:, :, :k]
+        u8_blk = u8_blk[:, :, :k]
+        off_blk = off_blk[:, :k]
+        Tpad[:, :k] = Tpad[:, keep]
+        Tpad = Tpad[:, :k]
+        Qpad[:, :k] = Qpad[:, keep]
+        Qpad = Qpad[:, :k]
         if tile_tb is not None:
             tile_tb[:k] = tile_tb[keep]
             tile_tb = tile_tb[:k]
@@ -490,37 +535,38 @@ def _extend_lockstep(
 
         if H + 3 > cap:
             new_cap = max(H + 3, 2 * cap)
-            nb, fresh = arena.block("scores", (_N_SCORE_PLANES, R, new_cap), sdt)
+            nb, fresh = arena.block("scores", (_N_SCORE_PLANES, new_cap, R), sdt)
             if fresh:
-                nb[:7, :, :cap] = blk[:7]
-            nb[:7, :, cap:] = NEG
+                nb[:7, :cap] = blk[:7]
+            nb[:7, cap:] = NEG
             blk = nb
-            bool_blk, _ = arena.block("bools", (4, R, new_cap), np.bool_)
-            u8_blk, _ = arena.block("scratch8", (4, R, new_cap), np.uint8)
+            bool_blk, _ = arena.block("bools", (2, new_cap, R), np.bool_)
+            u8_blk, _ = arena.block("scratch8", (4, new_cap, R), np.uint8)
+            off_blk, _ = arena.block("scratch64", (new_cap, R), np.int64)
             cols_all = np.arange(new_cap, dtype=np.int64)
             cap = new_cap
         if H > t_len:
             new_t = max(2 * t_len, H + 64)
-            nT, fresh = arena.block("codes_t", (R, new_t), np.uint8)
+            nT, fresh = arena.block("codes_t", (new_t, R), np.uint8)
             if fresh:
-                nT[:, :t_len] = Tpad
-            nT[:, t_len:] = 0
+                nT[:t_len] = Tpad
+            nT[t_len:] = 0
             for row in np.flatnonzero(live & (m > t_len)).tolist():
                 seq = targets[row]
                 stop = min(int(seq.shape[0]), new_t)
-                nT[row, t_len:stop] = seq[t_len:stop]
+                nT[t_len:stop, row] = seq[t_len:stop]
             Tpad = nT
             t_len = new_t
         if d >= q_len:
             new_q = max(2 * q_len, d + 64)
-            nQ, fresh = arena.block("codes_q", (R, new_q), np.uint8)
+            nQ, fresh = arena.block("codes_q", (new_q, R), np.uint8)
             if fresh:
-                nQ[:, :q_len] = Qpad
-            nQ[:, q_len:] = 0
+                nQ[:q_len] = Qpad
+            nQ[q_len:] = 0
             for row in np.flatnonzero(live & (n > q_len)).tolist():
                 seq = queries[row]
                 stop = min(int(seq.shape[0]), new_q)
-                nQ[row, q_len:stop] = seq[q_len:stop]
+                nQ[q_len:stop, row] = seq[q_len:stop]
             Qpad = nQ
             q_len = new_q
 
@@ -537,182 +583,189 @@ def _extend_lockstep(
         sweep_steps += 1
         W = H - L + 1
         slab_cells += R * W
-        sc0 = blk[7, :, :W]
-        sc1 = blk[8, :, :W]
-        b_in = bool_blk[0, :, :W]
-        b_dv = bool_blk[1, :, :W]
-        b_a = bool_blk[2, :, :W]
-        b_b = bool_blk[3, :, :W]
-        s_ch = u8_blk[0, :, :W]
-        u8a = u8_blk[1, :, :W]
+        sc0 = blk[7, :W]
+        sc1 = blk[8, :W]
+        b_in = bool_blk[0, :W]
+        b_a = bool_blk[1, :W]
+        s_ch = u8_blk[0, :W]
+        u8a = u8_blk[1, :W]
+        off = off_blk[:W]
 
         # Scrub the recycled buffer's union-window edges (windows move by at
-        # most one column per step; interior columns are overwritten below).
+        # most one coordinate per step; interior coordinates are overwritten
+        # below).
         if L >= 1:
-            S_c[:, L - 1] = I_c[:, L - 1] = D_c[:, L - 1] = NEG
-        S_c[:, H + 1] = I_c[:, H + 1] = D_c[:, H + 1] = NEG
+            S_c[L - 1] = I_c[L - 1] = D_c[L - 1] = NEG
+        S_c[H + 1] = I_c[H + 1] = D_c[H + 1] = NEG
 
-        Sp = S_p[:, L : H + 1]
-        Ip = I_p[:, L : H + 1]
-        Icur = I_c[:, L : H + 1]
-        Dcur = D_c[:, L : H + 1]
-        Scur = S_c[:, L : H + 1]
+        Sp = S_p[L : H + 1]
+        Ip = I_p[L : H + 1]
+        Icur = I_c[L : H + 1]
+        Dcur = D_c[L : H + 1]
+        Scur = S_c[L : H + 1]
 
         # --- I(i, j): from diagonal d-1, same index -------------------------
         np.subtract(Ip, e, out=Icur)
         np.subtract(Sp, oe, out=sc0)
         np.maximum(Icur, sc0, out=Icur)
         if H == d:  # cell (d, 0) has no insertion parent
-            top = np.flatnonzero(hi == d)
-            Icur[top, d - L] = NEG
+            Icur[-1, np.flatnonzero(hi == d)] = NEG
 
         # --- D(i, j): from diagonal d-1, index i-1 --------------------------
         if L >= 1:
-            np.subtract(D_p[:, L - 1 : H], e, out=Dcur)
-            np.subtract(S_p[:, L - 1 : H], oe, out=sc0)
+            np.subtract(D_p[L - 1 : H], e, out=Dcur)
+            np.subtract(S_p[L - 1 : H], oe, out=sc0)
             np.maximum(Dcur, sc0, out=Dcur)
         else:
-            Dcur[:, 0] = NEG  # cell (0, d) has no deletion parent
-            np.subtract(D_p[:, 0:H], e, out=Dcur[:, 1:])
-            np.subtract(S_p[:, 0:H], oe, out=sc0[:, 1:])
-            np.maximum(Dcur[:, 1:], sc0[:, 1:], out=Dcur[:, 1:])
+            Dcur[0] = NEG  # cell (0, d) has no deletion parent
+            np.subtract(D_p[0:H], e, out=Dcur[1:])
+            np.subtract(S_p[0:H], oe, out=sc0[1:])
+            np.maximum(Dcur[1:], sc0[1:], out=Dcur[1:])
 
         # --- S = max(I, D, diag) --------------------------------------------
         np.maximum(Icur, Dcur, out=Scur)
         if L >= 1:
-            tg = Tpad[:, L - 1 : H]
+            tg = Tpad[L - 1 : H]
         else:
-            tg = u8_blk[2, :, :W]
-            tg[:, 0] = 0
-            tg[:, 1:] = Tpad[:, 0:H]
+            tg = u8_blk[2, :W]
+            tg[0] = 0
+            tg[1:] = Tpad[0:H]
         if H == d:
-            qg = u8_blk[3, :, :W]
-            qg[:, -1] = 0
+            qg = u8_blk[3, :W]
+            qg[-1] = 0
             if W > 1:
-                qg[:, :-1] = Qpad[:, 0 : d - L][:, ::-1]
+                qg[:-1] = Qpad[0 : d - L][::-1]
         else:
-            qg = Qpad[:, d - H - 1 : d - L][:, ::-1]
+            qg = Qpad[d - H - 1 : d - L][::-1]
         # Substitution lookup: flat 5x5 take via a uint8 index plane.
         np.multiply(tg, 5, out=u8a)
         np.add(u8a, qg, out=u8a)
         np.take(sub_f, u8a, out=sc1, mode="clip")
         if L >= 1:
-            np.add(sc1, S_pp[:, L - 1 : H], out=sc1)
+            np.add(sc1, S_pp[L - 1 : H], out=sc1)
         else:
-            np.add(sc1[:, 1:], S_pp[:, 0:H], out=sc1[:, 1:])
+            np.add(sc1[1:], S_pp[0:H], out=sc1[1:])
         # The matrix-edge cells (i == 0, present iff L == 0; i == d, present
         # iff H == d) have no diagonal parent: neutralise the candidate at
-        # the two union-edge columns (in-window edge cells always have a
-        # real I or D parent, so the NEG candidate never wins there).  The
-        # max itself must stay gated to each row's window: the diag parent
-        # plane was masked by *its own* (wider, pre-prune) window two steps
-        # ago, so outside [lo, hi] it can still hold real values that an
-        # ungated max would resurrect past the y-drop threshold.
+        # the two union-edge coordinates (in-window edge cells always have a
+        # real I or D parent, so the NEG candidate never wins there).
         if L == 0:
-            sc1[:, 0] = NEG
+            sc1[0] = NEG
         if H == d:
-            sc1[:, -1] = NEG
-        cols = cols_all[L : H + 1]
-        np.greater_equal(cols, lo[:, None], out=b_in)
-        np.less_equal(cols, hi[:, None], out=b_b)
-        np.logical_and(b_in, b_b, out=b_in)
-        np.maximum(Scur, sc1, out=Scur, where=b_in)
+            sc1[-1] = NEG
+        # In-window mask, one unsigned compare: (i - lo) < width.  Below
+        # ``lo`` the difference wraps past every width; tombstones have a
+        # negative width and are never in window.
+        np.subtract(cols_all[L : H + 1, None], lo, out=off)
+        np.less(off.view(np.uint64), width.view(np.uint64), out=b_in)
+        # The diagonal max must not reach outside each row's window: the
+        # diagonal parent plane was sealed by *its own* (wider, pre-prune)
+        # window two steps ago, so outside [lo, hi] it can still hold real
+        # values that an ungated max would resurrect past the y-drop
+        # threshold.  Capping the candidate at the gate ``in_window * GATE +
+        # NEG`` (NEG out of window; 2^30 - 1 in it for int32, above every
+        # real score under score_drift_bound) is exact: in-window cells keep
+        # their candidate; out-of-window cells rise at most to NEG, below
+        # ``best`` and the prune threshold, and the next two steps read
+        # outside a row's window only at the sealed lo-1/hi+1 coordinates.
+        np.multiply(b_in, GATE, out=sc0)
+        np.add(sc0, NEG, out=sc0)
+        np.minimum(sc1, sc0, out=sc1)
+        np.maximum(Scur, sc1, out=Scur)
 
         # --- traceback recording --------------------------------------------
+        # Bytes outside a row's window are never read, so no step masks them.
         if full_tbs is not None or record_tile:
-            # b_in still holds the in-window mask from the S max above;
-            # diag_valid differs from it only at the matrix edges.
-            np.copyto(b_dv, b_in)
-            if L == 0:
-                b_dv[:, 0] = False
-            if H == d:
-                b_dv[:, -1] = False
-            np.copyto(s_ch, np.uint8(S_FROM_D))
             np.equal(Scur, Icur, out=b_a)
-            np.copyto(s_ch, np.uint8(S_FROM_I), where=b_a)
-            np.equal(Scur, sc1, out=b_a)
-            np.logical_and(b_a, b_dv, out=b_a)
-            np.copyto(s_ch, np.uint8(S_DIAG), where=b_a)
+            # S_FROM_D, or S_FROM_I (= S_FROM_D - 1) where S == I.
+            np.subtract(np.uint8(S_FROM_D), b_a, out=s_ch)
+            np.not_equal(Scur, sc1, out=b_a)
+            if L == 0:  # no diagonal parent at the matrix edges
+                b_a[0] = True
+            if H == d:
+                b_a[-1] = True
+            np.multiply(s_ch, b_a, out=s_ch)  # S_DIAG (= 0) where it wins
             np.subtract(Ip, e, out=sc0)
             np.subtract(Sp, oe, out=sc1)
-            np.greater(sc0, sc1, out=b_a)  # i_from_i
+            np.greater(sc0, sc1, out=u8a)  # i_from_i
+            np.left_shift(u8a, 2, out=u8a)
+            np.bitwise_or(s_ch, u8a, out=s_ch)
             if L >= 1:
-                np.subtract(D_p[:, L - 1 : H], e, out=sc0)
-                np.subtract(S_p[:, L - 1 : H], oe, out=sc1)
-                np.greater(sc0, sc1, out=b_b)  # d_from_d
+                np.subtract(D_p[L - 1 : H], e, out=sc0)
+                np.subtract(S_p[L - 1 : H], oe, out=sc1)
+                np.greater(sc0, sc1, out=u8a)  # d_from_d
             else:
-                b_b[:, 0] = False
-                np.subtract(D_p[:, 0:H], e, out=sc0[:, 1:])
-                np.subtract(S_p[:, 0:H], oe, out=sc1[:, 1:])
-                np.greater(sc0[:, 1:], sc1[:, 1:], out=b_b[:, 1:])
-            # Pack parent bits into s_ch; bits are disjoint so add == OR.
-            np.add(s_ch, np.uint8(4), out=s_ch, where=b_a)
-            np.add(s_ch, np.uint8(8), out=s_ch, where=b_b)
+                u8a[0] = 0
+                np.subtract(D_p[0:H], e, out=sc0[1:])
+                np.subtract(S_p[0:H], oe, out=sc1[1:])
+                np.greater(sc0[1:], sc1[1:], out=u8a[1:])
+            np.left_shift(u8a, 3, out=u8a)
+            np.bitwise_or(s_ch, u8a, out=s_ch)
             if full_tbs is not None:
-                off = (lo - L).tolist()
+                off_l = (lo - L).tolist()
                 w_l = width.tolist()
                 lo_l = lo.tolist()
                 for row in np.flatnonzero(live).tolist():
-                    start = off[row]
+                    start = off_l[row]
                     full_tbs[row].append_diag(
-                        lo_l[row], s_ch[row, start : start + w_l[row]].copy()
+                        lo_l[row], s_ch[start : start + w_l[row], row].copy()
                     )
             else:
                 t_lo = max(L, d - tile)
                 t_hi = min(H, tile)
                 if t_lo <= t_hi:
-                    rr, pp = np.nonzero(b_in[:, t_lo - L : t_hi - L + 1])
+                    pp, rr = np.nonzero(b_in[t_lo - L : t_hi - L + 1])
                     if rr.shape[0]:
                         ii = pp + t_lo
-                        tile_tb[rr, ii, d - ii] = s_ch[rr, pp + (t_lo - L)]
+                        tile_tb[rr, ii, d - ii] = s_ch[pp + (t_lo - L), rr]
 
         # --- prune window edges against completed-diagonal best -------------
         # The alive test is gated to each row's window (b_in), so stale plane
         # values and out-of-window garbage never keep a row alive.
         if ydrop is not None:
-            np.greater_equal(Scur, thr[:, None], out=b_a)
+            np.greater_equal(Scur, thr, out=b_a)
             np.logical_and(b_a, b_in, out=b_a)
-            first = b_a.argmax(axis=1)
-            has_alive[:] = b_a[rows_all, first]
-            last = W - 1 - b_a[:, ::-1].argmax(axis=1)
+            first = b_a.argmax(axis=0)
+            has_alive[:] = b_a[first, rows_all]
+            last = W - 1 - b_a[::-1].argmax(axis=0)
             np.add(first, L, out=lo_next)
             np.add(last, L, out=hi_next)
             seal_rows = np.flatnonzero(has_alive)
         else:
             seal_rows = np.flatnonzero(live)
         # Seal each surviving row's window in the planes.  Later steps read
-        # outside [lo_next, hi_next] only at the two boundary columns (the
-        # window can move by at most one column per step), so pin exactly
+        # outside [lo_next, hi_next] only at the two boundary coordinates
+        # (the window can move by at most one per step), so pin exactly
         # those cells to NEG_INF — mirroring the scalar engine's scrubbed
         # buffer edges — instead of masking the whole slab.  S is read both
-        # as gap and diagonal parent on either side; I is read one column
-        # past the top edge, D one past the bottom.  Everything further out
-        # is never read again: stale pruned-away values decay in place and
-        # stay strictly below ``best``, so they can't disturb the alive test
+        # as gap and diagonal parent on either side; I is read one past the
+        # top edge, D one past the bottom.  Everything further out is never
+        # read again: stale pruned-away values decay in place and stay
+        # strictly below ``best``, so they can't disturb the alive test
         # (window-gated) or the best-cell argmax (a new optimum strictly
         # exceeds every stale or pruned cell).
         if seal_rows.shape[0]:
             hcol = hi_next[seal_rows] + 1
-            S_c[seal_rows, hcol] = NEG
-            I_c[seal_rows, hcol] = NEG
+            S_c[hcol, seal_rows] = NEG
+            I_c[hcol, seal_rows] = NEG
             lcol = lo_next[seal_rows] - 1
             inb = lcol >= 0
             if not inb.all():
                 lrows, lcol = seal_rows[inb], lcol[inb]
             else:
                 lrows = seal_rows
-            S_c[lrows, lcol] = NEG
-            D_c[lrows, lcol] = NEG
+            S_c[lcol, lrows] = NEG
+            D_c[lcol, lrows] = NEG
 
         # --- best-cell tracking (ties: smallest i+j, then smallest i) -------
-        np.maximum.reduce(Scur, axis=1, out=d_best)
+        np.maximum.reduce(Scur, axis=0, out=d_best)
         np.greater(d_best, best, out=improved)
         if ydrop is not None:
             np.logical_and(improved, has_alive, out=improved)
         else:
             np.logical_and(improved, live, out=improved)
         if improved.any():
-            w_idx = Scur.argmax(axis=1)
+            w_idx = Scur.argmax(axis=0)
             np.copyto(best, d_best, where=improved)
             np.copyto(best_i, w_idx + L, where=improved)
             np.copyto(best_j, d - best_i, where=improved)
@@ -744,22 +797,23 @@ def _extend_lockstep(
     # At most ``tail_rows`` rows are left: lift each out of the slabs as a
     # row-kernel state paused after step ``d`` and finish it there, where a
     # step costs one row's work instead of a whole sweep's dispatch.  Exact
-    # by construction: the row kernel's next step reads only columns
+    # by construction: the row kernel's next step reads only coordinates
     # [lo_prev - 1, hi_prev + 1] of diagonal d and [lo_prev - 1, hi_prev]
     # of d - 1.  Inside each diagonal's pruned window the planes hold the
-    # scalar engine's values; the columns just outside it that those ranges
-    # reach are the ones the boundary seals pinned to NEG_INF (S at both
-    # edges, I past the top, D below the bottom), which is what the scalar
-    # buffers hold there.  Widening int32 planes to int64 is exact under
-    # ``score_drift_bound``.
+    # scalar engine's values; the coordinates just outside it that those
+    # ranges reach are the ones the boundary seals pinned to NEG_INF (S at
+    # both edges, I past the top, D below the bottom), which is what the
+    # scalar buffers hold there.  Widening int32 planes to int64 is exact
+    # under ``score_drift_bound``.
     if n_live:
         tail = np.flatnonzero(live)
         # Cells a lifted row swept here stay on the live side of the
         # occupancy ledger, which thus remains a lockstep-only ratio.
         live_cells += int(cells[tail].sum()) - tail.shape[0]
-        planes = blk[np.ix_((p_spp, p_sp, p_ip, p_dp), tail)].astype(
-            np.int64, copy=False
-        )
+        # (plane, coordinate, row) -> (plane, row, coordinate): one
+        # contiguous int64 buffer per lifted row and plane.
+        lifted = blk[np.ix_((p_spp, p_sp, p_ip, p_dp), np.arange(cap), tail)]
+        planes = np.ascontiguousarray(lifted.transpose(0, 2, 1), dtype=np.int64)
         states = [
             WavefrontState(
                 d=d,

@@ -10,14 +10,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.align import batch, batch_wavefront_extend, wavefront_extend, ydrop_extend
+from repro.align import (
+    batch,
+    batch_wavefront_extend,
+    gotoh_extend,
+    wavefront_extend,
+    ydrop_extend,
+)
+from repro.align.arena import LockstepArena
 from repro.align.wavefront import (
     INT32_SAFE_DRIFT,
     max_step_penalty,
     pick_score_dtype,
 )
-from repro.genome import mutate, random_codes
+from repro.genome import N_CODE, mutate, random_codes, tandem_repeat
+from repro.scoring import default_scheme
 
 
 def _random_pairs(seed: int, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -210,6 +219,46 @@ class TestScoreDtypePromotion:
             )
 
 
+class TestAlphabetGuard:
+    """The sweep's substitution lookup clips, so out-of-alphabet codes are
+    rejected up front, as the scalar engine's fancy indexing rejects them.
+    Suffixes are views of whole sequences, as the inspector passes them."""
+
+    @staticmethod
+    def _suffixes(target, query, stop=None):
+        pairs = []
+        for a in range(1_000, 9_000, 1_000):
+            pairs.append((target[a:stop], query[a:stop]))
+            pairs.append((target[:a][::-1], query[:a][::-1]))
+        return pairs
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_bad_code_inside_a_suffix_raises(self, bench_scheme, side):
+        rng = np.random.default_rng(5)
+        seqs = [random_codes(rng, 20_000), random_codes(rng, 20_000)]
+        seqs[side][15_000] = 9  # far beyond any wavefront's reach
+        with pytest.raises(IndexError, match=("target", "query")[side]):
+            batch_wavefront_extend(self._suffixes(*seqs), bench_scheme)
+
+    def test_bad_code_outside_every_suffix_is_ignored(self, bench_scheme):
+        rng = np.random.default_rng(6)
+        target, query = random_codes(rng, 20_000), random_codes(rng, 20_000)
+        target[15_000] = query[15_000] = 9
+        pairs = self._suffixes(target, query, stop=10_000)
+        got = batch_wavefront_extend(pairs, bench_scheme)
+        for (t, q), g in zip(pairs, got):
+            _assert_results_identical(g, wavefront_extend(t, q, bench_scheme))
+
+    def test_bad_code_in_a_whole_buffer_array_raises(self, bench_scheme):
+        """Arrays with no ndarray backing are scanned themselves."""
+        pairs = _random_pairs(7, 8)
+        codes = np.array(pairs[3][0])
+        codes[-1] = 9
+        pairs[3] = (np.frombuffer(codes.tobytes(), dtype=np.uint8), pairs[3][1])
+        with pytest.raises(IndexError, match="target"):
+            batch_wavefront_extend(pairs, bench_scheme)
+
+
 def _mixed_extent_pairs(seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Wildly mixed extents: most tasks die within a few diagonals while a
     few run deep, so the dead-row fraction crosses any compaction threshold
@@ -253,3 +302,156 @@ class TestDeferredCompaction:
             assert registry.counter("repro_batch_arena_acquires_total").value() >= 1
         finally:
             obs.disable()
+
+
+# ---------------------------------------------------------------------------
+# Generated differential: lockstep blocks against the row kernel and the
+# full-matrix oracle.
+
+# The bench_scheme fixture, built once: hypothesis tests take no
+# function-scoped fixtures.
+_SCHEME = default_scheme(gap_extend=60, ydrop=2400)
+
+#: Pairs up to this many DP cells are also checked against the pure-Python
+#: Gotoh oracle (about 8 µs a cell).
+_GOTOH_CELLS = 6_000
+
+_PAIR_KINDS = ("homologous", "segmented", "n_run", "tandem", "tiny", "straddle")
+
+
+def _homologous(rng, core: int, divergence: float, flank: int):
+    base = random_codes(rng, core)
+    q_core = mutate(
+        base, rng, divergence=divergence, indel_rate=float(rng.uniform(0.0, 0.02))
+    )
+    return (
+        np.concatenate([base, random_codes(rng, flank)]),
+        np.concatenate([q_core, random_codes(rng, flank)]),
+    )
+
+
+def _generated_pair(rng, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    if kind == "homologous":
+        return _homologous(
+            rng,
+            int(rng.integers(0, 160)),
+            float(rng.uniform(0.0, 0.25)),
+            int(rng.integers(0, 60)),
+        )
+    if kind == "segmented":
+        # Homologous segments split by target-only or query-only inserts and
+        # target-side duplications: the window drifts between diagonals and
+        # leaves pruned real values behind it, which the diagonal candidate
+        # must never resurrect.
+        parts_t, parts_q = [], []
+        for _ in range(int(rng.integers(1, 5))):
+            core = random_codes(rng, int(rng.integers(10, 120)))
+            parts_t.append(core)
+            parts_q.append(
+                mutate(core, rng, divergence=float(rng.uniform(0.0, 0.1)))
+            )
+            gap = random_codes(rng, int(rng.integers(1, 90)))
+            split = int(rng.integers(0, 4))
+            if split == 0:
+                parts_t.append(gap)
+            elif split == 1:
+                parts_q.append(gap)
+            elif split == 2:
+                parts_t.append(core[-int(rng.integers(5, core.shape[0] + 1)) :])
+        return np.concatenate(parts_t), np.concatenate(parts_q)
+    if kind == "n_run":
+        pair = _homologous(
+            rng,
+            int(rng.integers(20, 140)),
+            float(rng.uniform(0.0, 0.1)),
+            int(rng.integers(0, 30)),
+        )
+        # A run of N in the target, or in both sequences.
+        for seq in pair[: int(rng.integers(1, 3))]:
+            start = int(rng.integers(0, seq.shape[0]))
+            seq[start : start + int(rng.integers(1, 25))] = N_CODE
+        return pair
+    if kind == "tandem":
+        target = tandem_repeat(rng, int(rng.integers(1, 7)), int(rng.integers(4, 40)))
+        query = mutate(
+            target[int(rng.integers(0, 4)) :],
+            rng,
+            divergence=float(rng.uniform(0.0, 0.1)),
+            indel_rate=0.02,
+        )
+        return target, query
+    if kind == "tiny":
+        return (
+            random_codes(rng, int(rng.integers(0, 3))),
+            random_codes(rng, int(rng.integers(0, 3))),
+        )
+    # Near-identical pairs whose sweep runs into the first code-slab growth
+    # (64 columns) or the first plane-cap growth (128 rows).
+    length = int(rng.choice([62, 63, 64, 65, 66, 125, 126, 127, 128, 129, 130]))
+    base = random_codes(rng, length)
+    return base, mutate(base, rng, divergence=float(rng.uniform(0.0, 0.04)))
+
+
+@st.composite
+def _lockstep_blocks(draw):
+    kinds = draw(st.lists(st.sampled_from(_PAIR_KINDS), min_size=1, max_size=16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [_generated_pair(rng, kind) for kind in kinds]
+
+
+def _warm_block() -> list[tuple[np.ndarray, np.ndarray]]:
+    rng = np.random.default_rng(2024)
+    pairs = []
+    for _ in range(40):
+        base = random_codes(rng, int(rng.integers(150, 300)))
+        pairs.append((base, mutate(base, rng, divergence=0.05, indel_rate=0.01)))
+    return pairs
+
+
+#: One arena shared by every example, as a pipeline thread shares its warm
+#: arena across calls.  Each example first sweeps ``_WARM_BLOCK`` (40 rows)
+#: through it, so the checked calls run on stale views narrower than their
+#: backing.
+_ARENA = LockstepArena()
+_WARM_BLOCK = _warm_block()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    pairs=_lockstep_blocks(),
+    batch_size=st.sampled_from([5, 16, 300]),
+    dtype=st.sampled_from(["int32", "int64"]),
+)
+def test_lockstep_matches_row_kernel_and_oracle(pairs, batch_size, dtype):
+    """Generated blocks on a warm arena: scalar-identical in the inspector,
+    eager-tile and executor modes, and oracle-identical unpruned."""
+    kw = {"batch_size": batch_size, "arena": _ARENA, "score_dtype": dtype}
+    batch_wavefront_extend(
+        _WARM_BLOCK, _SCHEME, eager_tile=16, arena=_ARENA, score_dtype=dtype
+    )
+    for mode in ({"eager_tile": 0}, {"eager_tile": 16}, {"traceback": True}):
+        got = batch_wavefront_extend(pairs, _SCHEME, **kw, **mode)
+        for (t, q), g in zip(pairs, got):
+            _assert_results_identical(g, wavefront_extend(t, q, _SCHEME, **mode))
+    got = batch_wavefront_extend(pairs, _SCHEME, traceback=True, prune=False, **kw)
+    for (t, q), g in zip(pairs, got):
+        _assert_results_identical(
+            g, wavefront_extend(t, q, _SCHEME, traceback=True, prune=False)
+        )
+        if (t.shape[0] + 1) * (q.shape[0] + 1) <= _GOTOH_CELLS:
+            ref = gotoh_extend(t, q, _SCHEME)
+            assert (g.score, g.end_i, g.end_j) == (ref.score, ref.end_i, ref.end_j)
+            assert g.ops == ref.alignment.ops
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+@pytest.mark.parametrize("mode", ENGINE_MODES[:3])
+def test_segmented_block_never_resurrects_pruned_cells(mode, seed):
+    """Fixed case from the generator: one 20-row block of segmented pairs.
+    An ungated diagonal max resurrects pruned values outside the windows
+    here (wrong scores, stats and unwalkable tracebacks)."""
+    rng = np.random.default_rng(seed)
+    pairs = [_generated_pair(rng, "segmented") for _ in range(20)]
+    got = batch_wavefront_extend(pairs, _SCHEME, **mode)
+    for (t, q), g in zip(pairs, got):
+        _assert_results_identical(g, wavefront_extend(t, q, _SCHEME, **mode))
