@@ -7,8 +7,8 @@ pipeline internals:
 * :func:`align` — one in-process alignment
   (:func:`repro.core.pipeline.run_fastz`).
 * :func:`align_window` — extend pre-selected anchors inside a sequence
-  window, the unit of work of the whole-genome runner
-  (:func:`repro.core.pipeline.run_fastz_chunk`).
+  window, one chunk-pair task of the whole-genome runner (the one-task
+  case of :func:`repro.core.pipeline.run_fastz_chunks`).
 * :func:`align_chunked` — a segmented, checkpointed, fault-tolerant
   whole-genome job (:func:`repro.jobs.run_wga`).
 * :class:`Client` — a stdlib HTTP client for a running ``repro serve``
@@ -162,8 +162,9 @@ def align_window(
 ) -> ChunkResult:
     """Extend pre-selected anchors inside target/query windows.
 
-    The unit of work the whole-genome runner ships to its workers —
-    seam-guarded, so windowing never changes an alignment.
+    One chunk-pair task of the whole-genome runner, whose workers fuse
+    several of them per engine call (:func:`~repro.core.pipeline.run_fastz_chunks`)
+    — seam-guarded, so windowing never changes an alignment.
     """
     return run_fastz_chunk(
         target,

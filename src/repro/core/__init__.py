@@ -14,7 +14,13 @@ from .perfmodel import (
     time_fastz,
     time_feng_baseline,
 )
-from .pipeline import ChunkResult, FastzResult, run_fastz, run_fastz_chunk
+from .pipeline import (
+    ChunkResult,
+    FastzResult,
+    run_fastz,
+    run_fastz_chunk,
+    run_fastz_chunks,
+)
 from .streaming import StreamAborted, StreamPartial, run_fastz_streaming
 from .task import FastzTask, TaskArrays, tasks_to_arrays
 
@@ -40,6 +46,7 @@ __all__ = [
     "bin_labels",
     "run_fastz",
     "run_fastz_chunk",
+    "run_fastz_chunks",
     "run_fastz_streaming",
     "tasks_to_arrays",
     "time_fastz",

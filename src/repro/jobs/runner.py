@@ -9,11 +9,16 @@
    repeats are suppressed), then thinned into anchors with one global
    ``collapse_diagonal`` pass — bit-identical to unsegmented
    ``select_anchors``.
-3. **Extend** — anchors are grouped by owning chunk pair and extended
-   window-bounded through :func:`repro.api.align_window`
-   (seam-guarded, so chunking never changes an alignment), scheduled
-   heaviest-first across the worker pool with retry / quarantine /
-   worker-death re-queue (:mod:`repro.jobs.scheduler`).
+3. **Extend** — anchors are grouped by owning chunk pair, one task per
+   pair.  Tasks are dealt by anchor weight into *units* of about one
+   lockstep block's rows (``FastzOptions.batch_size``), at least one per
+   worker; each unit runs window-bounded through one
+   :func:`repro.core.pipeline.run_fastz_chunks` call — one engine call
+   for all its members' anchors, seam-guarded, so neither chunking nor
+   fusion ever changes an alignment.  Units are scheduled heaviest-first
+   across the worker pool (:mod:`repro.jobs.scheduler`); retry,
+   quarantine, worker-death re-queue and the journal stay per task,
+   because a unit that fails splits into its members, uncharged.
 4. **Merge** — chunk results are deduplicated in global anchor order and
    canonically sorted (:mod:`repro.jobs.merge`).
 
@@ -28,7 +33,9 @@ Test hooks (environment variables, used by the fault-injection tests and
 the kill/resume CI job; both are inert unless set):
 
 * ``REPRO_WGA_TEST_FAIL="e:c0x1=2,s:c1x0=-1"`` — the named task raises on
-  its first N attempts (``-1`` = always; ``s:``/``e:`` = seed/extend).
+  its first N attempts (``-1`` = always; ``s:``/``e:`` = seed/extend).  A
+  faulted member fails its whole unit, which splits, so the task then
+  fails alone exactly as an unfused one.
 * ``REPRO_WGA_TEST_EXIT_AFTER=K`` — hard ``os._exit(137)`` (SIGKILL
   semantics: no cleanup, no atexit) right after the K-th task record is
   journaled by this process.
@@ -37,6 +44,7 @@ the kill/resume CI job; both are inert unless set):
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields
@@ -50,8 +58,9 @@ import numpy as np
 
 from .. import obs
 from ..align.alignment import Alignment
-from ..api import align_window
+from ..core.multigpu import partition_loads
 from ..core.options import FASTZ_FULL, FastzOptions
+from ..core.pipeline import run_fastz_chunks
 from ..genome.sequence import Sequence
 from ..lastz.config import LastzConfig
 from ..seeding import Anchors, collapse_diagonal
@@ -59,7 +68,7 @@ from ..seeding.seeds import SeedMatches, find_seeds, overrepresented_words
 from ..service.request import scheme_digest
 from .journal import Journal, replay
 from .merge import IncrementalMerger, ops_from_cigar
-from .scheduler import TaskSpec, plan_balance, run_tasks
+from .scheduler import TaskSpec, run_tasks
 from .segmenter import Chunk, ChunkPair, chunk_pairs, segment_sequence
 
 __all__ = ["JobOptions", "QuarantinedTask", "WgaReport", "run_wga"]
@@ -263,65 +272,98 @@ def _resolve_codes(source: tuple) -> np.ndarray:
     return cached
 
 
-def _seed_handler(state, payload, attempt: int) -> dict:
-    """Seed one chunk pair's windows; return globally-owned seed positions."""
+def _seed_handler(state, payloads: list, attempt: int) -> list[dict]:
+    """Seed each chunk pair's windows; return globally-owned seed positions."""
     t_src, q_src, config, censored = state
     t_codes = _resolve_codes(t_src)
     q_codes = _resolve_codes(q_src)
-    task_id = payload["id"]
-    _maybe_inject_fault(f"s:{task_id}", attempt)
-    tw, qw = payload["t"], payload["q"]  # (start, end, core_start, core_end)
-    seeds = find_seeds(
-        t_codes[tw[0] : tw[1]],
-        q_codes[qw[0] : qw[1]],
-        k=config.seed_length,
-        spaced_pattern=config.spaced_pattern,
-        censored_words=censored,
-    )
-    t_pos = seeds.target_pos + tw[0]
-    q_pos = seeds.query_pos + qw[0]
-    own = (
-        (t_pos >= tw[2])
-        & (t_pos < tw[3])
-        & (q_pos >= qw[2])
-        & (q_pos < qw[3])
-    )
-    return {"t": t_pos[own].tolist(), "q": q_pos[own].tolist()}
+    out = []
+    for payload in payloads:
+        _maybe_inject_fault(f"s:{payload['id']}", attempt)
+        tw, qw = payload["t"], payload["q"]  # (start, end, core_start, core_end)
+        seeds = find_seeds(
+            t_codes[tw[0] : tw[1]],
+            q_codes[qw[0] : qw[1]],
+            k=config.seed_length,
+            spaced_pattern=config.spaced_pattern,
+            censored_words=censored,
+        )
+        t_pos = seeds.target_pos + tw[0]
+        q_pos = seeds.query_pos + qw[0]
+        own = (
+            (t_pos >= tw[2])
+            & (t_pos < tw[3])
+            & (q_pos >= qw[2])
+            & (q_pos < qw[3])
+        )
+        out.append({"t": t_pos[own].tolist(), "q": q_pos[own].tolist()})
+    return out
 
 
-def _extend_handler(state, payload, attempt: int) -> dict:
-    """Extend one chunk pair's owned anchors, window-bounded."""
+def _extend_handler(state, payloads: list, attempt: int) -> list[dict]:
+    """Extend a unit of chunk pairs' owned anchors in one engine call."""
     t_src, q_src, config, options = state
     t_codes = _resolve_codes(t_src)
     q_codes = _resolve_codes(q_src)
-    task_id = payload["id"]
-    _maybe_inject_fault(f"e:{task_id}", attempt)
-    result = align_window(
+    # Any member's injected fault fails the whole unit; the scheduler then
+    # splits it and the member fails alone, exactly as an unfused task.
+    for payload in payloads:
+        _maybe_inject_fault(f"e:{payload['id']}", attempt)
+    results = run_fastz_chunks(
         t_codes,
         q_codes,
         config,
         options,
-        anchors=Anchors(
-            np.asarray(payload["at"], dtype=np.int64),
-            np.asarray(payload["aq"], dtype=np.int64),
-        ),
-        t_window=tuple(payload["tw"]),
-        q_window=tuple(payload["qw"]),
-    )
-    return {
-        "alignments": [
-            [t, q, a.target_start, a.target_end, a.query_start, a.query_end, a.score, a.cigar()]
-            for t, q, a in result.records
+        tasks=[
+            (
+                Anchors(
+                    np.asarray(payload["at"], dtype=np.int64),
+                    np.asarray(payload["aq"], dtype=np.int64),
+                ),
+                tuple(payload["tw"]),
+                tuple(payload["qw"]),
+            )
+            for payload in payloads
         ],
-        "n_anchors": result.n_anchors,
-        "eager": result.eager_count,
-        "window_fallbacks": result.window_fallbacks,
-    }
+    )
+    return [
+        {
+            "alignments": [
+                [t, q, a.target_start, a.target_end, a.query_start, a.query_end, a.score, a.cigar()]
+                for t, q, a in result.records
+            ],
+            "n_anchors": result.n_anchors,
+            "eager": result.eager_count,
+            "window_fallbacks": result.window_fallbacks,
+        }
+        for result in results
+    ]
 
 
 # ---------------------------------------------------------------------------
 # The runner
 # ---------------------------------------------------------------------------
+
+
+def _extend_units(
+    tasks: list[TaskSpec], workers: int, batch_size: int
+) -> tuple[list[list[str]], list[float]]:
+    """Deal extend tasks by anchor weight into units for fused engine calls.
+
+    A unit holds about one lockstep block's rows (two per anchor), and
+    there are at least as many units as workers, so every worker still
+    gets work.  Members keep task order inside a unit.  Returns the units
+    and their anchor counts; every unit is non-empty, because LPT deals
+    the heaviest ``n_units`` tasks one to each part first.
+    """
+    if not tasks:
+        return [], []
+    n_anchors = sum(t.weight for t in tasks)
+    n_units = min(
+        len(tasks), max(workers or 1, math.ceil(2 * n_anchors / batch_size))
+    )
+    parts, loads = partition_loads([t.weight for t in tasks], n_units)
+    return [[tasks[i].task_id for i in sorted(part)] for part in parts], loads
 
 
 def _owner_index(pos: np.ndarray, chunk_size: int, n_chunks: int) -> np.ndarray:
@@ -510,6 +552,16 @@ def run_wga(
                             f"[{phase}] {task_id} failed attempt "
                             f"{info['attempt']} ({info['error']}); retrying"
                         )
+                    elif kind == "split":
+                        # Not a retry: no member is charged an attempt.
+                        if info["died"]:
+                            counters["deaths"] += 1
+                        say(
+                            f"[{phase}] unit of {len(info['tasks'])} tasks "
+                            f"({', '.join(info['tasks'])}) "
+                            + ("lost its worker" if info["died"] else "failed")
+                            + f" ({info['error']}); running each alone"
+                        )
                     elif kind == "worker_death":
                         counters["deaths"] += 1
                         counters["retries"] += 1
@@ -649,18 +701,25 @@ def run_wga(
                         f"[extend] resuming: {extend_skipped}/{len(by_pair)} "
                         "chunk tasks already journaled"
                     )
-                if extend_tasks and job.workers:
-                    loads = plan_balance(extend_tasks, job.workers)
+                units, unit_anchors = _extend_units(
+                    extend_tasks, job.workers, options.batch_size
+                )
+                if units:
+                    n_workers = max(job.workers, 1)
+                    _, loads = partition_loads(unit_anchors, n_workers)
                     say(
-                        f"[extend] {len(extend_tasks)} tasks, "
-                        f"{sum(int(l) for l in loads)} anchors across "
-                        f"{job.workers} workers (LPT plan: max {int(loads[0])}, "
-                        f"min {int(loads[-1])} anchors/worker)"
+                        f"[extend] {len(extend_tasks)} tasks in {len(units)} "
+                        f"units, {int(sum(unit_anchors))} anchors across "
+                        f"{n_workers} workers (LPT plan: max {int(max(loads))}, "
+                        f"min {int(min(loads))} anchors/worker; "
+                        f"{int(max(unit_anchors))}-{int(min(unit_anchors))} "
+                        "anchors/unit)"
                     )
                 outcomes = run_tasks(
                     extend_tasks,
                     _extend_handler,
                     (t_source, q_source, config, options),
+                    units=units,
                     workers=job.workers,
                     max_attempts=job.max_attempts,
                     backoff_s=job.backoff_s,
@@ -685,7 +744,7 @@ def run_wga(
                 for task_id, outcome in outcomes.items():
                     if outcome.ok:
                         extend_done[task_id] = outcome.value
-                sp.set(tasks=len(by_pair), skipped=extend_skipped)
+                sp.set(tasks=len(by_pair), skipped=extend_skipped, units=len(units))
 
             # --- merge (already folded incrementally; finalize) --------
             with obs.span("jobs.merge", chunks=len(extend_done)) as sp:

@@ -5,14 +5,22 @@ The unit of work is a :class:`TaskSpec` — an opaque payload plus a weight
 extension phases).  Scheduling follows the SaLoBa observation that
 workload balance across segments dominates scaling:
 
-* tasks are dispatched **heaviest-first** (LPT order) to a demand-driven
+* work is dispatched **heaviest-first** (LPT order) to a demand-driven
   worker pool, so one repeat-dense chunk pair cannot serialise the tail
   of a run;
 * :func:`plan_balance` uses :func:`repro.core.multigpu.greedy_partition`
   — the paper's multi-GPU seed partitioner, promoted to a real helper —
   to report the projected per-worker load split.
 
-Fault tolerance:
+Units: every dispatch sends a **unit** — one or more tasks — to one
+worker in one message, so a handler can run its members together (the
+runner fuses a unit's extend tasks into one lockstep engine call).
+Callers group first-attempt tasks into units by id (``units=``); the
+default is every task alone.  Handlers must be module-level callables
+(picklable) with signature ``handler(init_arg, payloads, attempt) ->
+list``: one value per payload, in order.
+
+Fault tolerance stays per task:
 
 * a task that raises is retried with exponential backoff
   (``backoff_s * 2**(attempt-1)``, capped) up to ``max_attempts``;
@@ -21,12 +29,18 @@ Fault tolerance:
 * a **worker death** (segfault, OOM-kill, ``os._exit``) is detected by
   process liveness, the in-flight task is re-queued (counting as a failed
   attempt, so a task that reliably kills its worker is quarantined rather
-  than respawned forever) and a replacement worker is spawned.
+  than respawned forever) and a replacement worker is spawned;
+* a unit of two or more tasks that fails — its handler raises or its
+  worker dies — is **split**: each member goes back on the ready queue
+  alone, at once, and no member is charged an attempt, so it runs alone
+  at the same attempt number.  The fault then lands on the culprit alone,
+  and a unit never changes which tasks are quarantined or their attempt
+  counts.  A split emits one ``split`` event (with the error and whether
+  a worker died); the service's fused batches fall back the same way
+  (``service/batcher.py``).
 
 ``workers=0`` runs everything inline in the calling process with the same
-retry/quarantine bookkeeping — the deterministic path tests lean on.
-Handlers must be module-level callables (picklable) with signature
-``handler(init_arg, payload, attempt)``.
+retry/quarantine/split bookkeeping — the deterministic path tests lean on.
 """
 
 from __future__ import annotations
@@ -46,12 +60,12 @@ from ..core.multigpu import partition_loads
 __all__ = ["TaskOutcome", "TaskSpec", "plan_balance", "run_tasks"]
 
 #: on_event kinds, in roughly increasing order of concern.
-EVENTS = ("done", "retry", "worker_death", "quarantined")
+EVENTS = ("done", "retry", "split", "worker_death", "quarantined")
 
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One schedulable unit of work."""
+    """One schedulable task."""
 
     task_id: str
     payload: Any
@@ -76,15 +90,26 @@ class TaskOutcome:
 @dataclass
 class _TaskState:
     spec: TaskSpec
+    #: Dispatches so far, including uncharged ones in units that split.
+    #: The staleness key of :func:`_claim_attempt`: it only advances on
+    #: dispatch, so every dispatch gets its own number.
     attempts: int = 0
+    #: Dispatches in units that split; never charged to the task.
+    uncharged: int = 0
     worker_deaths: int = 0
     elapsed_s: float = 0.0
     last_error: str | None = None
-    #: Highest attempt number already resolved (success, retry, death or
-    #: quarantine).  ``attempts`` only advances on dispatch, so without
-    #: this a dying worker's final message could race the death-reap that
-    #: already re-queued the same attempt and be double-counted.
+    #: Highest attempt number already resolved (success, retry, death,
+    #: split or quarantine).  ``attempts`` only advances on dispatch, so
+    #: without this a dying worker's final message could race the
+    #: death-reap that already re-queued the same attempt and be
+    #: double-counted.
     consumed_attempt: int = 0
+
+    @property
+    def charged(self) -> int:
+        """Attempts charged to the task: what handlers, events and outcomes see."""
+        return self.attempts - self.uncharged
 
 
 def _claim_attempt(state: _TaskState, outcomes: dict, attempt: int) -> bool:
@@ -96,7 +121,9 @@ def _claim_attempt(state: _TaskState, outcomes: dict, attempt: int) -> bool:
     quarantine and re-queues the task twice (duplicate dispatch).
     ``attempts`` only advances on dispatch, so an ``attempt ==
     state.attempts`` check alone cannot tell the second observer from the
-    first; the ``consumed_attempt`` high-water mark does.
+    first; the ``consumed_attempt`` high-water mark does.  A split unit's
+    members are re-dispatched under a new number, so a late message from
+    the unit is stale for every one of them.
     """
     if state.spec.task_id in outcomes:
         return False
@@ -114,19 +141,31 @@ def plan_balance(tasks: list[TaskSpec], n_parts: int) -> list[float]:
     return sorted(loads, reverse=True)
 
 
-def _lpt_order(tasks: list[TaskSpec]) -> list[TaskSpec]:
-    """Heaviest first; ties keep input order (deterministic)."""
-    return sorted(tasks, key=lambda t: -t.weight)
+def _lpt_units(
+    units: list[tuple[str, ...]], states: dict[str, _TaskState]
+) -> list[tuple[str, ...]]:
+    """Heaviest unit first (summed member weight); ties keep input order."""
+    return sorted(units, key=lambda u: -sum(states[i].spec.weight for i in u))
 
 
 def _backoff(attempt: int, backoff_s: float, cap_s: float) -> float:
     return min(backoff_s * (2 ** (attempt - 1)), cap_s)
 
 
+def _call_unit(handler, init_arg, payloads: list, attempt: int) -> list:
+    """Run one unit's handler; it must return one value per payload."""
+    values = list(handler(init_arg, payloads, attempt))
+    if len(values) != len(payloads):
+        raise RuntimeError(
+            f"handler returned {len(values)} values for {len(payloads)} payloads"
+        )
+    return values
+
+
 def _events_counter():
     return obs.counter(
         "repro_jobs_scheduler_events_total",
-        "Scheduler events (done/retry/worker_death/quarantined).",
+        "Scheduler events (done/retry/split/worker_death/quarantined).",
     )
 
 
@@ -139,9 +178,10 @@ def _task_seconds():
 
 def run_tasks(
     tasks: list[TaskSpec],
-    handler: Callable[[Any, Any, int], Any],
+    handler: Callable[[Any, list, int], list],
     init_arg: Any = None,
     *,
+    units: list[list[str]] | None = None,
     workers: int = 0,
     max_attempts: int = 3,
     backoff_s: float = 0.05,
@@ -150,8 +190,10 @@ def run_tasks(
 ) -> dict[str, TaskOutcome]:
     """Run every task to a terminal state (success or quarantine).
 
-    Returns ``{task_id: TaskOutcome}`` covering every input task.  Raises
-    only on programming errors (duplicate ids, bad arguments) — worker
+    ``units`` groups task ids for their first dispatch; every task must
+    appear in exactly one group (default: every task alone).  Returns
+    ``{task_id: TaskOutcome}`` covering every input task.  Raises only on
+    programming errors (duplicate ids, bad units, bad arguments) — worker
     failures surface as outcomes, never as exceptions.
     """
     if max_attempts < 1:
@@ -161,6 +203,14 @@ def run_tasks(
     ids = [t.task_id for t in tasks]
     if len(set(ids)) != len(ids):
         raise ValueError("task ids must be unique")
+    groups = [(i,) for i in ids] if units is None else [tuple(u) for u in units]
+    members = [i for unit in groups for i in unit]
+    if (
+        not all(groups)
+        or len(members) != len(set(members))
+        or set(members) != set(ids)
+    ):
+        raise ValueError("units must cover every task exactly once")
     if not tasks:
         return {}
 
@@ -169,12 +219,16 @@ def run_tasks(
         if on_event is not None:
             on_event(kind, task_id, info)
 
+    states = {t.task_id: _TaskState(t) for t in tasks}
+    ordered = _lpt_units(groups, states)
     if workers == 0:
         return _run_inline(
-            tasks, handler, init_arg, max_attempts, backoff_s, backoff_cap_s, emit
+            ordered, states, handler, init_arg, max_attempts, backoff_s,
+            backoff_cap_s, emit,
         )
     return _run_pool(
-        tasks,
+        ordered,
+        states,
         handler,
         init_arg,
         workers,
@@ -185,8 +239,16 @@ def run_tasks(
     )
 
 
+def _split(unit: tuple[str, ...], states: dict, error: str, died: bool, emit) -> None:
+    """Un-charge a failed unit's members; the caller runs each alone next."""
+    emit("split", "+".join(unit), tasks=list(unit), error=error, died=died)
+    for task_id in unit:
+        states[task_id].uncharged += 1
+
+
 def _run_inline(
-    tasks: list[TaskSpec],
+    units: list[tuple[str, ...]],
+    states: dict[str, _TaskState],
     handler,
     init_arg,
     max_attempts: int,
@@ -195,43 +257,79 @@ def _run_inline(
     emit,
 ) -> dict[str, TaskOutcome]:
     outcomes: dict[str, TaskOutcome] = {}
-    for spec in _lpt_order(tasks):
-        state = _TaskState(spec)
-        while True:
-            state.attempts += 1
+    for unit in units:
+        members = [states[i] for i in unit]
+        if len(unit) > 1:
+            for state in members:
+                state.attempts += 1
             t0 = time.perf_counter()
             try:
-                value = handler(init_arg, spec.payload, state.attempts)
-            except Exception as exc:  # noqa: BLE001 - fault isolation boundary
-                state.elapsed_s += time.perf_counter() - t0
-                state.last_error = f"{type(exc).__name__}: {exc}"
-                if state.attempts >= max_attempts:
-                    outcomes[spec.task_id] = _quarantine(state, emit)
-                    break
-                emit(
-                    "retry",
-                    spec.task_id,
-                    attempt=state.attempts,
-                    error=state.last_error,
+                values = _call_unit(
+                    handler,
+                    init_arg,
+                    [s.spec.payload for s in members],
+                    members[0].charged,
                 )
-                time.sleep(_backoff(state.attempts, backoff_s, backoff_cap_s))
-            else:
-                state.elapsed_s += time.perf_counter() - t0
-                outcomes[spec.task_id] = _success(state, value, emit)
-                break
+            except Exception as exc:  # noqa: BLE001 - fault isolation boundary
+                values, error = None, f"{type(exc).__name__}: {exc}"
+            share = (time.perf_counter() - t0) / len(unit)
+            for state in members:
+                state.elapsed_s += share
+            if values is not None:
+                for state, value in zip(members, values):
+                    outcomes[state.spec.task_id] = _success(state, value, emit)
+                continue
+            _split(unit, states, error, False, emit)
+        for state in members:
+            outcomes[state.spec.task_id] = _run_alone(
+                state, handler, init_arg, max_attempts, backoff_s, backoff_cap_s, emit
+            )
     return outcomes
+
+
+def _run_alone(
+    state: _TaskState,
+    handler,
+    init_arg,
+    max_attempts: int,
+    backoff_s: float,
+    backoff_cap_s: float,
+    emit,
+) -> TaskOutcome:
+    """One task alone, inline: retry with backoff until done or quarantined."""
+    spec = state.spec
+    while True:
+        state.attempts += 1
+        t0 = time.perf_counter()
+        try:
+            (value,) = _call_unit(handler, init_arg, [spec.payload], state.charged)
+        except Exception as exc:  # noqa: BLE001 - fault isolation boundary
+            state.elapsed_s += time.perf_counter() - t0
+            state.last_error = f"{type(exc).__name__}: {exc}"
+            if state.charged >= max_attempts:
+                return _quarantine(state, emit)
+            emit(
+                "retry",
+                spec.task_id,
+                attempt=state.charged,
+                error=state.last_error,
+            )
+            time.sleep(_backoff(state.charged, backoff_s, backoff_cap_s))
+        else:
+            state.elapsed_s += time.perf_counter() - t0
+            return _success(state, value, emit)
 
 
 def _success(state: _TaskState, value, emit) -> TaskOutcome:
     _task_seconds().observe(state.elapsed_s)
     # The value rides on the event so callers can checkpoint each task the
     # moment it completes, not at end of phase.
-    emit("done", state.spec.task_id, attempts=state.attempts, value=value)
+    emit("done", state.spec.task_id, attempts=state.charged, value=value)
     return TaskOutcome(
         task_id=state.spec.task_id,
         ok=True,
         value=value,
-        attempts=state.attempts,
+        attempts=state.charged,
         worker_deaths=state.worker_deaths,
         elapsed_s=state.elapsed_s,
     )
@@ -241,14 +339,14 @@ def _quarantine(state: _TaskState, emit) -> TaskOutcome:
     emit(
         "quarantined",
         state.spec.task_id,
-        attempts=state.attempts,
+        attempts=state.charged,
         error=state.last_error,
     )
     return TaskOutcome(
         task_id=state.spec.task_id,
         ok=False,
         error=state.last_error,
-        attempts=state.attempts,
+        attempts=state.charged,
         worker_deaths=state.worker_deaths,
         elapsed_s=state.elapsed_s,
     )
@@ -260,7 +358,7 @@ def _quarantine(state: _TaskState, emit) -> TaskOutcome:
 
 
 def _worker_main(handler, init_arg, task_q, result_q) -> None:
-    """Worker loop: one task at a time, failures reported not raised.
+    """Worker loop: one unit at a time, failures reported not raised.
 
     Polls with a timeout so an orphaned worker — its coordinator hard-
     killed (``os._exit``), which skips the atexit hook that reaps daemon
@@ -277,34 +375,35 @@ def _worker_main(handler, init_arg, task_q, result_q) -> None:
             continue
         if item is None:
             return
-        task_id, payload, attempt = item
+        unit, payloads, dispatch, attempt = item
         t0 = time.perf_counter()
         try:
-            value = handler(init_arg, payload, attempt)
+            values = _call_unit(handler, init_arg, payloads, attempt)
         except Exception as exc:  # noqa: BLE001 - fault isolation boundary
             result_q.put(
                 (
                     "fail",
-                    task_id,
-                    attempt,
+                    unit,
+                    dispatch,
                     f"{type(exc).__name__}: {exc}",
                     time.perf_counter() - t0,
                 )
             )
         else:
-            result_q.put(("done", task_id, attempt, value, time.perf_counter() - t0))
+            result_q.put(("done", unit, dispatch, values, time.perf_counter() - t0))
 
 
 @dataclass
 class _WorkerHandle:
     proc: multiprocessing.Process
     task_q: Any
-    #: (task_id, attempt) in flight, or None when idle.
-    current: tuple[str, int] | None = None
+    #: (unit task ids, dispatch number) in flight, or None when idle.
+    current: tuple[tuple[str, ...], int] | None = None
 
 
 def _run_pool(
-    tasks: list[TaskSpec],
+    units: list[tuple[str, ...]],
+    states: dict[str, _TaskState],
     handler,
     init_arg,
     workers: int,
@@ -315,14 +414,13 @@ def _run_pool(
 ) -> dict[str, TaskOutcome]:
     ctx = multiprocessing.get_context()
     result_q = ctx.Queue()
-    states = {t.task_id: _TaskState(t) for t in tasks}
     outcomes: dict[str, TaskOutcome] = {}
-    # Ready heap: (ready_at, seq, task_id); seq follows LPT rank so the
+    # Ready heap: (ready_at, seq, unit); seq follows LPT rank so the
     # initial drain dispatches heaviest-first.
     seq = itertools.count()
-    ready: list[tuple[float, int, str]] = []
-    for spec in _lpt_order(tasks):
-        heapq.heappush(ready, (0.0, next(seq), spec.task_id))
+    ready: list[tuple[float, int, tuple[str, ...]]] = []
+    for unit in units:
+        heapq.heappush(ready, (0.0, next(seq), unit))
 
     def spawn() -> _WorkerHandle:
         task_q = ctx.Queue()
@@ -334,7 +432,7 @@ def _run_pool(
         proc.start()
         return _WorkerHandle(proc=proc, task_q=task_q)
 
-    handles = [spawn() for _ in range(min(workers, len(tasks)))]
+    handles = [spawn() for _ in range(min(workers, len(units)))]
 
     def fail_attempt(state: _TaskState, error: str, *, death: bool) -> None:
         """Shared retry/quarantine bookkeeping for failures and deaths."""
@@ -344,91 +442,102 @@ def _run_pool(
             emit(
                 "worker_death",
                 state.spec.task_id,
-                attempt=state.attempts,
+                attempt=state.charged,
                 error=error,
             )
-        if state.attempts >= max_attempts:
+        if state.charged >= max_attempts:
             outcomes[state.spec.task_id] = _quarantine(state, emit)
             return
         if not death:
             emit(
                 "retry",
                 state.spec.task_id,
-                attempt=state.attempts,
+                attempt=state.charged,
                 error=error,
             )
-        delay = _backoff(state.attempts, backoff_s, backoff_cap_s)
+        delay = _backoff(state.charged, backoff_s, backoff_cap_s)
         heapq.heappush(
-            ready, (time.monotonic() + delay, next(seq), state.spec.task_id)
+            ready, (time.monotonic() + delay, next(seq), (state.spec.task_id,))
         )
 
-    def handle_for(task_id: str) -> _WorkerHandle | None:
-        for h in handles:
-            if h.current is not None and h.current[0] == task_id:
-                return h
-        return None
+    def fail_unit(unit: tuple[str, ...], error: str, *, death: bool) -> None:
+        if len(unit) == 1:
+            fail_attempt(states[unit[0]], error, death=death)
+            return
+        _split(unit, states, error, death, emit)
+        now = time.monotonic()
+        for task_id in unit:
+            heapq.heappush(ready, (now, next(seq), (task_id,)))
+
+    def claim(unit: tuple[str, ...], dispatch: int) -> bool:
+        # A unit's members share their dispatch number and every state
+        # change, so a message is fresh for all of them or for none.
+        return all([_claim_attempt(states[i], outcomes, dispatch) for i in unit])
 
     try:
-        while len(outcomes) < len(tasks):
+        while len(outcomes) < len(states):
             # 1. Drain results.
             try:
                 msg = result_q.get(timeout=0.02)
             except queue_mod.Empty:
                 msg = None
             while msg is not None:
-                kind, task_id, attempt, *rest = msg
-                state = states[task_id]
-                h = handle_for(task_id)
-                if h is not None and h.current == (task_id, attempt):
-                    h.current = None
+                kind, unit, dispatch, *rest = msg
+                for h in handles:
+                    if h.current == (unit, dispatch):
+                        h.current = None
                 # Stale messages (task already resolved, a newer attempt
-                # dispatched, or this attempt already consumed by the
-                # death-reap) are dropped.
-                if _claim_attempt(state, outcomes, attempt):
+                # dispatched, this attempt already consumed by the
+                # death-reap, or the unit since split) are dropped.
+                if claim(unit, dispatch):
+                    result, elapsed = rest
+                    for task_id in unit:
+                        states[task_id].elapsed_s += elapsed / len(unit)
                     if kind == "done":
-                        value, elapsed = rest
-                        state.elapsed_s += elapsed
-                        outcomes[task_id] = _success(state, value, emit)
+                        for task_id, value in zip(unit, result):
+                            outcomes[task_id] = _success(states[task_id], value, emit)
                     else:
-                        error, elapsed = rest
-                        state.elapsed_s += elapsed
-                        fail_attempt(state, error, death=False)
+                        fail_unit(unit, result, death=False)
                 try:
                     msg = result_q.get_nowait()
                 except queue_mod.Empty:
                     msg = None
 
-            # 2. Reap dead workers; re-queue their in-flight tasks.
+            # 2. Reap dead workers; re-queue their in-flight units.
             for idx, h in enumerate(handles):
                 if h.proc.is_alive():
                     continue
                 if h.current is not None:
-                    task_id, attempt = h.current
+                    unit, dispatch = h.current
                     h.current = None
-                    state = states[task_id]
-                    if _claim_attempt(state, outcomes, attempt):
-                        fail_attempt(
-                            state,
+                    if claim(unit, dispatch):
+                        fail_unit(
+                            unit,
                             f"worker died (exit code {h.proc.exitcode})",
                             death=True,
                         )
-                if len(outcomes) < len(tasks):
+                if len(outcomes) < len(states):
                     handles[idx] = spawn()
 
-            # 3. Dispatch ready tasks to idle workers.
+            # 3. Dispatch ready units to idle workers.
             now = time.monotonic()
             for h in handles:
                 if h.current is not None:
                     continue
-                while ready and ready[0][2] in outcomes:
+                while ready and ready[0][2][0] in outcomes:
                     heapq.heappop(ready)  # cancelled by quarantine
                 if not ready or ready[0][0] > now:
                     break
-                _, _, task_id = heapq.heappop(ready)
-                state = states[task_id]
-                state.attempts += 1
-                h.current = (task_id, state.attempts)
-                h.task_q.put((task_id, state.spec.payload, state.attempts))
+                _, _, unit = heapq.heappop(ready)
+                members = [states[i] for i in unit]
+                for state in members:
+                    state.attempts += 1
+                # Units are first dispatches, so members agree on both.
+                dispatch, attempt = members[0].attempts, members[0].charged
+                h.current = (unit, dispatch)
+                h.task_q.put(
+                    (unit, [s.spec.payload for s in members], dispatch, attempt)
+                )
     finally:
         for h in handles:
             try:

@@ -42,8 +42,11 @@ pair = build_pair(
 run_wga(
     pair.target, pair.query,
     LastzConfig(scheme=default_scheme(gap_extend=60, ydrop=2400), diag_band=150),
-    job=JobOptions(chunk_size=8_192, overlap=2_048, workers=2, fsync=False),
+    job=JobOptions(
+        chunk_size=8_192, overlap=2_048, workers=int(sys.argv[2]), fsync=False
+    ),
     job_dir=sys.argv[1],
+    log=lambda line: print(line, file=sys.stderr, flush=True),
 )
 """
 
@@ -79,22 +82,26 @@ def task_records(job_dir: Path):
     return [r for r in records if r.get("type") in ("seeds", "chunk")]
 
 
-def test_sigkilled_job_resumes_without_rework(pair, config, tmp_path):
+def run_killed_job(job_dir: Path, exit_after: int, workers: int):
     env = dict(
         os.environ,
-        REPRO_WGA_TEST_EXIT_AFTER=str(EXIT_AFTER),
+        REPRO_WGA_TEST_EXIT_AFTER=str(exit_after),
         PYTHONPATH=os.pathsep.join(filter(None, [
             str(Path(__file__).resolve().parents[2] / "src"),
             os.environ.get("PYTHONPATH", ""),
         ])),
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", _KILLED_JOB, str(tmp_path)],
+    return subprocess.run(
+        [sys.executable, "-c", _KILLED_JOB, str(job_dir), str(workers)],
         env=env,
         capture_output=True,
         text=True,
         timeout=300,
     )
+
+
+def test_sigkilled_job_resumes_without_rework(pair, config, tmp_path):
+    proc = run_killed_job(tmp_path, EXIT_AFTER, workers=2)
     assert proc.returncode == 137, proc.stderr
 
     done_before = task_records(tmp_path)
@@ -121,3 +128,39 @@ def test_sigkilled_job_resumes_without_rework(pair, config, tmp_path):
         run_fastz(pair.target, pair.query, config).unique_alignments()
     )
     assert report.alignments == reference
+
+
+def test_kill_inside_a_fused_unit_reruns_only_its_missing_tasks(
+    pair, config, tmp_path
+):
+    # One worker: the extend phase is one unit of every chunk task, and
+    # the kill lands right after that unit's second journaled record.
+    reference = run_wga(
+        pair.target, pair.query, config,
+        job=JobOptions(chunk_size=8_192, overlap=2_048, fsync=False),
+        job_dir=tmp_path / "reference",
+    )
+    n_seed, n_extend = reference.n_seed_tasks, reference.n_extend_tasks
+    assert n_extend > 2
+    job_dir = tmp_path / "killed"
+    proc = run_killed_job(job_dir, n_seed + 2, workers=1)
+    assert proc.returncode == 137, proc.stderr
+    assert f"[extend] {n_extend} tasks in 1 units" in proc.stderr
+    done_before = task_records(job_dir)
+    assert [r["type"] for r in done_before] == ["seeds"] * n_seed + ["chunk"] * 2
+
+    report = run_wga(
+        pair.target,
+        pair.query,
+        config,
+        job=JobOptions(chunk_size=8_192, overlap=2_048, workers=1, fsync=False),
+        job_dir=job_dir,
+    )
+    assert report.resumed
+    assert report.seed_skipped == n_seed and report.extend_skipped == 2
+    done_after = task_records(job_dir)
+    ids = [(r["type"], r["task"]) for r in done_after]
+    assert len(ids) == len(set(ids)) == n_seed + n_extend
+    assert report.alignments == reference.alignments == sort_canonical(
+        run_fastz(pair.target, pair.query, config).unique_alignments()
+    )

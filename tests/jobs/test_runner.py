@@ -7,14 +7,17 @@ chunk seams.
 """
 
 import json
+import os
 
 import pytest
 
+from repro import obs
 from repro.core.pipeline import run_fastz
 from repro.genome import SegmentClass, build_pair
-from repro.jobs import JobDigestMismatch, JobOptions, run_wga
+from repro.jobs import JobDigestMismatch, JobOptions, run_wga, runner
 from repro.jobs.merge import sort_canonical
 from repro.lastz import LastzConfig, write_general, write_maf
+from repro.obs import Tracer
 from repro.scoring import default_scheme
 
 CHUNK = 8_192
@@ -53,6 +56,27 @@ def options(**kw):
     kw.setdefault("fsync", False)
     kw.setdefault("backoff_s", 0.001)
     return JobOptions(**kw)
+
+
+_REAL_EXTEND_HANDLER = runner._extend_handler
+
+
+def _counting_extend_handler(state, payloads, attempt):
+    """The real extend handler, appending its engine-call count to a file.
+
+    Module-level so a pool worker can unpickle it; the file named by
+    ``ENGINE_CALLS_FILE`` carries the count out of the worker process.
+    """
+    tracer = Tracer()
+    obs.enable(tracer=tracer)
+    try:
+        values = _REAL_EXTEND_HANDLER(state, payloads, attempt)
+    finally:
+        obs.disable()
+    calls = sum(len(root.find("fastz.extend")) for root in tracer.roots)
+    with open(os.environ["ENGINE_CALLS_FILE"], "a") as handle:
+        handle.write(f"{calls}\n")
+    return values
 
 
 def journal_task_records(job_dir):
@@ -101,6 +125,48 @@ class TestEquivalence:
             write_maf(maf, report.alignments, pair.target, pair.query)
             outputs[workers] = (general.read_bytes(), maf.read_bytes())
         assert outputs[0] == outputs[2]
+
+
+class TestFusedExtend:
+    """A worker runs its unit of extend tasks through one engine call."""
+
+    def test_one_worker_makes_one_engine_call(
+        self, pair, config, reference, tmp_path, monkeypatch
+    ):
+        calls = tmp_path / "engine_calls"
+        monkeypatch.setenv("ENGINE_CALLS_FILE", str(calls))
+        monkeypatch.setattr(runner, "_extend_handler", _counting_extend_handler)
+        report = run_wga(
+            pair.target, pair.query, config,
+            job=options(workers=1), job_dir=tmp_path / "job",
+        )
+        assert report.alignments == reference
+        assert report.n_extend_tasks > 1 and report.window_fallbacks == 0
+        # One unit of every extend task, one fastz.extend span.
+        assert calls.read_text().split() == ["1"]
+
+    def test_unit_fallbacks_take_one_extra_engine_call(
+        self, pair, config, reference, tmp_path, monkeypatch
+    ):
+        from repro.core import pipeline
+
+        sizes = []
+        real = pipeline.extend_suffixes_shard
+
+        def spy(suffixes, *args):
+            sizes.append(len(suffixes) // 2)
+            return real(suffixes, *args)
+
+        monkeypatch.setattr(pipeline, "extend_suffixes_shard", spy)
+        report = run_wga(
+            pair.target, pair.query, config,
+            job=options(chunk_size=4_096, overlap=64), job_dir=tmp_path,
+        )
+        assert report.alignments == reference
+        assert report.window_fallbacks > 1
+        # One call over the unit's window-clipped anchors, then one more
+        # over every anchor the seam guard sent back, unclipped.
+        assert sizes == [report.n_anchors, report.window_fallbacks]
 
 
 class TestResume:

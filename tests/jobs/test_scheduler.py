@@ -2,7 +2,9 @@
 
 Handlers live at module level: the pool pickles them by reference.
 Fault behaviour is driven through the task payload, so the same handlers
-serve the inline and multiprocess paths.
+serve the inline and multiprocess paths.  A handler receives a unit's
+payloads and returns one value per payload; any faulty member fails the
+whole unit, as a fused engine call would.
 """
 
 import os
@@ -12,20 +14,27 @@ import pytest
 from repro.jobs import TaskSpec, plan_balance, run_tasks
 
 
-def ok_handler(init_arg, payload, attempt):
-    return {"task": payload["n"], "init": init_arg, "attempt": attempt}
+def ok_handler(init_arg, payloads, attempt):
+    return [{"task": p["n"], "init": init_arg, "attempt": attempt} for p in payloads]
 
 
-def flaky_handler(init_arg, payload, attempt):
-    if attempt <= payload.get("fail_attempts", 0):
-        raise RuntimeError(f"flaky (attempt {attempt})")
-    return payload["n"]
+def flaky_handler(init_arg, payloads, attempt):
+    for payload in payloads:
+        if attempt <= payload.get("fail_attempts", 0):
+            raise RuntimeError(f"flaky (attempt {attempt})")
+    return [p["n"] for p in payloads]
 
 
-def dying_handler(init_arg, payload, attempt):
-    if attempt <= payload.get("die_attempts", 0):
-        os._exit(1)  # simulates a segfault / OOM-kill: no exception, no result
-    return payload["n"]
+def dying_handler(init_arg, payloads, attempt):
+    for payload in payloads:
+        if attempt <= payload.get("die_attempts", 0):
+            os._exit(1)  # simulates a segfault / OOM-kill: no exception, no result
+    return [p["n"] for p in payloads]
+
+
+def unit_handler(init_arg, payloads, attempt):
+    """Each member's value is its whole unit, so a test can see who ran together."""
+    return [sorted(p["n"] for p in payloads)] * len(payloads)
 
 
 def specs(n, **payload_extra):
@@ -145,6 +154,131 @@ class TestPool:
         assert not o.ok and o.worker_deaths == 2 and o.attempts == 2
 
 
+@pytest.mark.parametrize("workers", [0, 2])
+class TestUnits:
+    """A unit is several first-attempt tasks in one dispatch.
+
+    It succeeds together or splits: each member then runs alone at the
+    same attempt number, so faults stay per task.
+    """
+
+    def test_unit_succeeds_together(self, workers):
+        events = []
+        outcomes = run_tasks(
+            specs(5),
+            unit_handler,
+            units=[["t0", "t3"], ["t1", "t2", "t4"]],
+            workers=workers,
+            on_event=lambda kind, task, info: events.append((kind, task)),
+        )
+        for i in range(5):
+            o = outcomes[f"t{i}"]
+            assert o.ok and o.attempts == 1 and o.worker_deaths == 0
+            assert o.value == ([0, 3] if i in (0, 3) else [1, 2, 4])
+        assert sorted(events) == [("done", f"t{i}") for i in range(5)]
+
+    def test_raising_unit_splits_uncharged(self, workers):
+        events = []
+        tasks = [
+            TaskSpec("bad", {"n": -1, "fail_attempts": 1}),
+            TaskSpec("a", {"n": 1}),
+            TaskSpec("b", {"n": 2}),
+        ]
+        outcomes = run_tasks(
+            tasks,
+            flaky_handler,
+            units=[["bad", "a", "b"]],
+            workers=workers,
+            backoff_s=0.001,
+            on_event=lambda kind, task, info: events.append((kind, task, info)),
+        )
+        (split,) = [info for kind, _, info in events if kind == "split"]
+        assert split["tasks"] == ["bad", "a", "b"]
+        assert not split["died"] and "flaky" in split["error"]
+        # The culprit alone shows today's exact sequence, from attempt 1.
+        assert [(k, i.get("attempt", i.get("attempts"))) for k, t, i in events
+                if t == "bad"] == [("retry", 1), ("done", 2)]
+        assert outcomes["bad"].ok and outcomes["bad"].attempts == 2
+        for task_id in ("a", "b"):
+            assert [k for k, t, _ in events if t == task_id] == ["done"]
+            assert outcomes[task_id].ok and outcomes[task_id].attempts == 1
+
+    @pytest.mark.parametrize("max_attempts", [1, 2])
+    def test_raising_unit_quarantines_only_the_culprit(self, workers, max_attempts):
+        events = []
+        tasks = [
+            TaskSpec("a", {"n": 1}),
+            TaskSpec("bad", {"n": -1, "fail_attempts": 99}),
+        ]
+        outcomes = run_tasks(
+            tasks,
+            flaky_handler,
+            units=[["a", "bad"]],
+            workers=workers,
+            max_attempts=max_attempts,
+            backoff_s=0.001,
+            on_event=lambda kind, task, info: events.append((kind, task)),
+        )
+        o = outcomes["bad"]
+        assert not o.ok and o.attempts == max_attempts and "flaky" in o.error
+        assert [k for k, t in events if t == "bad"] == (
+            ["retry"] * (max_attempts - 1) + ["quarantined"]
+        )
+        assert outcomes["a"].ok and outcomes["a"].attempts == 1
+
+    def test_units_must_cover_every_task_once(self, workers):
+        for units in (
+            [["t0"]],
+            [["t0", "t1"], ["t1"]],
+            [["t0", "t1"], []],
+            [["t0", "t1", "t9"]],
+        ):
+            with pytest.raises(ValueError, match="units"):
+                run_tasks(specs(2), ok_handler, units=units, workers=workers)
+
+
+class TestUnitWorkerDeath:
+    def test_dying_unit_splits_uncharged(self):
+        events = []
+        tasks = [
+            TaskSpec("lethal", {"n": 0, "die_attempts": 1}),
+            TaskSpec("a", {"n": 1}),
+        ]
+        outcomes = run_tasks(
+            tasks,
+            dying_handler,
+            units=[["lethal", "a"]],
+            workers=2,
+            backoff_s=0.001,
+            on_event=lambda kind, task, info: events.append((kind, task, info)),
+        )
+        (split,) = [info for kind, _, info in events if kind == "split"]
+        assert split["died"] and "worker died" in split["error"]
+        # Alone, the lethal member kills one more worker, charged once.
+        o = outcomes["lethal"]
+        assert o.ok and o.value == 0 and o.attempts == 2 and o.worker_deaths == 1
+        assert outcomes["a"].ok and outcomes["a"].attempts == 1
+        assert outcomes["a"].worker_deaths == 0
+
+    def test_lethal_member_quarantined_alone(self):
+        outcomes = run_tasks(
+            [
+                TaskSpec("a", {"n": 1}),
+                TaskSpec("lethal", {"n": 0, "die_attempts": 99}),
+                TaskSpec("b", {"n": 2}),
+            ],
+            dying_handler,
+            units=[["a", "lethal", "b"]],
+            workers=1,
+            max_attempts=1,
+            backoff_s=0.001,
+        )
+        o = outcomes["lethal"]
+        assert not o.ok and o.attempts == 1 and o.worker_deaths == 1
+        assert outcomes["a"].ok and outcomes["b"].ok
+        assert outcomes["a"].attempts == outcomes["b"].attempts == 1
+
+
 class TestAttemptClaim:
     """The death-race staleness guard, exercised deterministically.
 
@@ -155,10 +289,10 @@ class TestAttemptClaim:
     quarantine and re-queues the task twice.
     """
 
-    def _state(self):
+    def _state(self, task_id="t0"):
         from repro.jobs.scheduler import _TaskState
 
-        state = _TaskState(TaskSpec("t0", {"n": 0}))
+        state = _TaskState(TaskSpec(task_id, {"n": 0}))
         state.attempts = 1  # dispatched once, in flight
         return state
 
@@ -190,3 +324,17 @@ class TestAttemptClaim:
 
         state = self._state()
         assert not _claim_attempt(state, {"t0": object()}, 1)
+
+    def test_split_units_late_message_is_stale(self):
+        from repro.jobs.scheduler import _claim_attempt, _split
+
+        # Both in flight as the unit ("t0", "t1"), dispatch 1.
+        states = {"t0": self._state("t0"), "t1": self._state("t1")}
+        # The death-reap consumes the unit's dispatch and splits it.
+        assert all([_claim_attempt(s, {}, 1) for s in states.values()])
+        _split(("t0", "t1"), states, "worker died", True, lambda *a, **k: None)
+        state = states["t0"]
+        state.attempts = 2  # re-dispatched alone...
+        assert state.charged == 1  # ...at the same, uncharged attempt
+        assert not _claim_attempt(state, {}, 1)  # dead unit's last message
+        assert _claim_attempt(state, {}, 2)
