@@ -125,8 +125,8 @@ def align(
     """Align one (target, query) pair in-process.
 
     Thin, stable wrapper over :func:`repro.core.pipeline.run_fastz`;
-    ``workers`` shards anchors across a multiprocessing pool with
-    bit-identical results.  Either side may be a
+    ``workers`` deals anchors into LPT-balanced shards across a per-call
+    :class:`~repro.core.pool.WorkerPool`, with bit-identical results.  Either side may be a
     :class:`~repro.store.StoredReference` (decoded lazily from the
     store's 2-bit file).
 

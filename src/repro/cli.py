@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="shard anchors across a multiprocessing pool (fastz engines)",
+        help="extend anchors in N worker processes, in LPT-balanced shards "
+        "(fastz engines, with or without --stream)",
     )
     align.add_argument(
         "--stream",
@@ -225,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="multiprocessing pool size for uncached profile builds",
+        help="worker processes for uncached profile builds",
     )
 
     serve = sub.add_parser(

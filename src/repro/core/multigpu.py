@@ -107,10 +107,8 @@ def greedy_partition(weights, n_parts: int) -> list[list[int]]:
 def partition_loads(weights, n_parts: int) -> tuple[list[list[int]], list[float]]:
     """:func:`greedy_partition` plus the per-part load sums.
 
-    Both the jobs scheduler (progress estimates) and the service's
-    multiprocess pool backend (shard weighting gauges) want the projected
-    load alongside the assignment; computing it here keeps the two from
-    re-deriving it differently.
+    The job runner deals extend tasks into units with it and logs the
+    projected per-worker load alongside the assignment.
     """
     w = [float(x) for x in weights]
     parts = greedy_partition(w, n_parts)

@@ -26,8 +26,8 @@ fleet backends, streaming, jobs) resolve names with ``get_engine``:
   rows.
 
 All engines produce bit-identical results; ``run_fastz(..., workers=N)``
-additionally shards the anchor set across a ``multiprocessing`` pool for
-big profile builds.
+additionally shards the anchor set into LPT-balanced shards across a
+per-call :class:`~repro.core.pool.WorkerPool` for big profile builds.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ __all__ = [
     "run_fastz",
     "run_fastz_chunk",
     "run_fastz_chunks",
-    "shard_anchor_suffixes",
 ]
 
 
@@ -448,46 +447,6 @@ def extend_suffixes_batched(
         return out
 
 
-def shard_anchor_suffixes(
-    suffixes: list[tuple[np.ndarray, np.ndarray]],
-    n_shards: int,
-) -> list[tuple[list[int], list[tuple[np.ndarray, np.ndarray]]]]:
-    """Split an interleaved suffix list into LPT-balanced anchor shards.
-
-    Each shard is ``(anchor_indices, shard_suffixes)`` where
-    ``shard_suffixes`` keeps the right-at-``2k``/left-at-``2k+1``
-    interleaving for the shard's anchors in ascending anchor order.
-    Anchors are weighted by the smaller dimension of each one-sided
-    problem (the wavefront's reachable extent) and dealt heaviest-first
-    to the lightest shard (:func:`~repro.core.multigpu.greedy_partition`)
-    so one repeat-dense anchor cannot serialise a whole shard — the
-    workload-balance lever the service's multiprocess pool backend
-    dispatches on.  Empty shards are dropped; extension records re-placed
-    by anchor index reproduce the unsharded order exactly.
-    """
-    from .multigpu import greedy_partition
-
-    n_anchors = len(suffixes) // 2
-    if n_shards < 1:
-        raise ValueError("n_shards must be at least 1")
-    weights = [
-        min(len(suffixes[2 * k][0]), len(suffixes[2 * k][1]))
-        + min(len(suffixes[2 * k + 1][0]), len(suffixes[2 * k + 1][1]))
-        for k in range(n_anchors)
-    ]
-    shards: list[tuple[list[int], list[tuple[np.ndarray, np.ndarray]]]] = []
-    for part in greedy_partition(weights, n_shards):
-        if not part:
-            continue
-        idx = sorted(part)
-        sub: list[tuple[np.ndarray, np.ndarray]] = []
-        for k in idx:
-            sub.append(suffixes[2 * k])
-            sub.append(suffixes[2 * k + 1])
-        shards.append((idx, sub))
-    return shards
-
-
 def extend_suffixes_shard(
     suffixes: list[tuple[np.ndarray, np.ndarray]],
     scheme: ScoringScheme,
@@ -518,49 +477,6 @@ def _extend_anchors(
     return get_engine(options.engine)(
         _anchor_suffixes(t_codes, q_codes, t_pos, q_pos), scheme, options, tile
     )
-
-
-def _extend_chunk(args) -> list[_AnchorExtension]:
-    """Top-level pool worker: extend one contiguous anchor chunk."""
-    t_codes, q_codes, scheme, options, tile, t_pos, q_pos = args
-    return _extend_anchors(t_codes, q_codes, scheme, options, tile, t_pos, q_pos)
-
-
-def _extend_anchors_pool(
-    t_codes: np.ndarray,
-    q_codes: np.ndarray,
-    scheme: ScoringScheme,
-    options: FastzOptions,
-    tile: int,
-    t_pos: list[int],
-    q_pos: list[int],
-    workers: int,
-) -> list[_AnchorExtension]:
-    """Shard the anchor set across a multiprocessing pool.
-
-    Each worker runs the configured engine over a contiguous anchor chunk;
-    chunk results concatenate back in anchor order, so the merged output is
-    identical to a single-process run.
-    """
-    import multiprocessing
-
-    n_anchors = len(t_pos)
-    chunk = -(-n_anchors // workers)
-    payloads = [
-        (
-            t_codes,
-            q_codes,
-            scheme,
-            options,
-            tile,
-            t_pos[start : start + chunk],
-            q_pos[start : start + chunk],
-        )
-        for start in range(0, n_anchors, chunk)
-    ]
-    with multiprocessing.Pool(processes=min(workers, len(payloads))) as pool:
-        parts = pool.map(_extend_chunk, payloads)
-    return [record for part in parts for record in part]
 
 
 @dataclass
@@ -795,9 +711,12 @@ def run_fastz(
     profile under any variant without re-running this pipeline.
 
     ``options.engine`` selects the host DP engine (``"scalar"`` loop or
-    ``"batched"`` lockstep batches); ``workers`` > 1 additionally shards
-    the anchor set across a multiprocessing pool.  Both knobs change only
-    wall-clock, never results.
+    ``"batched"`` lockstep batches); ``workers`` > 1 additionally deals
+    the anchors into LPT-balanced shards across a
+    :class:`~repro.core.pool.WorkerPool` of up to ``workers`` processes,
+    opened for this call — a worker that dies has its shard re-dispatched,
+    and a shard's exception is re-raised as the in-process engine would
+    raise it.  Both knobs change only wall-clock, never results.
 
     ``streaming=True`` runs the bounded-queue overlap pipeline
     (:func:`repro.core.streaming.run_fastz_streaming`) instead of the
@@ -832,9 +751,17 @@ def run_fastz(
         t_pos, q_pos = prepared.t_pos, prepared.q_pos
 
         if workers and workers > 1 and len(t_pos) > 1:
-            per_anchor = _extend_anchors_pool(
-                t_codes, q_codes, scheme, options, tile, t_pos, q_pos, int(workers)
-            )
+            from .pool import WorkerPool
+
+            spec = ExtensionSpec.fuse([(prepared, None, None)])
+            pool = WorkerPool(min(int(workers), len(t_pos)))
+            try:
+                per_anchor = pool.extend_spec(
+                    [("inline", codes) for codes in spec.codes],
+                    spec.rows, scheme, options, tile, key="run",
+                )
+            finally:
+                pool.close()
         else:
             per_anchor = _extend_anchors(
                 t_codes, q_codes, scheme, options, tile, t_pos, q_pos

@@ -62,13 +62,13 @@ from ..seeding.seeds import (
 )
 from .options import FASTZ_FULL, FastzOptions
 from .pipeline import (
+    ExtensionSpec,
     FastzResult,
     PreparedRequest,
-    _anchor_suffixes,
     extend_suffixes_shard,
     finish_fastz,
-    shard_anchor_suffixes,
 )
+from .pool import WorkerPool
 
 __all__ = [
     "DEFAULT_CHUNK_BP",
@@ -314,47 +314,43 @@ def run_fastz_streaming(
         out: "queue.Queue" = queue.Queue(maxsize=queue_depth)
         cancel = threading.Event()
         producer: threading.Thread | None = None
-        if anchors is None:
-            producer = threading.Thread(
-                target=_produce,
-                args=(
-                    t_codes,
-                    q_codes,
-                    config,
-                    seed_table,
-                    target_mask,
-                    query_mask,
-                    chunk_bp,
-                    out,
-                    cancel,
-                    root,
-                    t0,
-                ),
-                name="fastz-stream-seed",
-                daemon=True,
-            )
-            producer.start()
-        else:
-            # Pre-selected anchors: one group, same consumer/fold path.
-            out.put(
-                (
-                    "group",
-                    np.asarray(anchors.target_pos, dtype=np.int64),
-                    np.asarray(anchors.query_pos, dtype=np.int64),
-                )
-            )
-            out.put(("done",))
-
-        pool = None
+        # Fork the pool's workers before the producer thread exists.
+        pool = WorkerPool(int(workers)) if workers and workers > 1 else None
         depth_gauge = obs.gauge(
             "repro_stream_queue_depth",
             "Anchor groups buffered between the streaming seeder and extender.",
         )
         try:
-            if workers and workers > 1:
-                import multiprocessing
-
-                pool = multiprocessing.Pool(processes=int(workers))
+            if anchors is None:
+                producer = threading.Thread(
+                    target=_produce,
+                    args=(
+                        t_codes,
+                        q_codes,
+                        config,
+                        seed_table,
+                        target_mask,
+                        query_mask,
+                        chunk_bp,
+                        out,
+                        cancel,
+                        root,
+                        t0,
+                    ),
+                    name="fastz-stream-seed",
+                    daemon=True,
+                )
+                producer.start()
+            else:
+                # Pre-selected anchors: one group, same consumer/fold path.
+                out.put(
+                    (
+                        "group",
+                        np.asarray(anchors.target_pos, dtype=np.int64),
+                        np.asarray(anchors.query_pos, dtype=np.int64),
+                    )
+                )
+                out.put(("done",))
 
             all_t: list[np.ndarray] = []
             all_q: list[np.ndarray] = []
@@ -404,22 +400,21 @@ def run_fastz_streaming(
                     groups=len(batch_t),
                 ) as esp:
                     esp.set(start_s=round(time.perf_counter() - t0, 4))
-                    suffixes = _anchor_suffixes(
-                        t_codes, q_codes, t_pos.tolist(), q_pos.tolist()
+                    spec = ExtensionSpec(
+                        (t_codes, q_codes),
+                        tuple(
+                            (0, 1, t, q)
+                            for t, q in zip(t_pos.tolist(), q_pos.tolist())
+                        ),
                     )
                     if pool is not None and t_pos.shape[0] > 1:
-                        shards = shard_anchor_suffixes(suffixes, int(workers))
-                        parts = pool.starmap(
-                            extend_suffixes_shard,
-                            [(sub, scheme, options, tile) for _, sub in shards],
+                        per_batch = pool.extend_spec(
+                            [("inline", t_codes), ("inline", q_codes)],
+                            spec.rows, scheme, options, tile, key="stream",
                         )
-                        per_batch: list = [None] * int(t_pos.shape[0])
-                        for (idx, _), part in zip(shards, parts):
-                            for k, rec in zip(idx, part):
-                                per_batch[k] = rec
                     else:
                         per_batch = extend_suffixes_shard(
-                            suffixes, scheme, options, tile
+                            spec.suffixes(), scheme, options, tile
                         )
                     esp.set(end_s=round(time.perf_counter() - t0, 4))
 
@@ -459,8 +454,7 @@ def run_fastz_streaming(
             if producer is not None:
                 producer.join(timeout=30.0)
             if pool is not None:
-                pool.terminate()
-                pool.join()
+                pool.close()
             depth_gauge.set(0)
 
         # --- ordered fold: re-sort per-anchor records into the barrier

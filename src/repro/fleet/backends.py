@@ -11,7 +11,7 @@ are bit-identical whichever backend ran them**; backends differ only in
 
 * :class:`InProcessBackend` — the lockstep NumPy engine on a scheduler
   worker thread (kept warm via the thread-local arenas);
-* :class:`PoolBackend` — a :class:`~repro.service.pool.WorkerPool` of
+* :class:`PoolBackend` — a :class:`~repro.core.pool.WorkerPool` of
   persistent worker processes; the spec's rows are LPT-sharded across
   them and store-backed sources travel as shared-memory handles
   (multiple cores, same bytes);
@@ -46,7 +46,7 @@ from ..align.arena import release_thread_arenas
 from ..core.perfmodel import estimate_extension_seconds, extension_weight
 from ..core.pipeline import extend_suffixes_shard
 from ..gpusim.device import DeviceSpec, QV100_VOLTA
-from ..service.pool import PoolError, PoolUnavailable, WorkerPool
+from ..core.pool import PoolError, PoolUnavailable, WorkerPool
 
 __all__ = [
     "BackendUnavailable",
@@ -194,13 +194,13 @@ class InProcessBackend(FleetBackend):
 class PoolBackend(FleetBackend):
     """A persistent multiprocess worker pool behind one fleet queue.
 
-    Owns its :class:`~repro.service.pool.WorkerPool` (or adopts one);
+    Owns its :class:`~repro.core.pool.WorkerPool` (or adopts one);
     each run publishes the spec's store-backed sources to shared memory
     (once per digest) and LPT-shards its rows across the pool's workers.
-    :class:`~repro.service.pool.PoolUnavailable` — the pool closed under
+    :class:`~repro.core.pool.PoolUnavailable` — the pool closed under
     us, or a dead worker could not be replaced — becomes
     :class:`BackendUnavailable`, so the scheduler retires the lane and
-    re-routes the unit.  A plain :class:`~repro.service.pool.PoolError`
+    re-routes the unit.  A plain :class:`~repro.core.pool.PoolError`
     (one shard kept killing its workers) fails only this unit: it counts
     as ``degraded``, the service re-runs it in-process, and the lane
     stays open for the next batch.

@@ -28,7 +28,7 @@ from .runner import (
     job_digest,
     run_wga,
 )
-from .scheduler import TaskOutcome, TaskSpec, plan_balance, run_tasks
+from .scheduler import TaskOutcome, TaskSpec, run_tasks
 from .segmenter import Chunk, ChunkPair, chunk_pairs, segment_sequence
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "dedupe_records",
     "job_digest",
     "ops_from_cigar",
-    "plan_balance",
     "replay",
     "run_tasks",
     "run_wga",

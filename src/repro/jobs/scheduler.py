@@ -3,14 +3,21 @@
 The unit of work is a :class:`TaskSpec` — an opaque payload plus a weight
 (the scheduler is generic; the runner uses it for both seeding and
 extension phases).  Scheduling follows the SaLoBa observation that
-workload balance across segments dominates scaling:
+workload balance across segments dominates scaling.  Work is dispatched
+**heaviest-first** (LPT order) to a demand-driven worker pool, so one
+repeat-dense chunk pair cannot serialise the tail of a run; the runner
+plans its extend units over unit loads with
+:func:`repro.core.multigpu.partition_loads`, the paper's multi-GPU seed
+partitioner.
 
-* work is dispatched **heaviest-first** (LPT order) to a demand-driven
-  worker pool, so one repeat-dense chunk pair cannot serialise the tail
-  of a run;
-* :func:`plan_balance` uses :func:`repro.core.multigpu.greedy_partition`
-  — the paper's multi-GPU seed partitioner, promoted to a real helper —
-  to report the projected per-worker load split.
+The worker processes come from :class:`repro.core.pool.ProcessSlots`,
+the one lifecycle every :mod:`repro` worker runs on — spawn, worker loop,
+reap-and-respawn, teardown; :class:`~repro.core.pool.WorkerPool` is the
+other protocol on it.  This module is the scheduling protocol: the ready
+heap, attempts, units, split and quarantine.  The handler and
+``init_arg`` travel once, with each worker process.  Each pass of the
+pool loop reaps dead workers, dispatches ready units to idle ones, then
+waits for results only while a unit is in flight or in backoff.
 
 Units: every dispatch sends a **unit** — one or more tasks — to one
 worker in one message, so a handler can run its members together (the
@@ -47,17 +54,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import multiprocessing
-import os
-import queue as queue_mod
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .. import obs
-from ..core.multigpu import partition_loads
+from ..core.pool import ProcessSlots
 
-__all__ = ["TaskOutcome", "TaskSpec", "plan_balance", "run_tasks"]
+__all__ = ["TaskOutcome", "TaskSpec", "run_tasks"]
 
 #: on_event kinds, in roughly increasing order of concern.
 EVENTS = ("done", "retry", "split", "worker_death", "quarantined")
@@ -131,14 +135,6 @@ def _claim_attempt(state: _TaskState, outcomes: dict, attempt: int) -> bool:
         return False
     state.consumed_attempt = attempt
     return True
-
-
-def plan_balance(tasks: list[TaskSpec], n_parts: int) -> list[float]:
-    """Projected per-part load under LPT assignment (descending)."""
-    if not tasks:
-        return [0.0] * max(n_parts, 1)
-    _, loads = partition_loads([t.weight for t in tasks], n_parts)
-    return sorted(loads, reverse=True)
 
 
 def _lpt_units(
@@ -357,48 +353,11 @@ def _quarantine(state: _TaskState, emit) -> TaskOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _worker_main(handler, init_arg, task_q, result_q) -> None:
-    """Worker loop: one unit at a time, failures reported not raised.
-
-    Polls with a timeout so an orphaned worker — its coordinator hard-
-    killed (``os._exit``), which skips the atexit hook that reaps daemon
-    children — notices the re-parenting and exits instead of blocking on
-    the queue forever.
-    """
-    parent = os.getppid()
-    while True:
-        try:
-            item = task_q.get(timeout=2.0)
-        except queue_mod.Empty:
-            if os.getppid() != parent:
-                return
-            continue
-        if item is None:
-            return
-        unit, payloads, dispatch, attempt = item
-        t0 = time.perf_counter()
-        try:
-            values = _call_unit(handler, init_arg, payloads, attempt)
-        except Exception as exc:  # noqa: BLE001 - fault isolation boundary
-            result_q.put(
-                (
-                    "fail",
-                    unit,
-                    dispatch,
-                    f"{type(exc).__name__}: {exc}",
-                    time.perf_counter() - t0,
-                )
-            )
-        else:
-            result_q.put(("done", unit, dispatch, values, time.perf_counter() - t0))
-
-
-@dataclass
-class _WorkerHandle:
-    proc: multiprocessing.Process
-    task_q: Any
-    #: (unit task ids, dispatch number) in flight, or None when idle.
-    current: tuple[tuple[str, ...], int] | None = None
+def _run_unit(state, _worker_id: int, item) -> list:
+    """Worker side of the pool path: one unit through the job's handler."""
+    handler, init_arg = state
+    payloads, attempt = item
+    return _call_unit(handler, init_arg, payloads, attempt)
 
 
 def _run_pool(
@@ -412,8 +371,6 @@ def _run_pool(
     backoff_cap_s: float,
     emit,
 ) -> dict[str, TaskOutcome]:
-    ctx = multiprocessing.get_context()
-    result_q = ctx.Queue()
     outcomes: dict[str, TaskOutcome] = {}
     # Ready heap: (ready_at, seq, unit); seq follows LPT rank so the
     # initial drain dispatches heaviest-first.
@@ -421,18 +378,6 @@ def _run_pool(
     ready: list[tuple[float, int, tuple[str, ...]]] = []
     for unit in units:
         heapq.heappush(ready, (0.0, next(seq), unit))
-
-    def spawn() -> _WorkerHandle:
-        task_q = ctx.Queue()
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(handler, init_arg, task_q, result_q),
-            daemon=True,
-        )
-        proc.start()
-        return _WorkerHandle(proc=proc, task_q=task_q)
-
-    handles = [spawn() for _ in range(min(workers, len(units)))]
 
     def fail_attempt(state: _TaskState, error: str, *, death: bool) -> None:
         """Shared retry/quarantine bookkeeping for failures and deaths."""
@@ -474,56 +419,26 @@ def _run_pool(
         # change, so a message is fresh for all of them or for none.
         return all([_claim_attempt(states[i], outcomes, dispatch) for i in unit])
 
+    # Handler and init_arg travel once, with each worker process.
+    slots = ProcessSlots(
+        min(workers, len(units)),
+        _run_unit,
+        (handler, init_arg),
+        name="repro-job-worker",
+    )
     try:
         while len(outcomes) < len(states):
-            # 1. Drain results.
-            try:
-                msg = result_q.get(timeout=0.02)
-            except queue_mod.Empty:
-                msg = None
-            while msg is not None:
-                kind, unit, dispatch, *rest = msg
-                for h in handles:
-                    if h.current == (unit, dispatch):
-                        h.current = None
-                # Stale messages (task already resolved, a newer attempt
-                # dispatched, this attempt already consumed by the
-                # death-reap, or the unit since split) are dropped.
-                if claim(unit, dispatch):
-                    result, elapsed = rest
-                    for task_id in unit:
-                        states[task_id].elapsed_s += elapsed / len(unit)
-                    if kind == "done":
-                        for task_id, value in zip(unit, result):
-                            outcomes[task_id] = _success(states[task_id], value, emit)
-                    else:
-                        fail_unit(unit, result, death=False)
-                try:
-                    msg = result_q.get_nowait()
-                except queue_mod.Empty:
-                    msg = None
+            # 1. Reap dead workers (each respawned in its slot); re-queue
+            #    the units they had in flight.
+            for _slot, tag, exitcode in slots.reap():
+                if tag is not None and claim(*tag):
+                    fail_unit(
+                        tag[0], f"worker died (exit code {exitcode})", death=True
+                    )
 
-            # 2. Reap dead workers; re-queue their in-flight units.
-            for idx, h in enumerate(handles):
-                if h.proc.is_alive():
-                    continue
-                if h.current is not None:
-                    unit, dispatch = h.current
-                    h.current = None
-                    if claim(unit, dispatch):
-                        fail_unit(
-                            unit,
-                            f"worker died (exit code {h.proc.exitcode})",
-                            death=True,
-                        )
-                if len(outcomes) < len(states):
-                    handles[idx] = spawn()
-
-            # 3. Dispatch ready units to idle workers.
+            # 2. Dispatch ready units to idle workers.
             now = time.monotonic()
-            for h in handles:
-                if h.current is not None:
-                    continue
+            for slot in slots.idle():
                 while ready and ready[0][2][0] in outcomes:
                     heapq.heappop(ready)  # cancelled by quarantine
                 if not ready or ready[0][0] > now:
@@ -534,23 +449,30 @@ def _run_pool(
                     state.attempts += 1
                 # Units are first dispatches, so members agree on both.
                 dispatch, attempt = members[0].attempts, members[0].charged
-                h.current = (unit, dispatch)
-                h.task_q.put(
-                    (unit, [s.spec.payload for s in members], dispatch, attempt)
+                slots.send(
+                    slot,
+                    (unit, dispatch),
+                    ([s.spec.payload for s in members], attempt),
                 )
+
+            # 3. Wait for results while work remains — a unit in flight,
+            #    or one in backoff — blocking up to 20 ms, never spinning.
+            if len(outcomes) == len(states):
+                break
+            for (unit, dispatch), ok, result, elapsed in slots.wait(0.02):
+                # Stale messages (task already resolved, a newer attempt
+                # dispatched, this attempt already consumed by the
+                # death-reap, or the unit since split) are dropped.
+                if not claim(unit, dispatch):
+                    continue
+                for task_id in unit:
+                    states[task_id].elapsed_s += elapsed / len(unit)
+                if ok:
+                    for task_id, value in zip(unit, result):
+                        outcomes[task_id] = _success(states[task_id], value, emit)
+                else:
+                    fail_unit(unit, result[0], death=False)
     finally:
-        for h in handles:
-            try:
-                h.task_q.put_nowait(None)
-            except Exception:  # noqa: BLE001 - best-effort shutdown
-                pass
-        deadline = time.monotonic() + 2.0
-        for h in handles:
-            h.proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if h.proc.is_alive():
-                h.proc.terminate()
-                h.proc.join(timeout=1.0)
-        result_q.close()
-        result_q.cancel_join_thread()
+        slots.close()
 
     return outcomes

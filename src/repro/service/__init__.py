@@ -7,14 +7,14 @@ engine (:mod:`repro.align.batch`), runs every batch through a
 keyed LRU, and degrades predictably under load (bounded queue, admission
 control, deadlines, drain-aware shutdown).  With ``pool_workers > 0`` the
 fused batches are sharded across a fault-tolerant multiprocess
-:class:`~repro.service.pool.WorkerPool` — bit-identical results on
+:class:`~repro.core.pool.WorkerPool` — bit-identical results on
 multiple cores.  ``repro serve`` exposes it over versioned JSON/HTTP
 through the asyncio front door (:mod:`repro.fleet.asgi`, ``/v1/*``).
 """
 
+from ..core.pool import PoolError, WorkerPool
 from .batcher import BatchPolicy, DeadlineExceeded
 from .cache import CacheStats, ResultCache
-from .pool import PoolError, WorkerPool
 from .request import AlignmentRequest
 from .service import (
     AlignmentService,

@@ -19,7 +19,7 @@ production-shaped edges around that core:
   *before* they can melt the queue with multi-megabyte payloads;
 * **execution lanes** — without ``fleet=`` the scheduler has one lane:
   the in-process engine, or with ``pool_workers > 0`` a
-  :class:`~repro.service.pool.WorkerPool` that shards each fused batch
+  :class:`~repro.core.pool.WorkerPool` that shards each fused batch
   across persistent worker processes, LPT-balanced by extension weight;
   results stay bit-identical either way, and a batch the pool cannot
   finish is re-run in-process;
@@ -45,13 +45,13 @@ import numpy as np
 from .. import obs
 from ..core.options import FastzOptions
 from ..core.pipeline import FastzResult
+from ..core.pool import WorkerPool
 from ..genome.sequence import Sequence
 from ..lastz.config import LastzConfig
 from ..seeding import Anchors
 from ..store import ReferenceStore
 from .batcher import BatchPolicy, DeadlineExceeded, Dispatcher, Pending
 from .cache import ResultCache
-from .pool import WorkerPool
 from .request import AlignmentRequest
 from .stats import ServiceStats, StatsRecorder
 

@@ -353,8 +353,8 @@ def build_profile(
     """Build (or fetch) the work profile of one benchmark.
 
     Corrupt or stale cache entries are deleted and transparently rebuilt
-    (then rewritten).  ``workers`` shards the FastZ extension pass across a
-    multiprocessing pool for uncached builds (default: the
+    (then rewritten).  ``workers`` shards the FastZ extension pass across worker
+    processes for uncached builds (default: the
     ``REPRO_POOL_WORKERS`` environment variable, else single-process).
     """
     key = _cache_key(spec, scale)

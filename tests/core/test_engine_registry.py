@@ -6,7 +6,7 @@ custom engines round-trip through ``register_engine`` /
 ``unregister_engine`` and are immediately legal ``FastzOptions.engine``
 values.  Second — the reason the registry exists — every registered
 engine is pushed through the same bit-identity matrix against the scalar
-baseline: direct pipeline, streaming overlap, multiprocessing pool,
+baseline: direct pipeline, streaming overlap, worker pool,
 mixed fleet backends and the windowed chunk path.  Registering an engine
 buys you this suite for free; an engine that can't pass it doesn't
 belong in the registry.

@@ -136,8 +136,8 @@ class TestMultiGpuTiming:
 
 
 class TestPartitionLoads:
-    """partition_loads — the shared LPT helper behind the job scheduler's
-    plan_balance and the service worker pool's shard planner."""
+    """partition_loads — the LPT helper behind the job runner's extend-unit
+    plan; the worker pool's shard planner uses greedy_partition directly."""
 
     def test_loads_match_parts(self):
         weights = [5.0, 1.0, 3.0, 2.0, 4.0, 2.0]

@@ -61,8 +61,8 @@ class TestEngineEquivalence:
         _assert_runs_identical(scalar, batched)
 
     def test_pool_matches_scalar(self, anchored):
-        """Sharding batches across a multiprocessing pool preserves order
-        and results exactly."""
+        """Sharding anchors across a worker pool preserves order and
+        results exactly."""
         scalar = _run(anchored, replace(BENCH_OPTIONS, engine="scalar"))
         pooled = _run(anchored, BENCH_OPTIONS, workers=2)
         _assert_runs_identical(scalar, pooled)

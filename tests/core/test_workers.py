@@ -1,0 +1,103 @@
+"""``workers=`` on the barrier and streaming pipelines.
+
+Both run their extensions through a per-call
+:class:`~repro.core.pool.WorkerPool`: a worker that dies has its shard
+re-dispatched to a replacement, and a shard that raises re-raises its own
+exception, exactly as the in-process engine would.  The death tests run
+the pipeline in a subprocess with a timeout, so a pool that never
+notices a death fails the test instead of hanging the suite.
+"""
+
+import os
+import pickle
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.core import run_fastz, run_fastz_streaming
+from repro.seeding import Anchors
+from repro.workloads.profiles import BENCH_OPTIONS, bench_config
+
+from .test_pipeline_batched import _assert_runs_identical
+
+RUNS = {"barrier": run_fastz, "stream": run_fastz_streaming}
+
+# Runs one pipeline with workers=2 and pickles back the result plus the
+# stats of every pool the run closed.
+_KILLED_RUN = """
+import pickle, sys
+from repro.core import pool, run_fastz, run_fastz_streaming
+from repro.workloads.profiles import BENCH_OPTIONS, bench_config
+
+stats = []
+close = pool.WorkerPool.close
+
+def recording_close(self, *args, **kwargs):
+    stats.append(self.stats())
+    close(self, *args, **kwargs)
+
+pool.WorkerPool.close = recording_close
+path, mode = sys.argv[1:]
+with open(path, "rb") as handle:
+    target, query = pickle.load(handle)
+run = run_fastz_streaming if mode == "stream" else run_fastz
+result = run(target, query, bench_config(), BENCH_OPTIONS, workers=2)
+with open(path, "wb") as handle:
+    pickle.dump((result, stats), handle)
+"""
+
+
+@pytest.fixture(scope="module")
+def scalar_run(tiny_genome_pair):
+    return run_fastz(
+        tiny_genome_pair.target,
+        tiny_genome_pair.query,
+        bench_config(),
+        replace(BENCH_OPTIONS, engine="scalar"),
+    )
+
+
+@pytest.mark.parametrize("mode", RUNS)
+def test_worker_death_mid_run_completes(tiny_genome_pair, scalar_run, mode, tmp_path):
+    # Worker 0 hard-exits on its first shard: the run must replace it,
+    # re-dispatch the shard and still match the scalar engine.
+    path = tmp_path / "run.pkl"
+    path.write_bytes(pickle.dumps((tiny_genome_pair.target, tiny_genome_pair.query)))
+    env = dict(
+        os.environ,
+        REPRO_POOL_TEST_KILL_WORKER="0",
+        PYTHONPATH=os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parents[2] / "src"),
+            os.environ.get("PYTHONPATH", ""),
+        ])),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILLED_RUN, str(path), mode],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result, stats = pickle.loads(path.read_bytes())
+    _assert_runs_identical(scalar_run, result)
+    assert len(stats) == 1
+    assert stats[0]["respawns"] >= 1
+    assert stats[0]["redispatches"] >= 1
+
+
+@pytest.mark.parametrize("mode", RUNS)
+def test_shard_exception_keeps_its_type(mode):
+    # Out-of-alphabet codes raise IndexError in the engine; through the
+    # pool the caller sees the same exception, not a flattened one.
+    codes = np.random.default_rng(3).integers(0, 4, 2_000, dtype=np.uint8)
+    codes[500:600] = 99
+    anchors = Anchors(np.array([520, 550]), np.array([520, 550]))
+    with pytest.raises(IndexError, match="alphabet"):
+        RUNS[mode](
+            codes, codes, bench_config(), BENCH_OPTIONS, anchors=anchors, workers=2
+        )

@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro.jobs import TaskSpec, plan_balance, run_tasks
+from repro.jobs import TaskSpec, run_tasks
 
 
 def ok_handler(init_arg, payloads, attempt):
@@ -42,20 +42,6 @@ def specs(n, **payload_extra):
         TaskSpec(task_id=f"t{i}", payload={"n": i, **payload_extra}, weight=i + 1)
         for i in range(n)
     ]
-
-
-class TestPlanBalance:
-    def test_loads_descending_and_conserved(self):
-        loads = plan_balance(specs(7), 3)
-        assert loads == sorted(loads, reverse=True)
-        assert sum(loads) == sum(i + 1 for i in range(7))
-
-    def test_empty(self):
-        assert plan_balance([], 4) == [0.0] * 4
-
-    def test_balanced_within_heaviest_task(self):
-        loads = plan_balance(specs(8), 2)
-        assert loads[0] - loads[-1] <= max(i + 1 for i in range(8))
 
 
 class TestInline:

@@ -20,8 +20,8 @@ from repro.core.pipeline import (
     ExtensionSpec,
     extend_suffixes_batched,
     prepare_fastz,
-    shard_anchor_suffixes,
 )
+from repro.core.pool import plan_shards
 from repro.fleet import InProcessBackend, PoolBackend
 from repro.genome import SegmentClass, build_pair
 from repro.lastz.config import LastzConfig
@@ -97,29 +97,39 @@ def prep():
     )
 
 
+def _plan(prep, n_shards):
+    spec = ExtensionSpec.fuse([(prep, None, None)])
+    return spec, plan_shards([len(c) for c in spec.codes], spec.rows, n_shards)
+
+
 class TestShardPlan:
     def test_covers_anchors_disjointly(self, prep):
-        suffixes = prep.suffixes()
-        shards = shard_anchor_suffixes(suffixes, 3)
-        anchors = sorted(a for idx, _sub in shards for a in idx)
+        _spec, shards = _plan(prep, 3)
+        anchors = sorted(a for idx in shards for a in idx)
         assert anchors == list(range(prep.n_anchors))
-        for idx, sub in shards:
-            assert len(sub) == 2 * len(idx)
 
     def test_sub_lists_keep_interleaving(self, prep):
-        suffixes = prep.suffixes()
-        for idx, sub in shard_anchor_suffixes(suffixes, 2):
+        # Shard rows ascend by anchor index, so each shard's suffixes keep
+        # the right-at-2k / left-at-2k+1 interleaving of the whole batch.
+        spec, shards = _plan(prep, 2)
+        suffixes = spec.suffixes()
+        for idx in shards:
+            assert idx == sorted(idx)
+            sub = ExtensionSpec(spec.codes, [spec.rows[k] for k in idx]).suffixes()
+            assert len(sub) == 2 * len(idx)
             for local, anchor in enumerate(idx):
-                assert sub[2 * local] is suffixes[2 * anchor]
-                assert sub[2 * local + 1] is suffixes[2 * anchor + 1]
+                got = sub[2 * local : 2 * local + 2]
+                want = suffixes[2 * anchor : 2 * anchor + 2]
+                for (gt, gq), (wt, wq) in zip(got, want):
+                    assert np.array_equal(gt, wt) and np.array_equal(gq, wq)
 
     def test_never_more_shards_than_anchors(self, prep):
-        shards = shard_anchor_suffixes(prep.suffixes(), prep.n_anchors + 16)
+        _spec, shards = _plan(prep, prep.n_anchors + 16)
         assert len(shards) <= prep.n_anchors
 
     def test_validation(self, prep):
         with pytest.raises(ValueError):
-            shard_anchor_suffixes(prep.suffixes(), 0)
+            _plan(prep, 0)
 
 
 class TestWorkerPool:
@@ -145,7 +155,7 @@ class TestWorkerPool:
         pool = WorkerPool(1)
         try:
             _extend(pool, prep)
-            assert "k" in pool._workers[0].seen
+            assert "k" in pool._seen[0]
             # Second dispatch reuses the worker-resident params.
             _extend(pool, prep)
             assert pool.dispatches == 2
