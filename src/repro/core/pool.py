@@ -4,13 +4,14 @@ Every worker process :mod:`repro` starts is started by
 :class:`ProcessSlots`, which owns the lifecycle: **spawn** daemon workers
 in fixed slots, each with its own task queue and all writing to one
 result queue; run **one worker loop** (exit on a ``None`` sentinel or
-when re-parented; a raised exception becomes a failure message carrying
-its text and, when it pickles, the exception, and never kills the
-worker); **reap** (respawn a dead worker in its slot and hand back what
-it had in flight); **tear down** (sentinel, join against one deadline,
-terminate stragglers).  Per-worker state travels once, in the process
-arguments — under ``fork`` it is inherited, not pickled.  Two protocols
-run on it: the pool path of :func:`repro.jobs.scheduler.run_tasks`
+when re-parented; a raised exception, or an answer that cannot be
+pickled, becomes a failure message carrying its text and, when it
+pickles, the exception, and never kills the worker); **reap** (respawn a
+dead worker in its slot and hand back what it had in flight); **tear
+down** (sentinel, join against one deadline, terminate stragglers).
+Per-worker state travels once, in the process arguments — under
+``fork`` it is inherited, not pickled.  Two protocols run on it: the
+pool path of :func:`repro.jobs.scheduler.run_tasks`
 (units, retry, split, quarantine) and :class:`WorkerPool` — the service's
 pool lane (:class:`~repro.fleet.backends.PoolBackend`) and, opened per
 call, the ``workers=`` paths of :func:`~repro.core.pipeline.run_fastz`
@@ -129,9 +130,11 @@ def _worker_loop(work, state, worker_id: int, task_q, result_q) -> None:
 
     Each message is ``(tag, payload)`` and runs ``work(state, worker_id,
     payload)``; each answer is ``(tag, ok, value, seconds)``, where a
-    failed item's value is ``(text, exception or None)``.  On exit the
-    worker drops the lockstep arenas and shared-memory attachments its
-    work left resident.
+    failed item's value is ``(text, exception or None)``.  A successful
+    value ships pickled, so one that cannot be pickled fails its item
+    here instead of being dropped by the queue's feeder thread, which
+    would leave the caller waiting forever.  On exit the worker drops the
+    lockstep arenas and shared-memory attachments its work left resident.
     """
     parent = os.getppid()
     while True:
@@ -146,7 +149,9 @@ def _worker_loop(work, state, worker_id: int, task_q, result_q) -> None:
         tag, payload = item
         t0 = time.perf_counter()
         try:
-            value = work(state, worker_id, payload)
+            value = pickle.dumps(
+                work(state, worker_id, payload), protocol=pickle.HIGHEST_PROTOCOL
+            )
         except Exception as exc:  # noqa: BLE001 - fault isolation boundary
             result_q.put((tag, False, _failure(exc), time.perf_counter() - t0))
         else:
@@ -227,7 +232,10 @@ class ProcessSlots:
             pass
         for tag, *_ in out:
             self._inflight = [None if busy == tag else busy for busy in self._inflight]
-        return out
+        return [
+            (tag, ok, pickle.loads(value) if ok else value, seconds)
+            for tag, ok, value, seconds in out
+        ]
 
     def reap(self) -> list[tuple]:
         """Respawn dead workers in place: ``(slot, tag in flight, exit code)`` each.

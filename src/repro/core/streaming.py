@@ -52,9 +52,10 @@ from ..align.alignment import Alignment
 from ..align.extend import combine_alignment
 from ..genome.sequence import Sequence
 from ..lastz.config import LastzConfig
-from ..seeding import Anchors, IncrementalCollapser, SeedTable
-from ..seeding.seeds import (
-    _window_masked,
+from ..seeding import (
+    Anchors,
+    IncrementalCollapser,
+    SeedTable,
     build_seed_table,
     censored_from_table,
     overrepresented_words,
@@ -202,19 +203,13 @@ def _produce(
                         parent_span, "fastz.stream.seed_chunk", t_lo=c0, t_hi=c1
                     ) as csp:
                         csp.set(start_s=round(time.perf_counter() - t0, 4))
-                        chunk = t_codes[c0 : c1 + span_bp - 1]
+                        window = slice(c0, c1 + span_bp - 1)
                         words, valid, _ = pack_words(
-                            chunk,
+                            t_codes[window],
                             k=config.seed_length,
                             spaced_pattern=config.spaced_pattern,
+                            mask=None if target_mask is None else target_mask[window],
                         )
-                        if target_mask is not None:
-                            valid = valid & ~_window_masked(
-                                np.asarray(
-                                    target_mask[c0 : c1 + span_bp - 1], dtype=bool
-                                ),
-                                span_bp,
-                            )
                         off = np.flatnonzero(valid)
                         w = words[off]
                         if censored.size and w.size:

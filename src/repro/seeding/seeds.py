@@ -62,13 +62,12 @@ class SeedMatches:
         return self.target_pos.astype(np.int64) - self.query_pos.astype(np.int64)
 
 
-def _window_has_n(codes: np.ndarray, span: int) -> np.ndarray:
-    """Boolean per window start: does the window contain an N?"""
-    n = codes.shape[0]
+def _window_masked(mask: np.ndarray, span: int) -> np.ndarray:
+    """Boolean per window start: does the window touch a masked base?"""
+    n = mask.shape[0]
     if n < span:
         return np.zeros(0, dtype=bool)
-    is_n = (codes >= 4).astype(np.int32)
-    csum = np.concatenate(([0], np.cumsum(is_n)))
+    csum = np.concatenate(([0], np.cumsum(mask.astype(np.int32))))
     return (csum[span:] - csum[:-span]) > 0
 
 
@@ -88,7 +87,7 @@ def pack_kmers(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     words = np.zeros(n - k + 1, dtype=np.uint64)
     for offset in range(k):
         words = (words << np.uint64(2)) | safe[offset : n - k + 1 + offset]
-    return words, ~_window_has_n(codes, k)
+    return words, ~_window_masked(codes >= 4, k)
 
 
 def pack_spaced(codes: np.ndarray, pattern: str) -> tuple[np.ndarray, np.ndarray]:
@@ -111,32 +110,37 @@ def pack_spaced(codes: np.ndarray, pattern: str) -> tuple[np.ndarray, np.ndarray
         words = (words << np.uint64(2)) | safe[offset : n - span + 1 + offset]
     # N handling: any N inside the *whole span* invalidates the window (a
     # conservative simplification; LASTZ checks only care positions).
-    return words, ~_window_has_n(codes, span)
+    return words, ~_window_masked(codes >= 4, span)
 
 
 def pack_words(
-    codes: np.ndarray, *, k: int = 19, spaced_pattern: str | None = None
+    codes: np.ndarray,
+    *,
+    k: int = 19,
+    spaced_pattern: str | None = None,
+    mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Pack windows under either seeding mode; returns ``(words, valid, span)``.
 
-    The one dispatch point between contiguous and spaced seeds, shared by
-    :func:`find_seeds`, :func:`build_seed_table` and the streaming
-    producer so every caller packs identically.
+    The one dispatch point between contiguous and spaced seeds, and the
+    one place a soft mask applies, shared by :func:`find_seeds`,
+    :func:`build_seed_table`, :func:`overrepresented_words` and the
+    streaming producer so every caller packs identically.  ``mask``
+    (True = masked base, one per code) invalidates every window that
+    touches a masked base; a mask of another length is a ``ValueError``.
     """
     if spaced_pattern is not None:
         words, valid = pack_spaced(codes, spaced_pattern)
-        return words, valid, len(spaced_pattern)
-    words, valid = pack_kmers(codes, k)
-    return words, valid, k
-
-
-def _window_masked(mask: np.ndarray, span: int) -> np.ndarray:
-    """Boolean per window start: does the window touch a masked base?"""
-    n = mask.shape[0]
-    if n < span:
-        return np.zeros(0, dtype=bool)
-    csum = np.concatenate(([0], np.cumsum(mask.astype(np.int32))))
-    return (csum[span:] - csum[:-span]) > 0
+        span = len(spaced_pattern)
+    else:
+        words, valid = pack_kmers(codes, k)
+        span = k
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != np.shape(codes):
+            raise ValueError("mask must match the sequence's length")
+        valid &= ~_window_masked(mask, span)
+    return words, valid, span
 
 
 @dataclass(frozen=True)
@@ -176,13 +180,9 @@ def build_seed_table(
     same validity rules, same stable sort), so matching against a prebuilt
     table is bit-identical to the inline path.
     """
-    codes = np.asarray(codes, dtype=np.uint8)
-    words, valid, span = pack_words(codes, k=k, spaced_pattern=spaced_pattern)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != codes.shape:
-            raise ValueError("mask must match the sequence's length")
-        valid = valid & ~_window_masked(mask, span)
+    words, valid, span = pack_words(
+        codes, k=k, spaced_pattern=spaced_pattern, mask=mask
+    )
     pos_all = np.flatnonzero(valid)
     w = words[pos_all]
     order = np.argsort(w, kind="stable")
@@ -257,9 +257,9 @@ def find_seeds(
         the table at build time).  The result is bit-identical to the
         inline path.
     """
-    target = np.asarray(target, dtype=np.uint8)
-    query = np.asarray(query, dtype=np.uint8)
-    q_words, q_valid, span = pack_words(query, k=k, spaced_pattern=spaced_pattern)
+    q_words, q_valid, span = pack_words(
+        query, k=k, spaced_pattern=spaced_pattern, mask=query_mask
+    )
 
     if target_table is not None:
         if target_mask is not None:
@@ -278,27 +278,16 @@ def find_seeds(
         # Build the sorted target table inline.  The span makes the cost
         # visible in traces; on the store path it disappears because a
         # cached table is passed in instead.
-        with obs.span("fastz.seed_table", target_bp=int(target.shape[0])):
+        with obs.span("fastz.seed_table", target_bp=len(target)):
             t_words, t_valid, _ = pack_words(
-                target, k=k, spaced_pattern=spaced_pattern
+                target, k=k, spaced_pattern=spaced_pattern, mask=target_mask
             )
-            if target_mask is not None:
-                target_mask = np.asarray(target_mask, dtype=bool)
-                if target_mask.shape != target.shape:
-                    raise ValueError("target_mask must match the target's length")
-                t_valid = t_valid & ~_window_masked(target_mask, span)
             t_pos_all = np.flatnonzero(t_valid)
             t_w = t_words[t_pos_all]
             # Sort target words once; stream query words through searchsorted.
             order = np.argsort(t_w, kind="stable")
             t_w_sorted = t_w[order]
             t_pos_sorted = t_pos_all[order]
-
-    if query_mask is not None:
-        query_mask = np.asarray(query_mask, dtype=bool)
-        if query_mask.shape != query.shape:
-            raise ValueError("query_mask must match the query's length")
-        q_valid = q_valid & ~_window_masked(query_mask, span)
 
     q_pos_all = np.flatnonzero(q_valid)
     if t_pos_sorted.size == 0 or q_pos_all.size == 0:
@@ -365,13 +354,9 @@ def overrepresented_words(
     ``censored_words`` to chunk-local ``find_seeds`` calls reproduces the
     global censoring decision regardless of how the target is segmented.
     """
-    codes = np.asarray(codes, dtype=np.uint8)
-    words, valid, span = pack_words(codes, k=k, spaced_pattern=spaced_pattern)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != codes.shape:
-            raise ValueError("mask must match the sequence's length")
-        valid = valid & ~_window_masked(mask, span)
+    words, valid, _ = pack_words(
+        codes, k=k, spaced_pattern=spaced_pattern, mask=mask
+    )
     words = words[valid]
     if words.size == 0:
         return np.zeros(0, dtype=np.uint64)

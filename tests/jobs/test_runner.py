@@ -110,7 +110,7 @@ class TestEquivalence:
 
     def test_worker_counts_byte_identical(self, pair, config, tmp_path):
         outputs = {}
-        for workers in (0, 2):
+        for workers in (0, 2, 4, 8):
             job_dir = tmp_path / f"w{workers}"
             report = run_wga(
                 pair.target,
@@ -124,7 +124,8 @@ class TestEquivalence:
             write_general(general, report.alignments, pair.target, pair.query)
             write_maf(maf, report.alignments, pair.target, pair.query)
             outputs[workers] = (general.read_bytes(), maf.read_bytes())
-        assert outputs[0] == outputs[2]
+        for workers in (2, 4, 8):
+            assert outputs[workers] == outputs[0], f"workers={workers} diverged"
 
 
 class TestFusedExtend:

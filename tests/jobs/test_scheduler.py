@@ -7,11 +7,52 @@ payloads and returns one value per payload; any faulty member fails the
 whole unit, as a fused engine call would.
 """
 
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.jobs import TaskSpec, run_tasks
+
+_SRC_PATH = os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parents[2] / "src"),
+    os.environ.get("PYTHONPATH", ""),
+]))
+
+# Workers inherit the handler and the patched shard function by fork.
+_UNPICKLABLE_ANSWER = """
+import json
+import threading
+
+import numpy as np
+
+import repro.core.pool as pool
+from repro.core.options import FastzOptions
+from repro.jobs import TaskSpec, run_tasks
+from repro.scoring import default_scheme
+
+def handler(init_arg, payloads, attempt):
+    return [threading.Lock()]
+
+outcome = run_tasks([TaskSpec("t0", {})], handler, workers=1, backoff_s=0.001)["t0"]
+
+pool.extend_suffixes_shard = lambda *args: [threading.Lock()]
+workers = pool.WorkerPool(1)
+try:
+    workers.extend_spec(
+        [("inline", np.zeros(64, dtype=np.uint8))], [(0, 0, 32, 32)],
+        default_scheme(), FastzOptions(), 16, key="k",
+    )
+    pool_error = "no error"
+except Exception as exc:
+    pool_error = f"{type(exc).__name__}: {exc}"
+finally:
+    workers.close()
+print(json.dumps([vars(outcome), pool_error]))
+"""
 
 
 def ok_handler(init_arg, payloads, attempt):
@@ -138,6 +179,28 @@ class TestPool:
         )
         o = outcomes["t0"]
         assert not o.ok and o.worker_deaths == 2 and o.attempts == 2
+
+    def test_unpicklable_answer_fails_instead_of_hanging(self):
+        """An answer the worker cannot pickle is a failure, not a lost message.
+
+        Runs in a subprocess with a timeout: when the answer is lost, the
+        caller waits for it forever.  Both protocols on the worker
+        lifecycle must see the pickling error: ``run_tasks`` retries and
+        quarantines the task, ``WorkerPool.extend_spec`` raises it.
+        """
+        proc = subprocess.run(
+            [sys.executable, "-c", _UNPICKLABLE_ANSWER],
+            env=dict(os.environ, PYTHONPATH=_SRC_PATH),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outcome, pool_error = json.loads(proc.stdout.splitlines()[-1])
+        assert outcome["ok"] is False
+        assert outcome["attempts"] == 3
+        assert "cannot pickle" in outcome["error"]
+        assert pool_error.startswith("TypeError") and "cannot pickle" in pool_error
 
 
 @pytest.mark.parametrize("workers", [0, 2])
