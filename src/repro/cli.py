@@ -828,8 +828,8 @@ def _wga_command(args: argparse.Namespace) -> int:
     from .jobs import JobOptions
     from .lastz.output import write_general, write_maf
 
-    target, t_stored = _load_side(args.target, args)
-    query, q_stored = _load_side(args.query, args)
+    target, _ = _load_side(args.target, args)
+    query, _ = _load_side(args.query, args)
     config = _config_from_args(args)
     say = (lambda _msg: None) if args.quiet else (
         lambda msg: print(f"# {msg}", file=sys.stderr)
@@ -844,11 +844,9 @@ def _wga_command(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
 
-    # Store-backed sides go in as StoredReference handles: worker shards
-    # then carry (store root, digest) instead of pickled code arrays.
     report = api.align_chunked(
-        t_stored or target,
-        q_stored or query,
+        target,
+        query,
         config,
         {"engine": args.engine, "batch_size": args.batch_size},
         job=JobOptions(

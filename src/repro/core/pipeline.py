@@ -464,21 +464,6 @@ def extend_suffixes_shard(
     return get_engine(options.engine)(suffixes, scheme, options, tile)
 
 
-def _extend_anchors(
-    t_codes: np.ndarray,
-    q_codes: np.ndarray,
-    scheme: ScoringScheme,
-    options: FastzOptions,
-    tile: int,
-    t_pos: list[int],
-    q_pos: list[int],
-) -> list[_AnchorExtension]:
-    """Extend one request's anchors with the configured registry engine."""
-    return get_engine(options.engine)(
-        _anchor_suffixes(t_codes, q_codes, t_pos, q_pos), scheme, options, tile
-    )
-
-
 @dataclass
 class PreparedRequest:
     """One alignment request after anchor selection, ready for extension.
@@ -516,11 +501,11 @@ class ExtensionSpec:
     The form a batch travels in from the service dispatcher to a fleet
     lane and on to pool workers.  ``codes`` holds each distinct sequence
     once; ``digests`` names the store-backed ones (``None`` for raw
-    request codes) so a pool lane can publish them to shared memory
-    instead of pickling them.  Row ``(ti, qi, t, q)`` is one anchor at
-    ``t`` in ``codes[ti]`` and ``q`` in ``codes[qi]``.  Every lane feeds
-    the engine :meth:`suffixes`, so records are bit-identical wherever
-    the batch runs.
+    request codes) so :meth:`~repro.core.pool.WorkerPool.extend_spec`
+    can publish them to shared memory instead of pickling them.  Row
+    ``(ti, qi, t, q)`` is one anchor at ``t`` in ``codes[ti]`` and ``q``
+    in ``codes[qi]``.  Every lane feeds the engine :meth:`suffixes`, so
+    records are bit-identical wherever the batch runs.
     """
 
     codes: tuple
@@ -746,30 +731,28 @@ def run_fastz(
         prepared = prepare_fastz(
             target, query, config, options, anchors=anchors, seed_table=seed_table
         )
-        t_codes, q_codes = prepared.t_codes, prepared.q_codes
         scheme, tile = prepared.scheme, prepared.tile
-        t_pos, q_pos = prepared.t_pos, prepared.q_pos
+        n_anchors = prepared.n_anchors
 
-        if workers and workers > 1 and len(t_pos) > 1:
+        if workers and workers > 1 and n_anchors > 1:
             from .pool import WorkerPool
 
-            spec = ExtensionSpec.fuse([(prepared, None, None)])
-            pool = WorkerPool(min(int(workers), len(t_pos)))
+            pool = WorkerPool(min(int(workers), n_anchors))
             try:
                 per_anchor = pool.extend_spec(
-                    [("inline", codes) for codes in spec.codes],
-                    spec.rows, scheme, options, tile, key="run",
+                    ExtensionSpec.fuse([(prepared, None, None)]),
+                    scheme, options, tile, key="run",
                 )
             finally:
                 pool.close()
         else:
-            per_anchor = _extend_anchors(
-                t_codes, q_codes, scheme, options, tile, t_pos, q_pos
+            per_anchor = extend_suffixes_shard(
+                prepared.suffixes(), scheme, options, tile
             )
 
         result = finish_fastz(prepared, per_anchor, keep_extensions=keep_extensions)
         sp.set(
-            anchors=prepared.n_anchors,
+            anchors=n_anchors,
             alignments=len(result.alignments),
             eager_fraction=result.eager_fraction,
         )

@@ -10,12 +10,14 @@ pickles, the exception, and never kills the worker); **reap** (respawn a
 dead worker in its slot and hand back what it had in flight); **tear
 down** (sentinel, join against one deadline, terminate stragglers).
 Per-worker state travels once, in the process arguments — under
-``fork`` it is inherited, not pickled.  Two protocols run on it: the
-pool path of :func:`repro.jobs.scheduler.run_tasks`
-(units, retry, split, quarantine) and :class:`WorkerPool` — the service's
-pool lane (:class:`~repro.fleet.backends.PoolBackend`) and, opened per
-call, the ``workers=`` paths of :func:`~repro.core.pipeline.run_fastz`
-and :func:`~repro.core.streaming.run_fastz_streaming`.
+``fork`` it is inherited, not pickled.  :class:`InlineSlots` is the same
+surface over one in-process slot.  Two protocols run on them: the one
+scheduling loop of :func:`repro.jobs.scheduler.run_tasks` (units, retry,
+split, quarantine; ``workers=0`` drives it over :class:`InlineSlots`)
+and :class:`WorkerPool` — the service's pool lane
+(:class:`~repro.fleet.backends.PoolBackend`) and, opened per call, the
+``workers=`` paths of :func:`~repro.core.pipeline.run_fastz` and
+:func:`~repro.core.streaming.run_fastz_streaming`.
 
 The dispatcher's fused extension batches are CPU-bound numpy loops, so a
 single process caps the service at roughly one core no matter how well
@@ -24,9 +26,13 @@ micro-batching amortises per-request overhead.  :class:`WorkerPool` keeps
 anchor rows into LPT-balanced shards
 (:func:`plan_shards`, weight = wavefront extent)
 dispatched one per worker — the SaLoBa workload-balance lever applied to
-the online path.  A shard message carries code sources (shared-memory
-handles for store-published references, inline codes otherwise) plus
-``(ti, qi, t, q)`` rows; the worker rebuilds the suffix views with
+the online path.  :meth:`WorkerPool.extend_spec` takes the batch's
+:class:`~repro.core.pipeline.ExtensionSpec` and decides how each of its
+sequences reaches the workers — this module is the only one that builds
+or resolves a code source: a digest-named sequence is published once to
+shared memory and travels as its handle, any other ships inline.  A
+shard message carries those sources plus ``(ti, qi, t, q)`` rows; the
+worker rebuilds the suffix views with
 :meth:`~repro.core.pipeline.ExtensionSpec.suffixes`.  Because every
 extension task is independent, re-placing shard records by anchor index
 reproduces the in-process result bit for bit at any worker count.
@@ -81,6 +87,7 @@ from .perfmodel import anchor_weights
 from .pipeline import ExtensionSpec, extend_suffixes_shard
 
 __all__ = [
+    "InlineSlots",
     "PoolError",
     "PoolUnavailable",
     "ProcessSlots",
@@ -271,6 +278,46 @@ class ProcessSlots:
         self._results.cancel_join_thread()
 
 
+class InlineSlots:
+    """One in-process slot with the :class:`ProcessSlots` surface.
+
+    :meth:`wait` runs the item sent in the calling thread and reports a
+    raised exception through :func:`_failure`, as the worker loop does;
+    answers are not pickled.  With nothing sent it sleeps out its timeout,
+    so a caller's backoff still passes.  Nothing here can die, so
+    :meth:`reap` returns nothing.
+    """
+
+    def __init__(self, work, state) -> None:
+        self._work = work
+        self._state = state
+        self._sent: tuple | None = None
+
+    def idle(self) -> list[int]:
+        return [0] if self._sent is None else []
+
+    def send(self, slot: int, tag, item) -> None:
+        self._sent = (tag, item)
+
+    def wait(self, timeout: float) -> list[tuple]:
+        if self._sent is None:
+            time.sleep(timeout)
+            return []
+        (tag, item), self._sent = self._sent, None
+        t0 = time.perf_counter()
+        try:
+            value = self._work(self._state, 0, item)
+        except Exception as exc:  # noqa: BLE001 - fault isolation boundary
+            return [(tag, False, _failure(exc), time.perf_counter() - t0)]
+        return [(tag, True, value, time.perf_counter() - t0)]
+
+    def reap(self) -> list[tuple]:
+        return []
+
+    def close(self) -> None:
+        pass
+
+
 # ---------------------------------------------------------------------------
 # WorkerPool: LPT-sharded extension batches
 # ---------------------------------------------------------------------------
@@ -307,8 +354,9 @@ def _resolve_sources(sources) -> list:
     ``("shm", name, length)`` attaches to the parent's published segment
     (cached per process by :func:`repro.store.attach_codes`, so repeated
     shards over the same reference map it once); ``("inline", codes)``
-    arrived pickled in the message itself — the fallback for sequences
-    that were never registered with the store.
+    arrived pickled in the message itself — sequences without a digest,
+    or past the publisher's byte cap.  :meth:`WorkerPool._sources` builds
+    both.
     """
     out = []
     for src in sources:
@@ -396,8 +444,8 @@ class WorkerPool:
         )
         self._jobs = itertools.count()
         self._closed = False
-        #: Parent-owned shared-memory registry for store-backed references;
-        #: dispatch specs carry ("shm", name, length) instead of codes.
+        #: Parent-owned shared-memory segments of digest-named sequences,
+        #: published once each; live until :meth:`close`.
         self._shm = ShmPublisher()
         # The empty dict is each worker's own warm-params cache.
         self._slots = ProcessSlots(workers, _extend_shard, {}, name="repro-pool-worker")
@@ -463,19 +511,6 @@ class WorkerPool:
         self._shm.close()
         self._set_worker_gauges()
 
-    # -- shared-memory publication ------------------------------------------
-
-    def publish(self, key: str, codes) -> tuple[str, int] | None:
-        """Publish a reference's codes once; returns the worker handle.
-
-        Idempotent per key; ``None`` (caller ships codes inline) when the
-        publisher's byte cap is exhausted or the segment cannot be
-        created.  Segments live until :meth:`close`.
-        """
-        if self._closed:
-            return None
-        return self._shm.publish(key, codes)
-
     # -- dispatch ------------------------------------------------------------
 
     def _send(self, slot: int, job_id: int, shard_id: int, key: str,
@@ -486,26 +521,41 @@ class WorkerPool:
         self._slots.send(slot, (job_id, shard_id), (key, payload, work))
         self._shard_counter.labels(slot=slot).inc()
 
-    def extend_spec(self, sources, rows, scheme, options, tile: int, *, key: str):
+    def _sources(self, spec: ExtensionSpec) -> list:
+        """How each of ``spec``'s sequences reaches the workers.
+
+        A digest-named sequence ships as ``("shm", name, length)``,
+        published once per digest; one without a digest, or one the
+        publisher declines (byte cap, no segment), ships as
+        ``("inline", codes)`` — slower, never wrong.
+        """
+        out = []
+        for codes, digest in itertools.zip_longest(spec.codes, spec.digests):
+            handle = self._shm.publish(digest, codes) if digest is not None else None
+            out.append(("inline", codes) if handle is None else ("shm", *handle))
+        return out
+
+    def extend_spec(
+        self, spec: ExtensionSpec, scheme, options, tile: int, *, key: str
+    ):
         """Run one fused batch's extensions sharded across the workers.
 
-        ``sources`` is a list of code sources — ``("shm", name, length)``
-        handles from :meth:`publish` or ``("inline", codes)`` for
-        unregistered sequences; ``rows`` is one ``(ti, qi, t, q)`` tuple
-        per anchor, in anchor order, indexing into ``sources``.  Returns
-        per-anchor extension records in anchor order, bit-identical to
-        :func:`~repro.core.pipeline.extend_suffixes_shard` on the same
-        batch.  Raises :class:`PoolError` when a shard keeps killing its
-        workers, :class:`PoolUnavailable` when the pool is gone, and a
-        failed shard's own exception (``RuntimeError`` with its text when
-        it did not pickle) when its extension raised.
+        ``spec`` holds each sequence once and one ``(ti, qi, t, q)`` row
+        per anchor, in anchor order.  Returns per-anchor extension
+        records in anchor order, bit-identical to
+        :func:`~repro.core.pipeline.extend_suffixes_shard` on
+        ``spec.suffixes()``.  Raises :class:`PoolError` when a shard
+        keeps killing its workers, :class:`PoolUnavailable` when the pool
+        is gone, and a failed shard's own exception (``RuntimeError``
+        with its text when it did not pickle) when its extension raised.
         """
         if self._closed:
             raise PoolUnavailable("pool is closed")
+        rows = spec.rows
         if not rows:
             return []
-        lengths = [src[2] if src[0] == "shm" else len(src[1]) for src in sources]
-        shards = plan_shards(lengths, rows, self.n_workers)
+        sources = self._sources(spec)
+        shards = plan_shards([len(c) for c in spec.codes], rows, self.n_workers)
         work_by_shard = [(sources, [rows[k] for k in idx]) for idx in shards]
 
         t0 = time.perf_counter()

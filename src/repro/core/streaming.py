@@ -404,8 +404,7 @@ def run_fastz_streaming(
                     )
                     if pool is not None and t_pos.shape[0] > 1:
                         per_batch = pool.extend_spec(
-                            [("inline", t_codes), ("inline", q_codes)],
-                            spec.rows, scheme, options, tile, key="stream",
+                            spec, scheme, options, tile, key="stream"
                         )
                     else:
                         per_batch = extend_suffixes_shard(

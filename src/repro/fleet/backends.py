@@ -19,9 +19,8 @@ are bit-identical whichever backend ran them**; backends differ only in
   on the host (there is no real device), but the backend *accounts* the
   batch at the device's modelled rate
   (:func:`repro.core.perfmodel.estimate_extension_seconds` over a
-  :class:`~repro.gpusim.DeviceSpec`) and can optionally pace execution to
-  that rate, so N of them behave like N independent devices with
-  realistic relative speeds for the placement policy to balance.
+  :class:`~repro.gpusim.DeviceSpec`), so N of them give the placement
+  policy N lanes with realistic relative speeds to balance.
 
 Failure contract: a backend whose *substrate* is gone (closed, killed,
 worker pool unrecoverable) raises :class:`BackendUnavailable` — the
@@ -90,29 +89,24 @@ def _interruptible_sleep(seconds: float, cancelled: threading.Event | None) -> N
 
 
 class FleetBackend:
-    """One named execution target with a capacity and a cost model.
+    """One named execution target with a cost model.
 
     Subclasses implement :meth:`_execute`; the base class owns the shared
     bookkeeping — liveness, busy-seconds accounting and the injected
-    straggler delay of the test hook.
+    straggler delay of the test hook.  The scheduler runs one unit at a
+    time on each backend, from the lane's one worker thread.
 
     Parameters
     ----------
     name:
         The queue name the scheduler addresses this backend by.
-    max_inflight:
-        How many units may run on this backend concurrently (its number
-        of scheduler worker threads).
     """
 
     #: Human-readable backend family for stats (``inprocess``/``pool``/...).
     kind = "backend"
 
-    def __init__(self, name: str, *, max_inflight: int = 1) -> None:
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be at least 1")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.max_inflight = max_inflight
         self._closed = threading.Event()
         self._lock = threading.Lock()
         self.busy_seconds = 0.0
@@ -172,7 +166,6 @@ class FleetBackend:
         return {
             "name": self.name,
             "kind": self.kind,
-            "max_inflight": self.max_inflight,
             "closed": self.closed,
             "completed": self.completed,
             "busy_seconds": round(self.busy_seconds, 4),
@@ -184,8 +177,8 @@ class InProcessBackend(FleetBackend):
 
     kind = "inprocess"
 
-    def __init__(self, name: str = "cpu0", *, max_inflight: int = 1) -> None:
-        super().__init__(name, max_inflight=max_inflight)
+    def __init__(self, name: str = "cpu0") -> None:
+        super().__init__(name)
 
     def _execute(self, spec, scheme, options, tile, *, key, cancelled):
         return extend_suffixes_shard(spec.suffixes(), scheme, options, tile)
@@ -194,9 +187,10 @@ class InProcessBackend(FleetBackend):
 class PoolBackend(FleetBackend):
     """A persistent multiprocess worker pool behind one fleet queue.
 
-    Owns its :class:`~repro.core.pool.WorkerPool` (or adopts one);
-    each run publishes the spec's store-backed sources to shared memory
-    (once per digest) and LPT-shards its rows across the pool's workers.
+    Owns its :class:`~repro.core.pool.WorkerPool` (or adopts one) and
+    hands it each spec whole: the pool publishes the spec's digest-named
+    sources to shared memory (once per digest) and LPT-shards its rows
+    across its workers.
     :class:`~repro.core.pool.PoolUnavailable` — the pool closed under
     us, or a dead worker could not be replaced — becomes
     :class:`BackendUnavailable`, so the scheduler retires the lane and
@@ -214,10 +208,9 @@ class PoolBackend(FleetBackend):
         *,
         workers: int = 2,
         pool: WorkerPool | None = None,
-        max_inflight: int = 1,
         registry=None,
     ) -> None:
-        super().__init__(name, max_inflight=max_inflight)
+        super().__init__(name)
         self._own_pool = pool is None
         self.pool = pool if pool is not None else WorkerPool(
             workers, registry=registry
@@ -227,16 +220,9 @@ class PoolBackend(FleetBackend):
         # Shards run in parallel, one per live worker.
         return estimate_extension_seconds(weight) / max(1, self.pool.n_alive)
 
-    def _source(self, codes, digest) -> tuple:
-        handle = self.pool.publish(digest, codes) if digest is not None else None
-        return ("inline", codes) if handle is None else ("shm", *handle)
-
     def _execute(self, spec, scheme, options, tile, *, key, cancelled):
-        sources = [self._source(c, d) for c, d in zip(spec.codes, spec.digests)]
         try:
-            return self.pool.extend_spec(
-                sources, spec.rows, scheme, options, tile, key=key
-            )
+            return self.pool.extend_spec(spec, scheme, options, tile, key=key)
         except PoolUnavailable as exc:
             raise BackendUnavailable(f"backend {self.name!r}: {exc}") from exc
         except PoolError:
@@ -254,27 +240,17 @@ class SimGpuBackend(FleetBackend):
 
     The records are computed by the same lockstep engine as everywhere
     else (there is no real device to ship to), so results stay
-    bit-identical; what the simulation adds is the *schedule*: the
-    backend books each batch at the device's modelled execution rate and,
-    when ``pace=True``, actually holds the unit for the modelled seconds
-    (minus the host compute it already spent) — giving the fleet N
-    queues whose relative speeds follow the device specs, exactly what
-    the placement policy and the hedging monitor need exercised against.
+    bit-identical; what the simulation adds is the *cost model*: the
+    backend estimates and books each batch at the device's modelled
+    execution rate, giving the fleet N queues whose relative speeds
+    follow the device specs for the placement policy to balance.
     """
 
     kind = "gpusim"
 
-    def __init__(
-        self,
-        name: str,
-        *,
-        device: DeviceSpec = QV100_VOLTA,
-        max_inflight: int = 1,
-        pace: bool = False,
-    ) -> None:
-        super().__init__(name, max_inflight=max_inflight)
+    def __init__(self, name: str, *, device: DeviceSpec = QV100_VOLTA) -> None:
+        super().__init__(name)
         self.device = device
-        self.pace = pace
         self.sim_seconds = 0.0
 
     def estimate_seconds(self, weight: float) -> float:
@@ -282,13 +258,9 @@ class SimGpuBackend(FleetBackend):
 
     def _execute(self, spec, scheme, options, tile, *, key, cancelled):
         modelled = estimate_extension_seconds(extension_weight(spec), self.device)
-        start = time.perf_counter()
         records = extend_suffixes_shard(spec.suffixes(), scheme, options, tile)
-        host_spent = time.perf_counter() - start
         with self._lock:
             self.sim_seconds += modelled
-        if self.pace:
-            _interruptible_sleep(modelled - host_spent, cancelled)
         return records
 
     def describe(self) -> dict:

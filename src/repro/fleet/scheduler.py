@@ -5,9 +5,8 @@ pipeline's kernel-sized unit of work — one fused extension batch, an
 :class:`~repro.core.pipeline.ExtensionSpec` — is routed across a
 heterogeneous set of :class:`~repro.fleet.backends.FleetBackend`\\ s
 (in-process engine, multiprocess pool, N simulated GPUs), each behind
-its own **named queue** with a bounded number of concurrently running
-units (``max_inflight``) and full completion tracking.  Three policies,
-one scheduler:
+its own **named queue** served by one worker thread, with full
+completion tracking.  Three policies, one scheduler:
 
 * **placement** — least-loaded-first: a new unit goes to the open lane
   minimising ``backlog_seconds + estimate_seconds(unit)``, where both
@@ -18,11 +17,11 @@ one scheduler:
 * **priority** — each lane's queue is priority-ordered: ``interactive``
   units (0) overtake ``batch`` units (1); FIFO within a class.
 * **hedging** — a monitor thread watches running units; one that has
-  been in flight longer than ``max(hedge_after_s, hedge_cost_factor x
+  been in flight longer than ``max(hedge_after_s, HEDGE_COST_FACTOR x
   modelled cost)`` while another lane sits idle is *re-dispatched* onto
   the idle lane.  First completion wins the future; the loser's result
-  is discarded (and its sleep-paced backends bail out early via the
-  unit's cancel event).
+  is discarded (and a slow backend's injected sleep bails out early via
+  the unit's cancel event).
 
 Failure handling completes the story: a backend that raises
 :class:`~repro.fleet.backends.BackendUnavailable` (killed mid-batch,
@@ -62,8 +61,16 @@ PRIORITY_BATCH = 1
 PRIORITY_NAMES = {"interactive": PRIORITY_INTERACTIVE, "batch": PRIORITY_BATCH}
 
 #: Queue priority that sorts after every real unit: shutdown sentinels
-#: drain the lane before stopping its workers.
+#: drain the lane before stopping its worker.
 _SENTINEL_PRIORITY = 1 << 30
+
+#: A running unit is a straggler after ``max(hedge_after_s,
+#: HEDGE_COST_FACTOR x its modelled seconds)``.
+HEDGE_COST_FACTOR = 4.0
+
+#: Dispatches of one unit (first + re-dispatches + hedges) before it
+#: fails with :class:`FleetError`.
+MAX_ATTEMPTS = 4
 
 
 class FleetError(RuntimeError):
@@ -83,7 +90,7 @@ class _Unit:
     weight: float
     priority: int
     future: Future = field(default_factory=Future)
-    #: Set the moment the future resolves; paced/slow backends poll it.
+    #: Set the moment the future resolves; slow backends poll it.
     cancelled: threading.Event = field(default_factory=threading.Event)
     lock: threading.Lock = field(default_factory=threading.Lock)
     #: Dispatches so far (first placement + every re-dispatch + hedges).
@@ -104,7 +111,7 @@ class _Unit:
 
 
 class _Lane:
-    """One backend plus its named queue, workers and load accounting."""
+    """One backend plus its named queue, worker thread and load accounting."""
 
     def __init__(self, backend: FleetBackend) -> None:
         self.backend = backend
@@ -118,7 +125,7 @@ class _Lane:
         self.running: dict[int, tuple[_Unit, float]] = {}
         self.completed = 0
         self.failed = 0
-        self.threads: list[threading.Thread] = []
+        self.thread: threading.Thread | None = None
 
     @property
     def name(self) -> str:
@@ -136,7 +143,7 @@ class _Lane:
     def is_idle(self) -> bool:
         with self.lock:
             busy = self.inflight
-        return self.open and busy < self.backend.max_inflight and self.queue.empty()
+        return self.open and busy == 0 and self.queue.empty()
 
     def describe(self) -> dict:
         with self.lock:
@@ -170,14 +177,12 @@ class FleetScheduler:
         The :class:`~repro.obs.metrics.MetricsRegistry` fleet counters
         land in — pass the service recorder's registry and they surface
         on ``GET /v1/metrics`` for free.
-    hedge_after_s, hedge_cost_factor:
+    hedge_after_s:
         A running unit becomes a straggler once it has been in flight
-        for ``max(hedge_after_s, hedge_cost_factor x modelled seconds)``;
-        stragglers are cloned onto an idle lane.  ``hedge_after_s=None``
-        disables hedging.
-    max_attempts:
-        Total dispatches (first + re-dispatches + hedges) before a unit
-        fails with :class:`FleetError`.
+        for ``max(hedge_after_s, HEDGE_COST_FACTOR x modelled seconds)``;
+        stragglers are cloned onto an idle lane.  ``None`` disables
+        hedging.  A unit fails with :class:`FleetError` after
+        ``MAX_ATTEMPTS`` dispatches (first + re-dispatches + hedges).
     """
 
     def __init__(
@@ -186,8 +191,6 @@ class FleetScheduler:
         *,
         registry: MetricsRegistry | None = None,
         hedge_after_s: float | None = 0.5,
-        hedge_cost_factor: float = 4.0,
-        max_attempts: int = 4,
         poll_s: float = 0.05,
     ) -> None:
         if not backends:
@@ -197,12 +200,8 @@ class FleetScheduler:
             raise ValueError(f"backend names must be unique, got {names}")
         if hedge_after_s is not None and hedge_after_s < 0:
             raise ValueError("hedge_after_s must be non-negative or None")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
         self.registry = registry if registry is not None else MetricsRegistry()
         self.hedge_after_s = hedge_after_s
-        self.hedge_cost_factor = hedge_cost_factor
-        self.max_attempts = max_attempts
         self.poll_s = poll_s
         self._seq = itertools.count()
         self._closed = False
@@ -253,15 +252,13 @@ class FleetScheduler:
         for lane in self._lanes:
             self._queue_gauge.labels(backend=lane.name).set(0)
             self._inflight_gauge.labels(backend=lane.name).set(0)
-            for i in range(lane.backend.max_inflight):
-                t = threading.Thread(
-                    target=self._worker,
-                    args=(lane,),
-                    name=f"repro-fleet-{lane.name}-{i}",
-                    daemon=True,
-                )
-                lane.threads.append(t)
-                t.start()
+            lane.thread = threading.Thread(
+                target=self._worker,
+                args=(lane,),
+                name=f"repro-fleet-{lane.name}",
+                daemon=True,
+            )
+            lane.thread.start()
         self._monitor: threading.Thread | None = None
         if hedge_after_s is not None and len(self._lanes) > 1:
             self._monitor = threading.Thread(
@@ -356,7 +353,7 @@ class FleetScheduler:
         """Re-place a unit whose backend failed under it."""
         if unit.future.done():
             return
-        if unit.attempts >= self.max_attempts:
+        if unit.attempts >= MAX_ATTEMPTS:
             unit.resolve(exc=FleetError(
                 f"unit failed on {unit.attempts} backends (last: "
                 f"{came_from.name!r})"
@@ -453,16 +450,15 @@ class FleetScheduler:
 
         Queued units are rescued by the workers themselves on dequeue
         (they see ``open=False`` and re-dispatch), so retirement is just
-        a flag flip plus sentinels; the lane's threads drain the queue
-        and exit.
+        a flag flip plus a sentinel; the lane's thread drains the queue
+        and exits.
         """
         with lane.lock:
             if not lane.open:
                 return
             lane.open = False
         lane.backend.close()
-        for _ in lane.threads:
-            lane.queue.put((_SENTINEL_PRIORITY, next(self._seq), 0, None))
+        lane.queue.put((_SENTINEL_PRIORITY, next(self._seq), 0, None))
 
     def kill_backend(self, name: str) -> None:
         """Admin/test entry point: retire one backend by queue name.
@@ -494,7 +490,7 @@ class FleetScheduler:
                         continue
                     threshold = max(
                         self.hedge_after_s,
-                        self.hedge_cost_factor
+                        HEDGE_COST_FACTOR
                         * lane.backend.estimate_seconds(unit.weight),
                     )
                     if now - started < threshold:
@@ -569,15 +565,13 @@ class FleetScheduler:
                 return
             self._closed = True
         for lane in self._lanes:
-            for _ in lane.threads:
-                lane.queue.put((_SENTINEL_PRIORITY, next(self._seq), 0, None))
+            lane.queue.put((_SENTINEL_PRIORITY, next(self._seq), 0, None))
         deadline = None if timeout is None else time.monotonic() + timeout
         for lane in self._lanes:
-            for t in lane.threads:
-                if deadline is None:
-                    t.join()
-                else:
-                    t.join(max(0.0, deadline - time.monotonic()))
+            if deadline is None:
+                lane.thread.join()
+            else:
+                lane.thread.join(max(0.0, deadline - time.monotonic()))
         if self._monitor is not None:
             self._monitor.join(max(self.poll_s * 4, 0.2))
         for lane in self._lanes:

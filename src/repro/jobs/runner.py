@@ -236,47 +236,16 @@ class _ExitAfter:
 
 # ---------------------------------------------------------------------------
 # Phase handlers (module-level: workers pickle them by reference)
+#
+# Both take the job's decoded codes in their worker state, which travels
+# once per worker: inherited without a copy under ``fork``, pickled once
+# at spawn under other start methods.
 # ---------------------------------------------------------------------------
-
-
-def _codes_source(seq) -> tuple:
-    """How a sequence's codes travel to workers.
-
-    A store-backed sequence (:class:`~repro.store.StoredReference`) ships
-    as ``("store", root, digest)`` — a few dozen bytes; each worker mmaps
-    and decodes the 2-bit file locally.  Anything else ships the codes
-    array itself.
-    """
-    from ..store.store import StoredReference
-
-    if isinstance(seq, StoredReference):
-        return ("store", str(seq.store.root), seq.digest)
-    return ("codes", seq.codes)
-
-
-#: Per-process decode cache for store-shipped codes: every task in one
-#: worker resolves the same (root, digest) to the same array.
-_RESOLVED_CODES: dict[tuple[str, str], np.ndarray] = {}
-
-
-def _resolve_codes(source: tuple) -> np.ndarray:
-    if source[0] == "codes":
-        return source[1]
-    _, root, digest = source
-    cached = _RESOLVED_CODES.get((root, digest))
-    if cached is None:
-        from ..store import ReferenceStore
-
-        cached = ReferenceStore(root).get(digest).codes
-        _RESOLVED_CODES[(root, digest)] = cached
-    return cached
 
 
 def _seed_handler(state, payloads: list, attempt: int) -> list[dict]:
     """Seed each chunk pair's windows; return globally-owned seed positions."""
-    t_src, q_src, config, censored = state
-    t_codes = _resolve_codes(t_src)
-    q_codes = _resolve_codes(q_src)
+    t_codes, q_codes, config, censored = state
     out = []
     for payload in payloads:
         _maybe_inject_fault(f"s:{payload['id']}", attempt)
@@ -302,9 +271,7 @@ def _seed_handler(state, payloads: list, attempt: int) -> list[dict]:
 
 def _extend_handler(state, payloads: list, attempt: int) -> list[dict]:
     """Extend a unit of chunk pairs' owned anchors in one engine call."""
-    t_src, q_src, config, options = state
-    t_codes = _resolve_codes(t_src)
-    q_codes = _resolve_codes(q_src)
+    t_codes, q_codes, config, options = state
     # Any member's injected fault fails the whole unit; the scheduler then
     # splits it and the member fails alone, exactly as an unfused task.
     for payload in payloads:
@@ -450,11 +417,6 @@ def run_wga(
     digest = job_digest(
         target, query, config, options, job.chunk_size, overlap
     )
-    # Store-backed sequences ship to workers as (root, digest) handles,
-    # not pickled code arrays; the result is byte-identical either way
-    # because job_digest hashes the decoded codes in both cases.
-    t_source = _codes_source(target)
-    q_source = _codes_source(query)
     exit_after = _ExitAfter()
 
     with obs.span("jobs.run", workers=job.workers) as run_span:
@@ -549,7 +511,10 @@ def run_wga(
                     elif kind == "retry":
                         counters["retries"] += 1
                         say(
-                            f"[{phase}] {task_id} failed attempt "
+                            f"[{phase}] {task_id} re-queued after its worker "
+                            f"died (attempt {info['attempt']})"
+                            if info["died"]
+                            else f"[{phase}] {task_id} failed attempt "
                             f"{info['attempt']} ({info['error']}); retrying"
                         )
                     elif kind == "split":
@@ -563,11 +528,11 @@ def run_wga(
                             + f" ({info['error']}); running each alone"
                         )
                     elif kind == "worker_death":
+                        # A retry or a quarantine event follows.
                         counters["deaths"] += 1
-                        counters["retries"] += 1
                         say(
                             f"[{phase}] worker running {task_id} died "
-                            f"({info['error']}); re-queued"
+                            f"({info['error']})"
                         )
                     elif kind == "quarantined":
                         quarantined.append(
@@ -618,7 +583,7 @@ def run_wga(
                 outcomes = run_tasks(
                     seed_tasks,
                     _seed_handler,
-                    (t_source, q_source, config, censored),
+                    (target.codes, query.codes, config, censored),
                     workers=job.workers,
                     max_attempts=job.max_attempts,
                     backoff_s=job.backoff_s,
@@ -718,7 +683,7 @@ def run_wga(
                 outcomes = run_tasks(
                     extend_tasks,
                     _extend_handler,
-                    (t_source, q_source, config, options),
+                    (target.codes, query.codes, config, options),
                     units=units,
                     workers=job.workers,
                     max_attempts=job.max_attempts,

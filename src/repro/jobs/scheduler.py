@@ -14,10 +14,14 @@ The worker processes come from :class:`repro.core.pool.ProcessSlots`,
 the one lifecycle every :mod:`repro` worker runs on — spawn, worker loop,
 reap-and-respawn, teardown; :class:`~repro.core.pool.WorkerPool` is the
 other protocol on it.  This module is the scheduling protocol: the ready
-heap, attempts, units, split and quarantine.  The handler and
-``init_arg`` travel once, with each worker process.  Each pass of the
-pool loop reaps dead workers, dispatches ready units to idle ones, then
-waits for results only while a unit is in flight or in backoff.
+heap, attempts, units, split and quarantine, in **one loop for every
+worker count**.  ``workers=0`` runs that loop over
+:class:`~repro.core.pool.InlineSlots`, one slot in the calling process,
+so inline runs share every line of the retry, split and quarantine
+bookkeeping.  The handler and ``init_arg`` travel once, with each worker
+process.  Each pass of the loop reaps dead workers, dispatches ready
+units to idle ones, then waits for results only while a unit is in
+flight or in backoff.
 
 Units: every dispatch sends a **unit** — one or more tasks — to one
 worker in one message, so a handler can run its members together (the
@@ -34,9 +38,10 @@ Fault tolerance stays per task:
 * a task that exhausts its attempts is **quarantined**: the job completes
   and reports the gap instead of crashing;
 * a **worker death** (segfault, OOM-kill, ``os._exit``) is detected by
-  process liveness, the in-flight task is re-queued (counting as a failed
-  attempt, so a task that reliably kills its worker is quarantined rather
-  than respawned forever) and a replacement worker is spawned;
+  process liveness and emits ``worker_death``; it counts as a failed
+  attempt, so the in-flight task is re-queued with a ``retry`` event, or
+  quarantined once its attempts are spent (a task that reliably kills its
+  worker is not respawned forever); a replacement worker is spawned;
 * a unit of two or more tasks that fails — its handler raises or its
   worker dies — is **split**: each member goes back on the ready queue
   alone, at once, and no member is charged an attempt, so it runs alone
@@ -45,9 +50,6 @@ Fault tolerance stays per task:
   counts.  A split emits one ``split`` event (with the error and whether
   a worker died); the service's fused batches fall back the same way
   (``service/batcher.py``).
-
-``workers=0`` runs everything inline in the calling process with the same
-retry/quarantine/split bookkeeping — the deterministic path tests lean on.
 """
 
 from __future__ import annotations
@@ -55,11 +57,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from .. import obs
-from ..core.pool import ProcessSlots
+from ..core.pool import InlineSlots, ProcessSlots
 
 __all__ = ["TaskOutcome", "TaskSpec", "run_tasks"]
 
@@ -217,22 +219,22 @@ def run_tasks(
 
     states = {t.task_id: _TaskState(t) for t in tasks}
     ordered = _lpt_units(groups, states)
+    # Handler and init_arg travel once, with each worker process.
     if workers == 0:
-        return _run_inline(
-            ordered, states, handler, init_arg, max_attempts, backoff_s,
-            backoff_cap_s, emit,
+        slots = InlineSlots(_run_unit, (handler, init_arg))
+    else:
+        slots = ProcessSlots(
+            min(workers, len(ordered)),
+            _run_unit,
+            (handler, init_arg),
+            name="repro-job-worker",
         )
-    return _run_pool(
-        ordered,
-        states,
-        handler,
-        init_arg,
-        workers,
-        max_attempts,
-        backoff_s,
-        backoff_cap_s,
-        emit,
-    )
+    try:
+        return _run_pool(
+            ordered, states, slots, max_attempts, backoff_s, backoff_cap_s, emit
+        )
+    finally:
+        slots.close()
 
 
 def _split(unit: tuple[str, ...], states: dict, error: str, died: bool, emit) -> None:
@@ -240,80 +242,6 @@ def _split(unit: tuple[str, ...], states: dict, error: str, died: bool, emit) ->
     emit("split", "+".join(unit), tasks=list(unit), error=error, died=died)
     for task_id in unit:
         states[task_id].uncharged += 1
-
-
-def _run_inline(
-    units: list[tuple[str, ...]],
-    states: dict[str, _TaskState],
-    handler,
-    init_arg,
-    max_attempts: int,
-    backoff_s: float,
-    backoff_cap_s: float,
-    emit,
-) -> dict[str, TaskOutcome]:
-    outcomes: dict[str, TaskOutcome] = {}
-    for unit in units:
-        members = [states[i] for i in unit]
-        if len(unit) > 1:
-            for state in members:
-                state.attempts += 1
-            t0 = time.perf_counter()
-            try:
-                values = _call_unit(
-                    handler,
-                    init_arg,
-                    [s.spec.payload for s in members],
-                    members[0].charged,
-                )
-            except Exception as exc:  # noqa: BLE001 - fault isolation boundary
-                values, error = None, f"{type(exc).__name__}: {exc}"
-            share = (time.perf_counter() - t0) / len(unit)
-            for state in members:
-                state.elapsed_s += share
-            if values is not None:
-                for state, value in zip(members, values):
-                    outcomes[state.spec.task_id] = _success(state, value, emit)
-                continue
-            _split(unit, states, error, False, emit)
-        for state in members:
-            outcomes[state.spec.task_id] = _run_alone(
-                state, handler, init_arg, max_attempts, backoff_s, backoff_cap_s, emit
-            )
-    return outcomes
-
-
-def _run_alone(
-    state: _TaskState,
-    handler,
-    init_arg,
-    max_attempts: int,
-    backoff_s: float,
-    backoff_cap_s: float,
-    emit,
-) -> TaskOutcome:
-    """One task alone, inline: retry with backoff until done or quarantined."""
-    spec = state.spec
-    while True:
-        state.attempts += 1
-        t0 = time.perf_counter()
-        try:
-            (value,) = _call_unit(handler, init_arg, [spec.payload], state.charged)
-        except Exception as exc:  # noqa: BLE001 - fault isolation boundary
-            state.elapsed_s += time.perf_counter() - t0
-            state.last_error = f"{type(exc).__name__}: {exc}"
-            if state.charged >= max_attempts:
-                return _quarantine(state, emit)
-            emit(
-                "retry",
-                spec.task_id,
-                attempt=state.charged,
-                error=state.last_error,
-            )
-            time.sleep(_backoff(state.charged, backoff_s, backoff_cap_s))
-        else:
-            state.elapsed_s += time.perf_counter() - t0
-            return _success(state, value, emit)
 
 
 def _success(state: _TaskState, value, emit) -> TaskOutcome:
@@ -349,12 +277,12 @@ def _quarantine(state: _TaskState, emit) -> TaskOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Multiprocess pool
+# The scheduling loop
 # ---------------------------------------------------------------------------
 
 
 def _run_unit(state, _worker_id: int, item) -> list:
-    """Worker side of the pool path: one unit through the job's handler."""
+    """Worker side of the loop: one unit through the job's handler."""
     handler, init_arg = state
     payloads, attempt = item
     return _call_unit(handler, init_arg, payloads, attempt)
@@ -363,14 +291,17 @@ def _run_unit(state, _worker_id: int, item) -> list:
 def _run_pool(
     units: list[tuple[str, ...]],
     states: dict[str, _TaskState],
-    handler,
-    init_arg,
-    workers: int,
+    slots,
     max_attempts: int,
     backoff_s: float,
     backoff_cap_s: float,
     emit,
 ) -> dict[str, TaskOutcome]:
+    """Drive every unit to a terminal state over ``slots``.
+
+    ``slots`` is a :class:`~repro.core.pool.ProcessSlots` or an
+    :class:`~repro.core.pool.InlineSlots`; the caller closes it.
+    """
     outcomes: dict[str, TaskOutcome] = {}
     # Ready heap: (ready_at, seq, unit); seq follows LPT rank so the
     # initial drain dispatches heaviest-first.
@@ -393,13 +324,13 @@ def _run_pool(
         if state.charged >= max_attempts:
             outcomes[state.spec.task_id] = _quarantine(state, emit)
             return
-        if not death:
-            emit(
-                "retry",
-                state.spec.task_id,
-                attempt=state.charged,
-                error=error,
-            )
+        emit(
+            "retry",
+            state.spec.task_id,
+            attempt=state.charged,
+            error=error,
+            died=death,
+        )
         delay = _backoff(state.charged, backoff_s, backoff_cap_s)
         heapq.heappush(
             ready, (time.monotonic() + delay, next(seq), (state.spec.task_id,))
@@ -419,60 +350,51 @@ def _run_pool(
         # change, so a message is fresh for all of them or for none.
         return all([_claim_attempt(states[i], outcomes, dispatch) for i in unit])
 
-    # Handler and init_arg travel once, with each worker process.
-    slots = ProcessSlots(
-        min(workers, len(units)),
-        _run_unit,
-        (handler, init_arg),
-        name="repro-job-worker",
-    )
-    try:
-        while len(outcomes) < len(states):
-            # 1. Reap dead workers (each respawned in its slot); re-queue
-            #    the units they had in flight.
-            for _slot, tag, exitcode in slots.reap():
-                if tag is not None and claim(*tag):
-                    fail_unit(
-                        tag[0], f"worker died (exit code {exitcode})", death=True
-                    )
-
-            # 2. Dispatch ready units to idle workers.
-            now = time.monotonic()
-            for slot in slots.idle():
-                while ready and ready[0][2][0] in outcomes:
-                    heapq.heappop(ready)  # cancelled by quarantine
-                if not ready or ready[0][0] > now:
-                    break
-                _, _, unit = heapq.heappop(ready)
-                members = [states[i] for i in unit]
-                for state in members:
-                    state.attempts += 1
-                # Units are first dispatches, so members agree on both.
-                dispatch, attempt = members[0].attempts, members[0].charged
-                slots.send(
-                    slot,
-                    (unit, dispatch),
-                    ([s.spec.payload for s in members], attempt),
+    while len(outcomes) < len(states):
+        # 1. Reap dead workers (each respawned in its slot); re-queue
+        #    the units they had in flight.
+        for _slot, tag, exitcode in slots.reap():
+            if tag is not None and claim(*tag):
+                fail_unit(
+                    tag[0], f"worker died (exit code {exitcode})", death=True
                 )
 
-            # 3. Wait for results while work remains — a unit in flight,
-            #    or one in backoff — blocking up to 20 ms, never spinning.
-            if len(outcomes) == len(states):
+        # 2. Dispatch ready units to idle workers.
+        now = time.monotonic()
+        for slot in slots.idle():
+            while ready and ready[0][2][0] in outcomes:
+                heapq.heappop(ready)  # cancelled by quarantine
+            if not ready or ready[0][0] > now:
                 break
-            for (unit, dispatch), ok, result, elapsed in slots.wait(0.02):
-                # Stale messages (task already resolved, a newer attempt
-                # dispatched, this attempt already consumed by the
-                # death-reap, or the unit since split) are dropped.
-                if not claim(unit, dispatch):
-                    continue
-                for task_id in unit:
-                    states[task_id].elapsed_s += elapsed / len(unit)
-                if ok:
-                    for task_id, value in zip(unit, result):
-                        outcomes[task_id] = _success(states[task_id], value, emit)
-                else:
-                    fail_unit(unit, result[0], death=False)
-    finally:
-        slots.close()
+            _, _, unit = heapq.heappop(ready)
+            members = [states[i] for i in unit]
+            for state in members:
+                state.attempts += 1
+            # Units are first dispatches, so members agree on both.
+            dispatch, attempt = members[0].attempts, members[0].charged
+            slots.send(
+                slot,
+                (unit, dispatch),
+                ([s.spec.payload for s in members], attempt),
+            )
+
+        # 3. Wait for results while work remains — a unit in flight,
+        #    or one in backoff — blocking up to 20 ms, never spinning.
+        #    An inline slot runs its unit here.
+        if len(outcomes) == len(states):
+            break
+        for (unit, dispatch), ok, result, elapsed in slots.wait(0.02):
+            # Stale messages (task already resolved, a newer attempt
+            # dispatched, this attempt already consumed by the
+            # death-reap, or the unit since split) are dropped.
+            if not claim(unit, dispatch):
+                continue
+            for task_id in unit:
+                states[task_id].elapsed_s += elapsed / len(unit)
+            if ok:
+                for task_id, value in zip(unit, result):
+                    outcomes[task_id] = _success(states[task_id], value, emit)
+            else:
+                fail_unit(unit, result[0], death=False)
 
     return outcomes

@@ -2,8 +2,9 @@
 
 The worker-pool dispatch path used to pickle every shard's sequence
 suffixes into the work queue — megabytes per shard for whole-genome
-inputs.  With the store, the parent publishes a registered reference's
-codes into one named shared-memory segment and dispatch messages carry
+inputs.  With the store, the parent's :class:`~repro.core.pool.WorkerPool`
+publishes each digest-named sequence's codes into one named
+shared-memory segment and dispatch messages carry
 only ``(digest-derived name, length)``; each worker attaches once and
 caches the mapping for the life of the process.
 
@@ -75,13 +76,6 @@ class ShmPublisher:
         self._lengths: dict[str, int] = {}
         self._bytes = 0
 
-    def __len__(self) -> int:
-        return len(self._segments)
-
-    @property
-    def nbytes(self) -> int:
-        return self._bytes
-
     def publish(self, key: str, codes: np.ndarray) -> tuple[str, int] | None:
         """Copy ``codes`` into a named segment; returns ``(name, length)``."""
         if key in self._segments:
@@ -100,12 +94,6 @@ class ShmPublisher:
         self._lengths[key] = int(codes.size)
         self._bytes += int(codes.size)
         return seg.name, int(codes.size)
-
-    def handle(self, key: str) -> tuple[str, int] | None:
-        seg = self._segments.get(key)
-        if seg is None:
-            return None
-        return seg.name, self._lengths[key]
 
     def close(self) -> None:
         """Unlink every published segment (parent-only teardown)."""

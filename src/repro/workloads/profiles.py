@@ -263,15 +263,6 @@ def clear_cache() -> None:
         _STALE_CHECKED.discard(directory)
 
 
-def _pool_workers() -> int | None:
-    """Pool size for uncached profile builds (``REPRO_POOL_WORKERS``)."""
-    raw = os.environ.get("REPRO_POOL_WORKERS")
-    if not raw:
-        return None
-    value = int(raw)
-    return value if value > 1 else None
-
-
 def _profile_from_pair(
     spec: BenchmarkSpec, pair: GenomePair, scale: float, workers: int | None = None
 ) -> WorkloadProfile:
@@ -283,7 +274,7 @@ def _profile_from_pair(
         config,
         BENCH_OPTIONS,
         anchors=lastz.anchors,
-        workers=workers if workers is not None else _pool_workers(),
+        workers=workers,
     )
     transfer = (
         len(pair.target)
@@ -354,8 +345,7 @@ def build_profile(
 
     Corrupt or stale cache entries are deleted and transparently rebuilt
     (then rewritten).  ``workers`` shards the FastZ extension pass across worker
-    processes for uncached builds (default: the
-    ``REPRO_POOL_WORKERS`` environment variable, else single-process).
+    processes for uncached builds (default: single-process).
     """
     key = _cache_key(spec, scale)
     if use_cache and key in _MEMORY_CACHE:

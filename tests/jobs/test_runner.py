@@ -79,6 +79,16 @@ def _counting_extend_handler(state, payloads, attempt):
     return values
 
 
+def _lethal_extend_handler(state, payloads, attempt):
+    """The real extend handler, except that ``LETHAL_TASK`` kills its worker.
+
+    Module-level: workers inherit it by fork, as in ``test_scheduler.py``.
+    """
+    if any(p["id"] == os.environ["LETHAL_TASK"] for p in payloads):
+        os._exit(1)
+    return _REAL_EXTEND_HANDLER(state, payloads, attempt)
+
+
 def journal_task_records(job_dir):
     lines = (job_dir / "journal.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in lines]
@@ -304,6 +314,25 @@ class TestFaultTolerance:
         )
         assert healed.resumed and healed.complete
         assert healed.alignments == reference
+
+    def test_quarantining_death_is_not_a_retry(
+        self, pair, config, tmp_path, monkeypatch, extend_task_id
+    ):
+        # One worker runs the extend phase as one unit: its death splits
+        # the unit, then the lethal task dies alone and, with one attempt,
+        # is quarantined.  Neither death re-queues a task.
+        monkeypatch.setenv("LETHAL_TASK", extend_task_id)
+        monkeypatch.setattr(runner, "_extend_handler", _lethal_extend_handler)
+        lines = []
+        report = run_wga(
+            pair.target, pair.query, config,
+            job=options(workers=1, max_attempts=1), job_dir=tmp_path,
+            log=lines.append,
+        )
+        assert report.retries == 0
+        assert report.worker_deaths == 2
+        assert [gap.task_id for gap in report.quarantined] == [extend_task_id]
+        assert not [line for line in lines if "re-queued" in line]
 
     def test_pool_retry_in_worker(
         self, pair, config, reference, tmp_path, monkeypatch, extend_task_id

@@ -31,6 +31,7 @@ import numpy as np
 
 import repro.core.pool as pool
 from repro.core.options import FastzOptions
+from repro.core.pipeline import ExtensionSpec
 from repro.jobs import TaskSpec, run_tasks
 from repro.scoring import default_scheme
 
@@ -43,7 +44,7 @@ pool.extend_suffixes_shard = lambda *args: [threading.Lock()]
 workers = pool.WorkerPool(1)
 try:
     workers.extend_spec(
-        [("inline", np.zeros(64, dtype=np.uint8))], [(0, 0, 32, 32)],
+        ExtensionSpec((np.zeros(64, dtype=np.uint8),), ((0, 0, 32, 32),)),
         default_scheme(), FastzOptions(), 16, key="k",
     )
     pool_error = "no error"
@@ -86,8 +87,16 @@ def specs(n, **payload_extra):
 
 
 class TestInline:
+    """Core scheduling cases on one in-process slot (``workers=0``).
+
+    :class:`TestInlineOnTwoWorkers` reruns every case on two worker
+    processes: both counts run the same loop.
+    """
+
+    workers = 0
+
     def test_all_succeed(self):
-        outcomes = run_tasks(specs(5), ok_handler, "ctx")
+        outcomes = run_tasks(specs(5), ok_handler, "ctx", workers=self.workers)
         assert set(outcomes) == {f"t{i}" for i in range(5)}
         for i in range(5):
             o = outcomes[f"t{i}"]
@@ -99,6 +108,7 @@ class TestInline:
         outcomes = run_tasks(
             [TaskSpec("t0", {"n": 0, "fail_attempts": 2})],
             flaky_handler,
+            workers=self.workers,
             backoff_s=0.001,
             on_event=lambda kind, task, info: events.append(kind),
         )
@@ -110,6 +120,7 @@ class TestInline:
         outcomes = run_tasks(
             [TaskSpec("t0", {"n": 0, "fail_attempts": 99})],
             flaky_handler,
+            workers=self.workers,
             max_attempts=3,
             backoff_s=0.001,
             on_event=lambda kind, task, info: events.append(kind),
@@ -123,20 +134,50 @@ class TestInline:
             TaskSpec("bad", {"n": -1, "fail_attempts": 99}),
             TaskSpec("good", {"n": 1}),
         ]
-        outcomes = run_tasks(tasks, flaky_handler, max_attempts=2, backoff_s=0.001)
+        outcomes = run_tasks(
+            tasks, flaky_handler, workers=self.workers, max_attempts=2,
+            backoff_s=0.001,
+        )
         assert not outcomes["bad"].ok
         assert outcomes["good"].ok and outcomes["good"].value == 1
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unique"):
-            run_tasks([TaskSpec("a", {}), TaskSpec("a", {})], ok_handler)
+            run_tasks(
+                [TaskSpec("a", {}), TaskSpec("a", {})], ok_handler,
+                workers=self.workers,
+            )
         with pytest.raises(ValueError):
-            run_tasks(specs(1), ok_handler, max_attempts=0)
+            run_tasks(specs(1), ok_handler, workers=self.workers, max_attempts=0)
         with pytest.raises(ValueError):
             run_tasks(specs(1), ok_handler, workers=-1)
 
     def test_empty_task_list(self):
-        assert run_tasks([], ok_handler) == {}
+        assert run_tasks([], ok_handler, workers=self.workers) == {}
+
+
+class TestInlineOnTwoWorkers(TestInline):
+    workers = 2
+
+
+class TestInlineSlot:
+    def test_backoff_does_not_block_the_next_unit(self):
+        # The inline slot runs the pool's loop: while "bad" waits out its
+        # backoff, "good" runs, and "bad" retries after it.
+        events = []
+        outcomes = run_tasks(
+            [
+                TaskSpec("bad", {"n": -1, "fail_attempts": 1}),
+                TaskSpec("good", {"n": 1}),
+            ],
+            flaky_handler,
+            workers=0,
+            backoff_s=0.05,
+            on_event=lambda kind, task, info: events.append((kind, task)),
+        )
+        assert events == [("retry", "bad"), ("done", "good"), ("done", "bad")]
+        assert outcomes["bad"].ok and outcomes["bad"].attempts == 2
+        assert outcomes["good"].ok and outcomes["good"].attempts == 1
 
 
 class TestPool:

@@ -67,11 +67,10 @@ def _run_service(pairs, **kwargs):
 
 
 def _extend(pool, prep, key="k"):
-    """One request's anchors through the pool, codes shipped inline."""
-    spec = ExtensionSpec.fuse([(prep, None, None)])
-    sources = [("inline", codes) for codes in spec.codes]
+    """One request's anchors through the pool; no digests, so codes ship inline."""
     return pool.extend_spec(
-        sources, spec.rows, prep.scheme, prep.options, prep.tile, key=key
+        ExtensionSpec.fuse([(prep, None, None)]),
+        prep.scheme, prep.options, prep.tile, key=key,
     )
 
 
@@ -147,7 +146,8 @@ class TestWorkerPool:
     def test_empty_batch(self):
         pool = WorkerPool(1)
         try:
-            assert pool.extend_spec([], [], None, None, 16, key="k") == []
+            empty = ExtensionSpec((), ())
+            assert pool.extend_spec(empty, None, None, 16, key="k") == []
         finally:
             pool.close()
 

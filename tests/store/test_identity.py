@@ -2,8 +2,8 @@
 
 Every transport the store touches — in-process service, the multiprocess
 worker pool (shared-memory code segments + spec dispatch), and the
-whole-genome job runner (store-handle shards) — must produce records
-byte-identical to handing the service the raw sequences.
+whole-genome job runner (decoded codes in worker state) — must produce
+records byte-identical to handing the service the raw sequences.
 """
 
 import numpy as np
@@ -102,21 +102,24 @@ class TestWgaIdentity:
         pair = tiny_genome_pair
         from repro.jobs import JobOptions, run_wga
 
-        job = JobOptions(chunk_size=16_384, workers=2, fsync=False)
-        by_bytes = run_wga(
-            pair.target, pair.query, job=job, job_dir=tmp_path / "a"
-        )
-        by_store = run_wga(
-            store.get(t_digest), store.get(q_digest),
-            job=job, job_dir=tmp_path / "b",
-        )
-        assert by_store.digest == by_bytes.digest  # same job identity
-        assert [
-            (a.target_start, a.target_end, a.query_start, a.query_end,
-             a.score, a.cigar())
-            for a in by_store.alignments
-        ] == [
-            (a.target_start, a.target_end, a.query_start, a.query_end,
-             a.score, a.cigar())
-            for a in by_bytes.alignments
-        ]
+        # The inline slot and worker processes run one scheduling loop;
+        # both must see the same codes whichever side they came from.
+        for workers in (0, 2):
+            job = JobOptions(chunk_size=16_384, workers=workers, fsync=False)
+            by_bytes = run_wga(
+                pair.target, pair.query, job=job, job_dir=tmp_path / f"a{workers}"
+            )
+            by_store = run_wga(
+                store.get(t_digest), store.get(q_digest),
+                job=job, job_dir=tmp_path / f"b{workers}",
+            )
+            assert by_store.digest == by_bytes.digest  # same job identity
+            assert [
+                (a.target_start, a.target_end, a.query_start, a.query_end,
+                 a.score, a.cigar())
+                for a in by_store.alignments
+            ] == [
+                (a.target_start, a.target_end, a.query_start, a.query_end,
+                 a.score, a.cigar())
+                for a in by_bytes.alignments
+            ], f"workers={workers} diverged"
