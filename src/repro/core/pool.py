@@ -49,7 +49,7 @@ Robustness, on top of the lifecycle it shares with
   (segfault, OOM-kill, SIGKILL) is detected by process liveness, a
   replacement is spawned into its slot, and the in-flight shard is
   re-dispatched, so the requests in that batch still complete; a shard
-  that repeatedly kills its workers stops after ``max_redispatch``
+  that repeatedly kills its workers stops after ``MAX_REDISPATCH``
   attempts with :class:`PoolError` instead of respawning forever;
 * **graceful degradation** — a shard that keeps killing its workers
   fails only its batch with :class:`PoolError` (the service re-runs it
@@ -97,6 +97,11 @@ __all__ = [
 
 #: Test hook: comma-separated worker ids that hard-exit on first task.
 _KILL_ENV = "REPRO_POOL_TEST_KILL_WORKER"
+
+#: Re-dispatches of one shard after worker deaths before the batch fails
+#: with :class:`PoolError` (a shard that keeps killing its workers is not
+#: respawned forever).
+MAX_REDISPATCH = 2
 
 #: Dispatch-latency histogram boundaries (seconds).
 _DISPATCH_BUCKETS = (
@@ -405,14 +410,10 @@ class WorkerPool:
         workers: int,
         *,
         registry: MetricsRegistry | None = None,
-        max_redispatch: int = 2,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if max_redispatch < 0:
-            raise ValueError("max_redispatch must be non-negative")
         self.n_workers = workers
-        self.max_redispatch = max_redispatch
         self.registry = registry if registry is not None else MetricsRegistry()
         self.dispatches = 0
         self.respawns = 0
@@ -586,7 +587,7 @@ class WorkerPool:
                 redispatched[shard_id] = redispatched.get(shard_id, 0) + 1
                 self.redispatches += 1
                 self._redispatch_counter.inc()
-                if redispatched[shard_id] > self.max_redispatch:
+                if redispatched[shard_id] > MAX_REDISPATCH:
                     raise PoolError(
                         f"shard killed {redispatched[shard_id]} workers in a row"
                     )

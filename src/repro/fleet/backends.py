@@ -187,8 +187,8 @@ class InProcessBackend(FleetBackend):
 class PoolBackend(FleetBackend):
     """A persistent multiprocess worker pool behind one fleet queue.
 
-    Owns its :class:`~repro.core.pool.WorkerPool` (or adopts one) and
-    hands it each spec whole: the pool publishes the spec's digest-named
+    Owns its :class:`~repro.core.pool.WorkerPool` and hands it each
+    spec whole: the pool publishes the spec's digest-named
     sources to shared memory (once per digest) and LPT-shards its rows
     across its workers.
     :class:`~repro.core.pool.PoolUnavailable` — the pool closed under
@@ -207,14 +207,10 @@ class PoolBackend(FleetBackend):
         name: str = "pool0",
         *,
         workers: int = 2,
-        pool: WorkerPool | None = None,
         registry=None,
     ) -> None:
         super().__init__(name)
-        self._own_pool = pool is None
-        self.pool = pool if pool is not None else WorkerPool(
-            workers, registry=registry
-        )
+        self.pool = WorkerPool(workers, registry=registry)
 
     def estimate_seconds(self, weight: float) -> float:
         # Shards run in parallel, one per live worker.
@@ -231,8 +227,7 @@ class PoolBackend(FleetBackend):
 
     def close(self) -> None:
         super().close()
-        if self._own_pool:
-            self.pool.close()
+        self.pool.close()
 
 
 class SimGpuBackend(FleetBackend):

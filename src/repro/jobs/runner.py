@@ -3,12 +3,14 @@
 ``run_wga`` drives a full alignment job through four phases:
 
 1. **Segment** — both sequences are tiled into overlapping chunks
-   (:mod:`repro.jobs.segmenter`); work is the chunk-pair cross product.
-2. **Seed** — chunk pairs are seeded independently (censored against
-   *global* target word counts, so segmentation cannot change which
-   repeats are suppressed), then thinned into anchors with one global
-   ``collapse_diagonal`` pass — bit-identical to unsegmented
-   ``select_anchors``.
+   (:mod:`repro.jobs.segmenter`); extend work is the chunk-pair cross
+   product.
+2. **Seed** — one task (``anchors``) runs
+   :func:`repro.lastz.pipeline.select_anchors` over the whole pair, the
+   call the single-pass pipeline makes, so the job's anchors are the
+   single pass's by construction.  Seeding's dependencies are global
+   (censoring counts words over the whole target, thinning scans whole
+   diagonals), so it is not chunked.
 3. **Extend** — anchors are grouped by owning chunk pair, one task per
    pair.  Tasks are dealt by anchor weight into *units* of about one
    lockstep block's rows (``FastzOptions.batch_size``), at least one per
@@ -32,10 +34,11 @@ an uninterrupted run at any worker count.
 Test hooks (environment variables, used by the fault-injection tests and
 the kill/resume CI job; both are inert unless set):
 
-* ``REPRO_WGA_TEST_FAIL="e:c0x1=2,s:c1x0=-1"`` — the named task raises on
-  its first N attempts (``-1`` = always; ``s:``/``e:`` = seed/extend).  A
-  faulted member fails its whole unit, which splits, so the task then
-  fails alone exactly as an unfused one.
+* ``REPRO_WGA_TEST_FAIL="e:c0x1=2,s:anchors=-1"`` — the named task raises
+  on its first N attempts (``-1`` = always; ``s:``/``e:`` = seed/extend,
+  and ``anchors`` is the one seed task).  A faulted member fails its
+  whole unit, which splits, so the task then fails alone exactly as an
+  unfused one.
 * ``REPRO_WGA_TEST_EXIT_AFTER=K`` — hard ``os._exit(137)`` (SIGKILL
   semantics: no cleanup, no atexit) right after the K-th task record is
   journaled by this process.
@@ -63,19 +66,24 @@ from ..core.options import FASTZ_FULL, FastzOptions
 from ..core.pipeline import run_fastz_chunks
 from ..genome.sequence import Sequence
 from ..lastz.config import LastzConfig
-from ..seeding import Anchors, collapse_diagonal
-from ..seeding.seeds import SeedMatches, find_seeds, overrepresented_words
+from ..lastz.pipeline import select_anchors
+from ..seeding import Anchors
 from ..service.request import scheme_digest
 from .journal import Journal, replay
 from .merge import IncrementalMerger, ops_from_cigar
 from .scheduler import TaskSpec, run_tasks
-from .segmenter import Chunk, ChunkPair, chunk_pairs, segment_sequence
+from .segmenter import chunk_pairs, segment_sequence
 
 __all__ = ["JobOptions", "QuarantinedTask", "WgaReport", "run_wga"]
 
 #: Bump when the journal schema changes; part of the job digest, so stale
 #: journals are rejected rather than misread.
 JOURNAL_VERSION = 1
+
+#: Task id of the seed phase's one task.  Journals written when seeding
+#: ran per chunk pair hold pair-keyed ``seeds`` records; resume ignores
+#: them and seeds once.
+SEED_TASK = "anchors"
 
 
 @dataclass(frozen=True)
@@ -84,10 +92,10 @@ class JobOptions:
 
     #: Core tile size per sequence, in bases.
     chunk_size: int = 32_768
-    #: Window slack past each core, in bases.  Must cover the seed span
-    #: (enforced) and should cover the y-drop extension horizon; the
-    #: pipeline's seam guard re-extends unbounded when it does not, so
-    #: this is a performance knob, never a correctness one.
+    #: Window slack past each core, in bases.  Should cover the y-drop
+    #: extension horizon; the pipeline's seam guard re-extends unbounded
+    #: when it does not, so this is a performance knob, never a
+    #: correctness one.
     overlap: int = 4_096
     #: Worker processes; 0 = run inline in this process.
     workers: int = 0
@@ -244,28 +252,15 @@ class _ExitAfter:
 
 
 def _seed_handler(state, payloads: list, attempt: int) -> list[dict]:
-    """Seed each chunk pair's windows; return globally-owned seed positions."""
-    t_codes, q_codes, config, censored = state
+    """Select the whole pair's anchors, exactly as the single pass does."""
+    t_codes, q_codes, config = state
     out = []
     for payload in payloads:
         _maybe_inject_fault(f"s:{payload['id']}", attempt)
-        tw, qw = payload["t"], payload["q"]  # (start, end, core_start, core_end)
-        seeds = find_seeds(
-            t_codes[tw[0] : tw[1]],
-            q_codes[qw[0] : qw[1]],
-            k=config.seed_length,
-            spaced_pattern=config.spaced_pattern,
-            censored_words=censored,
+        anchors = select_anchors(t_codes, q_codes, config)
+        out.append(
+            {"at": anchors.target_pos.tolist(), "aq": anchors.query_pos.tolist()}
         )
-        t_pos = seeds.target_pos + tw[0]
-        q_pos = seeds.query_pos + qw[0]
-        own = (
-            (t_pos >= tw[2])
-            & (t_pos < tw[3])
-            & (q_pos >= qw[2])
-            & (q_pos < qw[3])
-        )
-        out.append({"t": t_pos[own].tolist(), "q": q_pos[own].tolist()})
     return out
 
 
@@ -410,12 +405,8 @@ def run_wga(
     say = log or (lambda _msg: None)
     job_dir = Path(job_dir)
     journal_path = job_dir / "journal.jsonl"
-    span = (
-        len(config.spaced_pattern) if config.spaced_pattern else config.seed_length
-    )
-    overlap = max(job.overlap, span)
     digest = job_digest(
-        target, query, config, options, job.chunk_size, overlap
+        target, query, config, options, job.chunk_size, job.overlap
     )
     exit_after = _ExitAfter()
 
@@ -459,21 +450,21 @@ def run_wga(
                         "target_bp": len(target),
                         "query_bp": len(query),
                         "chunk_size": job.chunk_size,
-                        "overlap": overlap,
+                        "overlap": job.overlap,
                     }
                 )
 
             # --- segment -----------------------------------------------
             with obs.span("jobs.segment"):
-                t_chunks = segment_sequence(len(target), job.chunk_size, overlap)
-                q_chunks = segment_sequence(len(query), job.chunk_size, overlap)
+                t_chunks = segment_sequence(len(target), job.chunk_size, job.overlap)
+                q_chunks = segment_sequence(len(query), job.chunk_size, job.overlap)
                 pairs = chunk_pairs(t_chunks, q_chunks)
             pair_by_id = {p.task_id: p for p in pairs}
             say(
                 f"segmented {target.name} x {query.name} into "
                 f"{len(t_chunks)} x {len(q_chunks)} chunks "
                 f"({len(pairs)} pair tasks, core {job.chunk_size} bp, "
-                f"overlap {overlap} bp)"
+                f"overlap {job.overlap} bp)"
             )
 
             quarantined: list[QuarantinedTask] = []
@@ -556,62 +547,39 @@ def run_wga(
 
                 return on_event
 
-            # --- seed phase --------------------------------------------
-            with obs.span("jobs.seed", pairs=len(pairs)) as sp:
-                censored = overrepresented_words(
-                    target.codes,
-                    k=config.seed_length,
-                    spaced_pattern=config.spaced_pattern,
-                    max_word_count=config.max_word_count,
+            # --- seed phase: one task over the whole pair --------------
+            with obs.span("jobs.seed") as sp:
+                seed_skipped = int(SEED_TASK in seed_done)
+                seed_tasks = (
+                    [] if seed_skipped else [TaskSpec(SEED_TASK, {"id": SEED_TASK})]
                 )
-                seed_tasks = [
-                    TaskSpec(
-                        task_id=p.task_id,
-                        payload={
-                            "id": p.task_id,
-                            "t": (p.target.start, p.target.end, p.target.core_start, p.target.core_end),
-                            "q": (p.query.start, p.query.end, p.query.core_start, p.query.core_end),
-                        },
-                        weight=p.window_area,
-                    )
-                    for p in pairs
-                    if p.task_id not in seed_done
-                ]
-                seed_skipped = len(pairs) - len(seed_tasks)
                 if seed_skipped:
-                    say(f"[seed] resuming: {seed_skipped}/{len(pairs)} chunk pairs already journaled")
+                    say("[seed] resuming: anchors already journaled")
+                # On the job's workers (inline only at workers=0), so the
+                # whole target's word table (16 B per base) does not grow
+                # the coordinator's heap, which lives through the extend
+                # phase.
                 outcomes = run_tasks(
                     seed_tasks,
                     _seed_handler,
-                    (target.codes, query.codes, config, censored),
+                    (target.codes, query.codes, config),
                     workers=job.workers,
                     max_attempts=job.max_attempts,
                     backoff_s=job.backoff_s,
                     backoff_cap_s=job.backoff_cap_s,
-                    on_event=make_events("seed", "seeds", len(pairs), seed_skipped),
+                    on_event=make_events("seed", "seeds", 1, seed_skipped),
                 )
                 for task_id, outcome in outcomes.items():
                     if outcome.ok:
                         seed_done[task_id] = outcome.value
-                sp.set(skipped=seed_skipped, censored_words=int(censored.size))
-
-            # --- collapse into anchors (global, deterministic) ---------
-            with obs.span("jobs.collapse") as sp:
-                all_t = np.concatenate(
-                    [np.asarray(r["t"], dtype=np.int64) for r in seed_done.values()]
-                    or [np.zeros(0, dtype=np.int64)]
+                # A quarantined seed task leaves the job without anchors.
+                found = seed_done.get(SEED_TASK, {"at": [], "aq": []})
+                anchors = Anchors(
+                    np.asarray(found["at"], dtype=np.int64),
+                    np.asarray(found["aq"], dtype=np.int64),
                 )
-                all_q = np.concatenate(
-                    [np.asarray(r["q"], dtype=np.int64) for r in seed_done.values()]
-                    or [np.zeros(0, dtype=np.int64)]
-                )
-                anchors = collapse_diagonal(
-                    SeedMatches(all_t, all_q, span),
-                    window=config.collapse_window,
-                    diag_band=config.diag_band,
-                )
-                sp.set(seeds=int(all_t.size), anchors=len(anchors))
-            say(f"collapsed {all_t.size} seeds into {len(anchors)} anchors")
+                sp.set(skipped=seed_skipped, anchors=len(anchors))
+            say(f"selected {len(anchors)} anchors")
 
             # --- extend phase ------------------------------------------
             with obs.span("jobs.extend", anchors=len(anchors)) as sp:
@@ -731,7 +699,7 @@ def run_wga(
                 digest=digest,
                 resumed=resumed,
                 n_anchors=len(anchors),
-                n_seed_tasks=len(pairs),
+                n_seed_tasks=1,
                 n_extend_tasks=len(by_pair),
                 seed_skipped=seed_skipped,
                 extend_skipped=extend_skipped,

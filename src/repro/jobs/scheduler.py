@@ -75,7 +75,7 @@ class TaskSpec:
 
     task_id: str
     payload: Any
-    #: Relative cost estimate (anchor count, window area, ...); only the
+    #: Relative cost estimate (the runner uses anchor counts); only the
     #: ordering matters.
     weight: float = 1.0
 

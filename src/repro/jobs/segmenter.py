@@ -2,24 +2,17 @@
 
 Both sequences are cut into *cores* — disjoint tiles of ``chunk_size``
 bases — each wrapped in a *window* that extends ``overlap`` bases past the
-core on either side.  Work is the cross product of target and query
-chunks, exactly SegAlign's shape:
-
-* **Seeding** runs per chunk pair over the windows; a seed belongs to the
-  pair whose cores contain its (target, query) start, so every global
-  seed is found exactly once (the window slack covers words that start in
-  a core but spill past its edge — ``overlap`` must be at least the seed
-  span).
-* **Extension** runs per chunk pair over the anchors its cores own, with
-  suffixes clipped to the windows.  ``overlap`` should cover the y-drop
-  extension horizon; the pipeline's seam guard
-  (:func:`repro.core.pipeline.run_fastz_chunk`) makes correctness
-  unconditional regardless.
+core on either side.  Extension work is the cross product of target and
+query chunks, SegAlign's shape: each chunk pair extends the anchors its
+cores own, with suffixes clipped to its windows.  Seeding is not
+segmented; the job selects the whole pair's anchors in one task.
+``overlap`` should cover the y-drop extension horizon; the pipeline's
+seam guard (:func:`repro.core.pipeline.run_fastz_chunk`) makes
+correctness unconditional regardless.
 
 Because cores tile each sequence disjointly, chunk ownership partitions
-both the seed set and the anchor set — no cross-chunk reconciliation is
-needed beyond the overlap-region *alignment* dedup done by
-:mod:`repro.jobs.merge`.
+the anchor set — no cross-chunk reconciliation is needed beyond the
+overlap-region *alignment* dedup done by :mod:`repro.jobs.merge`.
 """
 
 from __future__ import annotations
@@ -95,13 +88,6 @@ class ChunkPair:
     @property
     def task_id(self) -> str:
         return f"c{self.target.index}x{self.query.index}"
-
-    @property
-    def window_area(self) -> int:
-        """Seeding work estimate: the product of the window spans."""
-        return (self.target.end - self.target.start) * (
-            self.query.end - self.query.start
-        )
 
     def owns(self, t_pos: int, q_pos: int) -> bool:
         return self.target.owns(t_pos) and self.query.owns(q_pos)

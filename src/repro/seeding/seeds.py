@@ -176,9 +176,9 @@ def build_seed_table(
 ) -> SeedTable:
     """Build the sorted target-side word table used by :func:`find_seeds`.
 
-    Replicates the target half of :func:`find_seeds` exactly (same packing,
-    same validity rules, same stable sort), so matching against a prebuilt
-    table is bit-identical to the inline path.
+    The target half of :func:`find_seeds`, which builds its table here
+    when none is passed in, so matching against a prebuilt table is
+    bit-identical to the inline path.
     """
     words, valid, span = pack_words(
         codes, k=k, spaced_pattern=spaced_pattern, mask=mask
@@ -188,7 +188,7 @@ def build_seed_table(
     order = np.argsort(w, kind="stable")
     return SeedTable(
         words=w[order],
-        positions=pos_all[order].astype(np.int64),
+        positions=pos_all[order].astype(np.int64, copy=False),
         span=span,
     )
 
@@ -221,7 +221,6 @@ def find_seeds(
     max_word_count: int = 64,
     target_mask: np.ndarray | None = None,
     query_mask: np.ndarray | None = None,
-    censored_words: np.ndarray | None = None,
     target_table: SeedTable | None = None,
 ) -> SeedMatches:
     """All exact word matches between ``target`` and ``query``.
@@ -240,14 +239,6 @@ def find_seeds(
         repeats in FASTA).  Windows touching a masked base never seed —
         LASTZ's repeat handling — though extensions may still align
         *through* masked regions.
-    censored_words:
-        Pre-computed censor set (sorted ``uint64`` words).  When given it
-        *replaces* the local ``max_word_count`` counting: a match is kept
-        unless its word is in the set.  The whole-genome job runner seeds
-        chunk pairs independently but must censor against *global* target
-        word counts (a chunk sees only a fraction of each repeat family),
-        so it computes :func:`overrepresented_words` once over the full
-        target and passes the set to every chunk-local call.
     target_table:
         Prebuilt sorted target table (see :func:`build_seed_table`).  When
         given, the target-side pack + sort — the expensive, per-reference
@@ -272,22 +263,16 @@ def find_seeds(
                 f"target_table was built with span {target_table.span}, "
                 f"these seeding parameters need span {span}"
             )
-        t_w_sorted = target_table.words
-        t_pos_sorted = target_table.positions
     else:
-        # Build the sorted target table inline.  The span makes the cost
+        # Build the sorted target table here.  The span makes the cost
         # visible in traces; on the store path it disappears because a
         # cached table is passed in instead.
         with obs.span("fastz.seed_table", target_bp=len(target)):
-            t_words, t_valid, _ = pack_words(
+            target_table = build_seed_table(
                 target, k=k, spaced_pattern=spaced_pattern, mask=target_mask
             )
-            t_pos_all = np.flatnonzero(t_valid)
-            t_w = t_words[t_pos_all]
-            # Sort target words once; stream query words through searchsorted.
-            order = np.argsort(t_w, kind="stable")
-            t_w_sorted = t_w[order]
-            t_pos_sorted = t_pos_all[order]
+    t_w_sorted = target_table.words
+    t_pos_sorted = target_table.positions
 
     q_pos_all = np.flatnonzero(q_valid)
     if t_pos_sorted.size == 0 or q_pos_all.size == 0:
@@ -308,12 +293,7 @@ def find_seeds(
     counts = right - left
 
     # Censor high-frequency words and non-matches.
-    if censored_words is not None:
-        keep = counts > 0
-        if censored_words.size:
-            keep &= ~np.isin(q_w, censored_words)
-    else:
-        keep = (counts > 0) & (counts <= max_word_count)
+    keep = (counts > 0) & (counts <= max_word_count)
     if not keep.any():
         return SeedMatches(
             np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), span
@@ -350,9 +330,9 @@ def overrepresented_words(
     """Sorted ``uint64`` words occurring more than ``max_word_count`` times.
 
     Counts valid (N-free, unmasked) windows of ``codes`` exactly as
-    :func:`find_seeds` counts the target side, so passing the result as
-    ``censored_words`` to chunk-local ``find_seeds`` calls reproduces the
-    global censoring decision regardless of how the target is segmented.
+    :func:`find_seeds` counts the target side, so the streaming producer,
+    which seeds the target in chunks against a query-side table, drops
+    exactly the words :func:`find_seeds` censors over the whole target.
     """
     words, valid, _ = pack_words(
         codes, k=k, spaced_pattern=spaced_pattern, mask=mask

@@ -458,34 +458,12 @@ class AlignmentService:
         config = config or self.default_config
         options = options or self.default_options
 
-        def resolve(value, ref, *, target_side):
-            if ref is None:
-                if value is None:
-                    raise ValueError(
-                        "each side needs either a sequence or a reference digest"
-                    )
-                codes = value.codes if isinstance(value, Sequence) else value
-                return np.asarray(codes), None
-            if value is not None:
-                raise ValueError(
-                    "give a sequence or a reference digest per side, not both"
-                )
-            if self._store is None:
-                raise ValueError(
-                    "align-by-ref requires a service configured with store="
-                )
-            stored = self._store.get(ref)
-            table = None
-            if target_side:
-                table = self._store.seed_table(
-                    stored.digest,
-                    k=config.seed_length,
-                    spaced_pattern=config.spaced_pattern,
-                )
-            return stored.codes, table
-
-        t_codes, seed_table = resolve(target, target_ref, target_side=True)
-        q_codes, _ = resolve(query, query_ref, target_side=False)
+        t_codes, _, seed_table = self._resolve_side(
+            target, target_ref, config, target_side=True, anchors=None
+        )
+        q_codes, _, _ = self._resolve_side(
+            query, query_ref, config, target_side=False, anchors=None
+        )
         self._recorder.record_submitted()
         start = time.monotonic()
         try:

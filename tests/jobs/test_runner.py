@@ -14,11 +14,21 @@ import pytest
 from repro import obs
 from repro.core.pipeline import run_fastz
 from repro.genome import SegmentClass, build_pair
-from repro.jobs import JobDigestMismatch, JobOptions, run_wga, runner
+from repro.jobs import (
+    JobDigestMismatch,
+    JobOptions,
+    Journal,
+    chunk_pairs,
+    replay,
+    run_wga,
+    runner,
+    segment_sequence,
+)
 from repro.jobs.merge import sort_canonical
-from repro.lastz import LastzConfig, write_general, write_maf
+from repro.lastz import LastzConfig, select_anchors, write_general, write_maf
 from repro.obs import Tracer
 from repro.scoring import default_scheme
+from repro.seeding import LASTZ_SPACED_SEED, find_seeds
 
 CHUNK = 8_192
 OVERLAP = 2_048
@@ -136,6 +146,137 @@ class TestEquivalence:
             outputs[workers] = (general.read_bytes(), maf.read_bytes())
         for workers in (2, 4, 8):
             assert outputs[workers] == outputs[0], f"workers={workers} diverged"
+
+
+class TestSeedPhase:
+    """The seed phase is one ``select_anchors`` task, journaled once."""
+
+    @pytest.mark.parametrize("spaced_pattern", [None, LASTZ_SPACED_SEED])
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_one_seeds_record_holds_the_single_pass_anchors(
+        self, pair, workers, spaced_pattern, tmp_path
+    ):
+        config = LastzConfig(
+            scheme=default_scheme(gap_extend=60, ydrop=2400),
+            diag_band=150,
+            spaced_pattern=spaced_pattern,
+        )
+        report = run_wga(
+            pair.target, pair.query, config,
+            job=options(workers=workers), job_dir=tmp_path,
+        )
+        expected = select_anchors(pair.target, pair.query, config)
+        seeds = [
+            r for r in journal_task_records(tmp_path) if r["type"] == "seeds"
+        ]
+        assert report.n_seed_tasks == 1
+        assert [r["task"] for r in seeds] == ["anchors"]
+        assert seeds[0]["at"] == expected.target_pos.tolist()
+        assert seeds[0]["aq"] == expected.query_pos.tolist()
+        assert report.n_anchors == len(expected) > 0
+        assert report.alignments == sort_canonical(
+            run_fastz(pair.target, pair.query, config).unique_alignments()
+        )
+
+    def test_overlap_below_the_seed_span_is_not_clamped(
+        self, pair, config, reference, tmp_path
+    ):
+        # Only extension windows use the overlap, and the seam guard keeps
+        # them exact at any width, so a zero overlap runs as given.
+        report = run_wga(
+            pair.target, pair.query, config,
+            job=options(chunk_size=4_096, overlap=0), job_dir=tmp_path,
+        )
+        header = next(replay(tmp_path / "journal.jsonl"))
+        assert header["overlap"] == 0
+        assert report.window_fallbacks > 0
+        assert report.alignments == reference
+
+    def test_seed_fault_hook_retries_quarantines_and_resumes(
+        self, pair, config, reference, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_WGA_TEST_FAIL", "s:anchors=1")
+        retried = run_wga(
+            pair.target, pair.query, config,
+            job=options(), job_dir=tmp_path / "retried",
+        )
+        assert retried.retries == 1 and retried.complete
+        assert retried.alignments == reference
+
+        monkeypatch.setenv("REPRO_WGA_TEST_FAIL", "s:anchors=-1")
+        gapped = run_wga(
+            pair.target, pair.query, config,
+            job=options(max_attempts=2), job_dir=tmp_path / "gapped",
+        )
+        assert [(g.phase, g.task_id) for g in gapped.quarantined] == [
+            ("seed", "anchors")
+        ]
+        assert gapped.n_anchors == 0 and gapped.alignments == []
+
+        monkeypatch.delenv("REPRO_WGA_TEST_FAIL")
+        healed = run_wga(
+            pair.target, pair.query, config,
+            job=options(), job_dir=tmp_path / "gapped",
+        )
+        assert healed.resumed and healed.complete
+        assert healed.seed_skipped == 0
+        assert healed.alignments == reference
+
+    def test_journal_with_per_pair_seeds_records_resumes(
+        self, pair, config, reference, tmp_path
+    ):
+        """A journal written when seeding ran per chunk pair still resumes.
+
+        Such a journal holds one ``seeds`` record per chunk pair: the
+        globally censored seed starts that pair's cores own.  Resume
+        ignores them, runs the one seed task, and replays every ``chunk``
+        record, since the job digest and the chunk tasks are unchanged.
+        """
+        path = tmp_path / "journal.jsonl"
+        first = run_wga(
+            pair.target, pair.query, config, job=options(), job_dir=tmp_path
+        )
+        records = list(replay(path))
+        header = records[0]
+        chunks = [r for r in records if r["type"] == "chunk"]
+        seeds = find_seeds(
+            pair.target.codes,
+            pair.query.codes,
+            k=config.seed_length,
+            spaced_pattern=config.spaced_pattern,
+            max_word_count=config.max_word_count,
+        )
+        t, q = seeds.target_pos, seeds.query_pos
+        legacy = []
+        for p in chunk_pairs(
+            segment_sequence(len(pair.target), CHUNK, OVERLAP),
+            segment_sequence(len(pair.query), CHUNK, OVERLAP),
+        ):
+            own = (
+                (t >= p.target.core_start)
+                & (t < p.target.core_end)
+                & (q >= p.query.core_start)
+                & (q < p.query.core_end)
+            )
+            legacy.append(
+                {"type": "seeds", "task": p.task_id, "attempts": 1,
+                 "t": t[own].tolist(), "q": q[own].tolist()}
+            )
+        path.unlink()
+        with Journal(path, fsync=False) as journal:
+            for record in [header, *legacy, *chunks]:
+                journal.append(record)
+
+        resumed = run_wga(
+            pair.target, pair.query, config, job=options(), job_dir=tmp_path
+        )
+        assert resumed.resumed
+        assert resumed.seed_skipped == 0
+        assert resumed.extend_skipped == resumed.n_extend_tasks == len(chunks)
+        assert resumed.alignments == first.alignments == reference
+        after = journal_task_records(tmp_path)
+        assert len(after) == len(legacy) + len(chunks) + 1
+        assert (after[-1]["type"], after[-1]["task"]) == ("seeds", "anchors")
 
 
 class TestFusedExtend:

@@ -62,9 +62,3 @@ class TestChunkPairs:
         pairs = chunk_pairs(t, q)
         for tp, qp in ((0, 0), (0, 150), (199, 42)):
             assert sum(p.owns(tp, qp) for p in pairs) == 1
-
-    def test_window_area_weight(self):
-        t = segment_sequence(200, 100, 10)
-        q = segment_sequence(200, 100, 10)
-        p = chunk_pairs(t, q)[0]
-        assert p.window_area == (t[0].end - t[0].start) * (q[0].end - q[0].start)

@@ -310,7 +310,7 @@ class TestFaultTolerance:
 
     def test_repeated_deaths_degrade_to_in_process(self, monkeypatch):
         # Every spawned worker is on the kill list, so each re-dispatch
-        # kills its replacement too; past max_redispatch the pool raises
+        # kills its replacement too; past MAX_REDISPATCH the pool raises
         # PoolError and that batch falls back in-process — the request
         # completes anyway.  Only the batch degrades, not the lane: once
         # the hook is cleared the next request is served by the pool.

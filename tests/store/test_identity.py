@@ -55,6 +55,27 @@ class TestServiceIdentity:
             by_ref = service.align(target_ref=t_digest, query_ref=q_digest)
         assert _records(by_ref) == _records(by_bytes)
 
+    def test_stream_resolves_sides_like_align(self, tiny_genome_pair, registered):
+        # A by-ref target streams with its cached seed table, and a side
+        # that is missing, doubly given or unresolvable fails as in align.
+        store, t_digest, q_digest = registered
+        pair = tiny_genome_pair
+        with AlignmentService(store=store) as service:
+            by_bytes = service.align(pair.target.codes, pair.query.codes)
+            streamed = service.align_stream(
+                target_ref=t_digest, query_ref=q_digest
+            )
+            with pytest.raises(ValueError, match="either"):
+                service.align_stream(query=pair.query.codes)
+            with pytest.raises(ValueError, match="not both"):
+                service.align_stream(
+                    pair.target.codes, pair.query.codes, target_ref=t_digest
+                )
+        with AlignmentService() as service:
+            with pytest.raises(ValueError, match="store"):
+                service.align_stream(query=pair.query.codes, target_ref=t_digest)
+        assert _records(streamed) == _records(by_bytes)
+
     def test_ref_without_store_rejected(self, tiny_genome_pair):
         with AlignmentService() as service:
             with pytest.raises(ValueError, match="store"):
