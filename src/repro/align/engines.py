@@ -4,7 +4,7 @@ Before this module, ``FastzOptions.engine`` was compared against a
 hard-coded ``("scalar", "batched")`` tuple at four independent dispatch
 sites in :mod:`repro.core.pipeline` (plus the validator in
 :mod:`repro.core.options`).  Adding an engine meant touching every one of
-them — and the service, pool-worker, fleet-backend, streaming and jobs
+them — and the service, pool-worker, fleet-backend and jobs
 paths all funnel through those sites, so the blast radius was the whole
 serving stack.  The registry collapses that to one table:
 

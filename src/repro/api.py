@@ -118,9 +118,7 @@ def align(
     anchors: Anchors | None = None,
     workers: int | None = None,
     keep_extensions: bool = False,
-    streaming: bool = False,
     on_partial: "Callable | None" = None,
-    stream_chunk_bp: int | None = None,
 ) -> FastzResult:
     """Align one (target, query) pair in-process.
 
@@ -130,11 +128,10 @@ def align(
     :class:`~repro.store.StoredReference` (decoded lazily from the
     store's 2-bit file).
 
-    ``streaming=True`` overlaps seeding with extension
-    (:func:`repro.core.streaming.run_fastz_streaming`): same result, and
-    ``on_partial`` receives a
-    :class:`~repro.core.streaming.StreamPartial` after each extension
-    batch.  ``stream_chunk_bp`` tunes the seeding-chunk granularity.
+    ``on_partial`` streams the run: it receives a
+    :class:`~repro.core.pipeline.StreamPartial` after each slice of
+    ``max(1, batch_size // 2)`` anchors is extended; the result is the
+    same.
     """
     return run_fastz(
         _as_alignable(target),
@@ -144,9 +141,7 @@ def align(
         anchors=anchors,
         workers=workers,
         keep_extensions=keep_extensions,
-        streaming=streaming,
         on_partial=on_partial,
-        stream_chunk_bp=stream_chunk_bp,
     )
 
 
@@ -509,9 +504,9 @@ class Client:
     ):
         """POST one alignment to ``/v1/align?stream=1``; yields NDJSON records.
 
-        The server runs the streaming pipeline and chunk-encodes one JSON
+        The server runs the pipeline in slices and chunk-encodes one JSON
         record per line as work completes: ``{"type": "partial", ...}``
-        after each extension batch, then a terminal ``{"type": "summary",
+        after each extended slice, then a terminal ``{"type": "summary",
         ...}`` whose payload is identical to the non-streaming
         :meth:`align` response (streamed and barrier results are
         bit-identical).  A terminal ``{"type": "error", ...}`` record —

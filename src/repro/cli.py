@@ -188,15 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     align.add_argument(
         "--stream",
         action="store_true",
-        help="overlap seeding with extension (fastz engines); prints a "
-        "progress line per extension batch on stderr, output unchanged",
-    )
-    align.add_argument(
-        "--stream-chunk-bp",
-        type=int,
-        default=None,
-        help="seeding-chunk size for --stream, in target bases "
-        "(granularity only; results are identical at any value)",
+        help="extend anchors in slices of batch-size/2 (fastz engines); "
+        "prints a progress line per slice on stderr, output unchanged",
     )
     _add_scoring_args(align)
     align.add_argument("--no-cigar", action="store_true", help="skip tracebacks")
@@ -286,13 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the caller at POST /v1/references",
     )
     serve.add_argument(
-        "--stream-chunk-bp",
-        type=int,
-        default=None,
-        help="seeding-chunk size for POST /v1/align?stream=1, in target "
-        "bases (partial-record granularity only; results are identical)",
-    )
-    serve.add_argument(
         "--grace-s",
         type=float,
         default=5.0,
@@ -360,18 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics",
         action="store_true",
         help="also print the Prometheus text rendering of the run's counters",
-    )
-    trace.add_argument(
-        "--stream",
-        action="store_true",
-        help="trace the streaming pipeline instead: the span tree shows "
-        "seeding chunks and extension batches overlapping in time",
-    )
-    trace.add_argument(
-        "--stream-chunk-bp",
-        type=int,
-        default=None,
-        help="seeding-chunk size for --stream, in target bases",
     )
     _add_scoring_args(trace)
 
@@ -516,9 +490,7 @@ def _align_command(args: argparse.Namespace) -> int:
                 "batch_size": args.batch_size,
             },
             workers=args.workers or None,
-            streaming=args.stream,
             on_partial=on_partial,
-            stream_chunk_bp=args.stream_chunk_bp,
         )
         alignments = result.unique_alignments()
     elif args.engine == "ungapped":
@@ -644,7 +616,6 @@ def _serve_command(args: argparse.Namespace) -> int:
         cache_entries=args.cache_entries,
         config=_config_from_args(args),
         store=args.store,
-        stream_chunk_bp=args.stream_chunk_bp,
         fleet=fleet,
     )
     quotas = TenantQuotas.from_spec(args.quota) if args.quota else None
@@ -709,15 +680,7 @@ def _trace_command(args: argparse.Namespace) -> int:
 
     registry, tracer = obs.enable()
     try:
-        result = run_fastz(
-            target,
-            query,
-            config,
-            options,
-            seed_table=seed_table,
-            streaming=args.stream,
-            stream_chunk_bp=args.stream_chunk_bp,
-        )
+        result = run_fastz(target, query, config, options, seed_table=seed_table)
         root = tracer.last_root("fastz.run")
         if stored is not None and seed_table is None:
             stored.store.seed_table(
@@ -732,26 +695,6 @@ def _trace_command(args: argparse.Namespace) -> int:
         print("error: no trace captured for the run", file=sys.stderr)
         return 1
     print(render_span_tree(root))
-
-    if args.stream:
-        # Stage-overlap proof straight from the span attributes: the
-        # producer's seeding interval vs the consumer's extension batches.
-        seed_spans = root.find("fastz.stream.seed")
-        extend_spans = root.find("fastz.stream.extend")
-        if seed_spans and extend_spans:
-            seed_end = max(
-                float(s.attributes.get("end_s", 0.0)) for s in seed_spans
-            )
-            first_extend = min(
-                float(s.attributes.get("start_s", 0.0)) for s in extend_spans
-            )
-            overlapped = first_extend < seed_end
-            print(
-                f"stream overlap:     seeding ended {seed_end:.3f}s, first "
-                f"extension began {first_extend:.3f}s — "
-                + ("stages overlapped" if overlapped else "no overlap "
-                   "(input too small for more than one batch)")
-            )
 
     bins = result.bin_counts().tolist()
     report = traffic_report(result.arrays)

@@ -17,11 +17,12 @@ from .perfmodel import (
 from .pipeline import (
     ChunkResult,
     FastzResult,
+    StreamAborted,
+    StreamPartial,
     run_fastz,
     run_fastz_chunk,
     run_fastz_chunks,
 )
-from .streaming import StreamAborted, StreamPartial, run_fastz_streaming
 from .task import FastzTask, TaskArrays, tasks_to_arrays
 
 __all__ = [
@@ -47,7 +48,6 @@ __all__ = [
     "run_fastz",
     "run_fastz_chunk",
     "run_fastz_chunks",
-    "run_fastz_streaming",
     "tasks_to_arrays",
     "time_fastz",
     "time_feng_baseline",

@@ -14,7 +14,7 @@ profile per anchor for the performance model.
 Host engines drive the extensions (``FastzOptions.engine``), dispatched
 through the :mod:`repro.align.engines` registry — every name below is a
 ``@register_engine`` entry here, and callers (service, pool workers,
-fleet backends, streaming, jobs) resolve names with ``get_engine``:
+fleet backends, jobs) resolve names with ``get_engine``:
 
 * ``"scalar"`` — the original per-anchor loop over
   :func:`~repro.align.wavefront.wavefront_extend`;
@@ -27,13 +27,17 @@ fleet backends, streaming, jobs) resolve names with ``get_engine``:
 
 All engines produce bit-identical results; ``run_fastz(..., workers=N)``
 additionally shards the anchor set into LPT-balanced shards across a
-per-call :class:`~repro.core.pool.WorkerPool` for big profile builds.
+per-call :class:`~repro.core.pool.WorkerPool` for big profile builds, and
+``run_fastz(..., on_partial=...)`` streams: it extends the sorted anchors
+in slices and reports each slice as a :class:`StreamPartial`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -58,6 +62,8 @@ __all__ = [
     "ExtensionSpec",
     "FastzResult",
     "PreparedRequest",
+    "StreamAborted",
+    "StreamPartial",
     "extend_suffixes_batched",
     "extend_suffixes_shard",
     "finish_fastz",
@@ -493,6 +499,15 @@ class PreparedRequest:
         """Interleaved right/left extension problems of every anchor."""
         return _anchor_suffixes(self.t_codes, self.q_codes, self.t_pos, self.q_pos)
 
+    def sliced(self, lo: int, hi: int) -> "PreparedRequest":
+        """The same request restricted to anchors ``lo:hi``."""
+        return replace(
+            self,
+            anchors=self.anchors.take(slice(lo, hi)),
+            t_pos=self.t_pos[lo:hi],
+            q_pos=self.q_pos[lo:hi],
+        )
+
 
 @dataclass(frozen=True)
 class ExtensionSpec:
@@ -673,6 +688,30 @@ def _finish_fastz_impl(
     )
 
 
+class StreamAborted(RuntimeError):
+    """A streamed run was cancelled mid-flight (``should_abort`` fired)."""
+
+
+@dataclass(frozen=True)
+class StreamPartial:
+    """Progress record for one extended slice of a streamed run."""
+
+    #: 0-based slice sequence number.
+    seq: int
+    #: Anchors extended in this slice.
+    n_anchors: int
+    #: Cumulative anchors extended so far (this slice included).
+    done_anchors: int
+    #: Threshold-clearing alignments of this slice, in anchor order;
+    #: concatenated over all partials they are the final result's
+    #: alignments.
+    alignments: list[Alignment]
+    #: Anchors of this slice fully resolved by the inspector's eager tile.
+    eager: int
+    #: Seconds since the run started.
+    wall_s: float
+
+
 def run_fastz(
     target: Sequence | np.ndarray,
     query: Sequence | np.ndarray,
@@ -683,9 +722,8 @@ def run_fastz(
     keep_extensions: bool = False,
     workers: int | None = None,
     seed_table=None,
-    streaming: bool = False,
-    on_partial=None,
-    stream_chunk_bp: int | None = None,
+    on_partial: Callable[[StreamPartial], None] | None = None,
+    should_abort: Callable[[], bool] | None = None,
 ) -> FastzResult:
     """Run the FastZ pipeline over all anchors (no sequential skipping).
 
@@ -703,52 +741,63 @@ def run_fastz(
     and a shard's exception is re-raised as the in-process engine would
     raise it.  Both knobs change only wall-clock, never results.
 
-    ``streaming=True`` runs the bounded-queue overlap pipeline
-    (:func:`repro.core.streaming.run_fastz_streaming`) instead of the
-    stage barriers — still bit-identical; ``on_partial`` then receives a
-    :class:`~repro.core.streaming.StreamPartial` per extension batch and
-    ``stream_chunk_bp`` overrides the producer's seeding-chunk size.
-    Streaming is a *run-mode* parameter, deliberately not a
-    :class:`FastzOptions` field: options are hashed into job digests and
-    cache keys, and streaming never changes results.
+    ``on_partial`` streams the run: the sorted anchors are extended in
+    order, in slices of ``max(1, options.batch_size // 2)`` anchors (one
+    lockstep block of left and right suffix rows), and ``on_partial``
+    receives a :class:`StreamPartial` after each slice.  Without it the
+    whole anchor set is one slice.  ``should_abort`` is polled before
+    each slice and raises :class:`StreamAborted` when it returns True
+    (the HTTP layer's graceful drain hooks in here).  Slicing changes
+    only when results arrive, never what they are.
     """
-    if streaming:
-        from .streaming import DEFAULT_CHUNK_BP, run_fastz_streaming
-
-        return run_fastz_streaming(
-            target,
-            query,
-            config,
-            options,
-            anchors=anchors,
-            keep_extensions=keep_extensions,
-            workers=workers,
-            seed_table=seed_table,
-            chunk_bp=stream_chunk_bp or DEFAULT_CHUNK_BP,
-            on_partial=on_partial,
-        )
     with obs.span("fastz.run", engine=options.engine) as sp:
+        t0 = time.perf_counter()
         prepared = prepare_fastz(
             target, query, config, options, anchors=anchors, seed_table=seed_table
         )
         scheme, tile = prepared.scheme, prepared.tile
         n_anchors = prepared.n_anchors
+        if on_partial is not None:
+            step = max(1, options.batch_size // 2)
+        else:
+            step = max(1, n_anchors)
 
+        pool = None
         if workers and workers > 1 and n_anchors > 1:
             from .pool import WorkerPool
 
             pool = WorkerPool(min(int(workers), n_anchors))
-            try:
-                per_anchor = pool.extend_spec(
-                    ExtensionSpec.fuse([(prepared, None, None)]),
-                    scheme, options, tile, key="run",
-                )
-            finally:
+        per_anchor: list[_AnchorExtension] = []
+        try:
+            for lo in range(0, n_anchors, step):
+                if should_abort is not None and should_abort():
+                    raise StreamAborted("streamed run aborted")
+                part = prepared.sliced(lo, lo + step)
+                if pool is not None:
+                    records = pool.extend_spec(
+                        ExtensionSpec.fuse([(part, None, None)]),
+                        scheme, options, tile, key="run",
+                    )
+                else:
+                    records = extend_suffixes_shard(
+                        part.suffixes(), scheme, options, tile
+                    )
+                per_anchor += records
+                if on_partial is not None:
+                    folded = finish_fastz(part, records)
+                    on_partial(
+                        StreamPartial(
+                            seq=lo // step,
+                            n_anchors=part.n_anchors,
+                            done_anchors=len(per_anchor),
+                            alignments=folded.alignments,
+                            eager=folded.eager_count,
+                            wall_s=round(time.perf_counter() - t0, 4),
+                        )
+                    )
+        finally:
+            if pool is not None:
                 pool.close()
-        else:
-            per_anchor = extend_suffixes_shard(
-                prepared.suffixes(), scheme, options, tile
-            )
 
         result = finish_fastz(prepared, per_anchor, keep_extensions=keep_extensions)
         sp.set(

@@ -16,8 +16,8 @@ scheduling loop of :func:`repro.jobs.scheduler.run_tasks` (units, retry,
 split, quarantine; ``workers=0`` drives it over :class:`InlineSlots`)
 and :class:`WorkerPool` — the service's pool lane
 (:class:`~repro.fleet.backends.PoolBackend`) and, opened per call, the
-``workers=`` paths of :func:`~repro.core.pipeline.run_fastz` and
-:func:`~repro.core.streaming.run_fastz_streaming`.
+``workers=`` path of :func:`~repro.core.pipeline.run_fastz`, streamed
+or not (one pool per call serves every slice).
 
 The dispatcher's fused extension batches are CPU-bound numpy loops, so a
 single process caps the service at roughly one core no matter how well

@@ -20,9 +20,9 @@ The surface is versioned under ``/v1``:
   validated with :meth:`~repro.core.options.FastzOptions.from_mapping`
   (unknown keys are a 400, not silently ignored).
 * ``POST /v1/align?stream=1`` — same body, streamed response: the
-  streaming pipeline runs on an executor thread and the reply is
-  chunk-encoded NDJSON, one JSON record per line — ``{"type":
-  "partial", ...}`` after each extension batch (threshold-clearing
+  pipeline runs on an executor thread, extending anchors in slices, and
+  the reply is chunk-encoded NDJSON, one JSON record per line —
+  ``{"type": "partial", ...}`` after each slice (threshold-clearing
   alignments included as they are discovered), then a terminal
   ``{"type": "summary", ...}`` identical to the non-streaming payload
   (streamed and barrier results are bit-identical), or ``{"type":
@@ -69,7 +69,7 @@ Admission, on top of the contract:
 
 An ``/v1/align`` awaits the service future (``asyncio.wrap_future``)
 instead of parking a thread, and CPU-bearing request work (JSON parse +
-DNA validation, reference-store writes, the streaming pipeline) runs on
+DNA validation, reference-store writes, streamed pipeline runs) runs on
 the default executor so the loop never stalls behind one request.
 """
 
@@ -82,7 +82,7 @@ import threading
 from concurrent.futures import CancelledError
 
 from ..core.options import FastzOptions
-from ..core.streaming import StreamAborted
+from ..core.pipeline import StreamAborted
 from ..genome.alphabet import encode, encode_with_mask
 from ..service.batcher import DeadlineExceeded
 from ..service.service import AlignmentService, ServiceClosed, ServiceOverloaded
@@ -662,7 +662,7 @@ class FleetApp:
     # -- streaming -----------------------------------------------------------
 
     async def _stream_align(self, send, fields: dict) -> None:
-        """Chunk-encode NDJSON records as the streaming pipeline produces them.
+        """Chunk-encode NDJSON records as the streamed run produces them.
 
         The pipeline runs on an executor thread; ``on_partial`` trampolines
         each record onto the loop through an :class:`asyncio.Queue`.
@@ -745,7 +745,7 @@ class FleetApp:
                 await send_record(item)
         except (ConnectionError, asyncio.CancelledError):
             # Client went away (or the server is tearing down): flag the
-            # producer to stop at its next batch boundary.  Its pushes go
+            # run to stop before its next slice.  Its pushes go
             # through call_soon_threadsafe, so it can never block on this
             # abandoned consumer; no need to await it here.
             client_gone.set()

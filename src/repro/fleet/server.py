@@ -120,7 +120,7 @@ class FleetHTTPServer:
         """Begin the graceful drain; safe from signal handlers and threads.
 
         The draining flag flips before this returns — new requests get
-        503 and in-flight streams abort at their next batch boundary —
+        503 and in-flight streams abort before their next slice —
         and the drain itself is handed to the loop.
         """
         self._draining.set()

@@ -56,7 +56,6 @@ __all__ = [
     "histogram",
     "render_span_tree",
     "span",
-    "span_under",
 ]
 
 _NULL_REGISTRY = NullRegistry()
@@ -104,16 +103,6 @@ def get_tracer() -> Tracer | NullTracer:
 def span(name: str, **attributes: object):
     """Open a span on the current tracer (a no-op span when disabled)."""
     return _tracer.span(name, **attributes)
-
-
-def span_under(parent, name: str, **attributes: object):
-    """Open a span attached under ``parent``, even from another thread.
-
-    Streaming producer threads use this to hang their stage spans off the
-    consumer's root span so ``repro trace`` renders one tree with the
-    overlapping stages side by side.  No-op when tracing is disabled.
-    """
-    return _tracer.span_under(parent, name, **attributes)
 
 
 def counter(name: str, help: str = ""):

@@ -40,7 +40,6 @@ class Span:
         "_tracer",
         "_t0",
         "_c0",
-        "_adopted",
     )
 
     def __init__(self, tracer: "Tracer", name: str, attributes: dict) -> None:
@@ -52,7 +51,6 @@ class Span:
         self._tracer = tracer
         self._t0 = 0.0
         self._c0 = 0.0
-        self._adopted = False
 
     def set(self, **attributes: object) -> None:
         """Attach (or overwrite) attributes on the open span."""
@@ -101,7 +99,7 @@ class Tracer:
 
     def _push(self, span: Span) -> None:
         stack = self._stack()
-        if stack and not span._adopted:
+        if stack:
             stack[-1].children.append(span)
         stack.append(span)
 
@@ -109,31 +107,13 @@ class Tracer:
         stack = self._stack()
         if stack and stack[-1] is span:
             stack.pop()
-        if not stack and not span._adopted:
+        if not stack:
             self.roots.append(span)
 
     # -- public API ----------------------------------------------------------
 
     def span(self, name: str, **attributes: object) -> Span:
         return Span(self, name, attributes)
-
-    def span_under(self, parent, name: str, **attributes: object) -> Span:
-        """A span pre-attached under ``parent`` (cross-thread parenting).
-
-        The tracer's per-thread stacks can only link spans opened on the
-        *same* thread; a streaming producer thread wants its stage spans to
-        appear under the consumer's root.  The returned span is appended to
-        ``parent.children`` immediately and never registered as a root of
-        its own thread; spans opened *inside* it on the same thread nest
-        normally.  ``parent`` must still be open (or at least retained) on
-        its owning thread — the usual producer/consumer join guarantees
-        that.  A non-:class:`Span` parent degrades to a plain root span.
-        """
-        span = Span(self, name, attributes)
-        if isinstance(parent, Span):
-            span._adopted = True
-            parent.children.append(span)
-        return span
 
     def current(self) -> Span | None:
         """The innermost open span on this thread, if any."""
@@ -172,9 +152,6 @@ class NullTracer:
     enabled = False
 
     def span(self, name: str, **attributes: object) -> _NullSpan:
-        return _NULL_SPAN
-
-    def span_under(self, parent, name: str, **attributes: object) -> _NullSpan:
         return _NULL_SPAN
 
     def current(self) -> None:

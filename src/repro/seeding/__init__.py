@@ -2,7 +2,6 @@
 
 from .filtering import (
     Anchors,
-    IncrementalCollapser,
     collapse_diagonal,
     ungapped_filter,
 )
@@ -11,9 +10,7 @@ from .seeds import (
     SeedMatches,
     SeedTable,
     build_seed_table,
-    censored_from_table,
     find_seeds,
-    overrepresented_words,
     pack_kmers,
     pack_spaced,
     pack_words,
@@ -21,15 +18,12 @@ from .seeds import (
 
 __all__ = [
     "Anchors",
-    "IncrementalCollapser",
     "LASTZ_SPACED_SEED",
     "SeedMatches",
     "SeedTable",
     "build_seed_table",
-    "censored_from_table",
     "collapse_diagonal",
     "find_seeds",
-    "overrepresented_words",
     "pack_kmers",
     "pack_spaced",
     "pack_words",

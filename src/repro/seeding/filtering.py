@@ -29,7 +29,6 @@ from .seeds import SeedMatches
 
 __all__ = [
     "Anchors",
-    "IncrementalCollapser",
     "collapse_diagonal",
     "ungapped_filter",
 ]
@@ -56,153 +55,69 @@ class Anchors:
         return list(zip(self.target_pos.tolist(), self.query_pos.tolist()))
 
 
-class IncrementalCollapser:
-    """Diagonal thinning with an advancing *diagonal frontier*.
-
-    The collapse scan visits seeds in (diagonal, query-position) order, and
-    each keep/drop decision depends only on seeds *earlier* in that order
-    (kept seeds at diagonals ``<= d``).  So the scan can be segmented: once
-    every future seed is guaranteed to lie at diagonal ``>= frontier``, all
-    buffered seeds with ``diagonal < frontier`` can be decided *finally* —
-    the persistent per-diagonal / per-bucket state carries across drains
-    and reproduces the one-shot :func:`collapse_diagonal` scan bit for bit.
-    The streaming pipeline exploits exactly this: seeding the target in
-    ascending chunks against a query-side table means every undiscovered
-    seed has ``diagonal >= next_chunk_start - len(query) + 1``.
-
-    Contract: seeds passed to :meth:`add` after a :meth:`drain` call must
-    all lie at diagonals ``>=`` that drain's frontier (drains take strictly
-    increasing frontiers).  Violating this re-orders the global scan and
-    the result is no longer identical to the barrier pipeline.
-
-    :func:`collapse_diagonal` is implemented on top of this class (one
-    ``add`` + one unbounded ``drain``), so there is a single collapse state
-    machine to trust.
-    """
-
-    def __init__(self, *, window: int = 500, diag_band: int = 0, span: int) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        if diag_band < 0:
-            raise ValueError("diag_band must be non-negative")
-        self.window = window
-        self.diag_band = diag_band
-        self.span = span
-        self._pending_t: list[np.ndarray] = []
-        self._pending_q: list[np.ndarray] = []
-        # Exact-diagonal state: last kept query position per diagonal.
-        self._last_q: dict[int, int] = {}
-        # Banded state: every kept (diag, q) per diagonal bucket, in keep
-        # order (the scan probes them first-to-last, so order matters).
-        self._last_kept: dict[int, list[tuple[int, int]]] = {}
-
-    @property
-    def pending(self) -> int:
-        return sum(int(a.shape[0]) for a in self._pending_t)
-
-    def add(self, target_pos: np.ndarray, query_pos: np.ndarray) -> None:
-        """Buffer a batch of seed hits (start positions, any order)."""
-        t = np.asarray(target_pos, dtype=np.int64)
-        q = np.asarray(query_pos, dtype=np.int64)
-        if t.shape != q.shape:
-            raise ValueError("seed position arrays must have equal shape")
-        if t.size:
-            self._pending_t.append(t)
-            self._pending_q.append(q)
-
-    def drain(self, frontier: int | None = None) -> Anchors:
-        """Decide every buffered seed with ``diagonal < frontier``.
-
-        ``None`` decides everything left.  Returns the *kept* seeds as
-        centre-anchored :class:`Anchors`, in scan order — concatenating the
-        anchors of successive drains reproduces the one-shot collapse
-        output exactly.
-        """
-        if not self._pending_t:
-            return Anchors(
-                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-            )
-        t_all = np.concatenate(self._pending_t)
-        q_all = np.concatenate(self._pending_q)
-        d_all = t_all - q_all
-        if frontier is None:
-            ready = np.ones(t_all.shape[0], dtype=bool)
-        else:
-            ready = d_all < frontier
-        t_rest, q_rest = t_all[~ready], q_all[~ready]
-        self._pending_t = [t_rest] if t_rest.size else []
-        self._pending_q = [q_rest] if q_rest.size else []
-
-        t_sel, q_sel, d_sel = t_all[ready], q_all[ready], d_all[ready]
-        if t_sel.size == 0:
-            return Anchors(
-                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-            )
-        order = np.lexsort((q_sel, d_sel))
-        d_sorted = d_sel[order]
-        q_sorted = q_sel[order]
-        n = d_sorted.shape[0]
-        keep = np.zeros(n, dtype=bool)
-
-        if self.diag_band == 0:
-            last_q = self._last_q
-            window = self.window
-            for idx in range(n):
-                d = int(d_sorted[idx])
-                q = int(q_sorted[idx])
-                prev = last_q.get(d)
-                if prev is None or q - prev >= window:
-                    keep[idx] = True
-                    last_q[d] = q
-        else:
-            diag_band = self.diag_band
-            window = self.window
-            last_kept = self._last_kept
-            for idx in range(n):
-                d = int(d_sorted[idx])
-                q = int(q_sorted[idx])
-                b = d // diag_band
-                clear = True
-                for bb in (b - 1, b, b + 1):
-                    for kd, kq in last_kept.get(bb, ()):
-                        if abs(d - kd) <= diag_band and abs(q - kq) < window:
-                            clear = False
-                            break
-                    if not clear:
-                        break
-                if clear:
-                    keep[idx] = True
-                    last_kept.setdefault(b, []).append((d, q))
-
-        kept = order[keep]
-        half = self.span // 2
-        return Anchors(
-            target_pos=(t_sel[kept] + half).astype(np.int64),
-            query_pos=(q_sel[kept] + half).astype(np.int64),
-        )
-
-
 def collapse_diagonal(
     seeds: SeedMatches, *, window: int = 500, diag_band: int = 0
 ) -> Anchors:
     """Thin seeds: keep one per diagonal band per ``window`` bases.
 
-    Seeds are scanned in (diagonal band, query-position) order; a seed is
+    Seeds are scanned in (diagonal, query-position) order; a seed is
     kept if no previously kept seed lies within ``diag_band`` diagonals and
     ``window`` query bases of it.  ``diag_band=0`` collapses per exact
     diagonal; a positive band additionally merges seeds whose diagonals are
     shifted by small indels (LASTZ's chaining performs the equivalent
     merge).  The anchor point is placed at the *centre* of the seed word,
-    which is where LASTZ anchors its gapped extension.
-
-    One-shot wrapper over :class:`IncrementalCollapser` (a single unbounded
-    drain), so the barrier and streaming pipelines share one scan.
+    which is where LASTZ anchors its gapped extension.  Anchors come back
+    in scan order.
     """
-    collapser = IncrementalCollapser(
-        window=window, diag_band=diag_band, span=seeds.span
+    if window <= 0:
+        raise ValueError("window must be positive")
+    if diag_band < 0:
+        raise ValueError("diag_band must be non-negative")
+    t_all = np.asarray(seeds.target_pos, dtype=np.int64)
+    q_all = np.asarray(seeds.query_pos, dtype=np.int64)
+    d_all = t_all - q_all
+    order = np.lexsort((q_all, d_all))
+    d_sorted = d_all[order]
+    q_sorted = q_all[order]
+    n = d_sorted.shape[0]
+    keep = np.zeros(n, dtype=bool)
+
+    if diag_band == 0:
+        # Last kept query position per diagonal.
+        last_q: dict[int, int] = {}
+        for idx in range(n):
+            d = int(d_sorted[idx])
+            q = int(q_sorted[idx])
+            prev = last_q.get(d)
+            if prev is None or q - prev >= window:
+                keep[idx] = True
+                last_q[d] = q
+    else:
+        # Every kept (diag, q) per diagonal bucket, in keep order (the
+        # scan probes them first-to-last, so order matters).
+        last_kept: dict[int, list[tuple[int, int]]] = {}
+        for idx in range(n):
+            d = int(d_sorted[idx])
+            q = int(q_sorted[idx])
+            b = d // diag_band
+            clear = True
+            for bb in (b - 1, b, b + 1):
+                for kd, kq in last_kept.get(bb, ()):
+                    if abs(d - kd) <= diag_band and abs(q - kq) < window:
+                        clear = False
+                        break
+                if not clear:
+                    break
+            if clear:
+                keep[idx] = True
+                last_kept.setdefault(b, []).append((d, q))
+
+    kept = order[keep]
+    half = seeds.span // 2
+    return Anchors(
+        target_pos=(t_all[kept] + half).astype(np.int64),
+        query_pos=(q_all[kept] + half).astype(np.int64),
     )
-    collapser.add(seeds.target_pos, seeds.query_pos)
-    return collapser.drain(None)
 
 
 def ungapped_filter(

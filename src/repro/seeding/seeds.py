@@ -25,12 +25,10 @@ __all__ = [
     "SeedTable",
     "LASTZ_SPACED_SEED",
     "build_seed_table",
-    "censored_from_table",
     "pack_kmers",
     "pack_spaced",
     "pack_words",
     "find_seeds",
-    "overrepresented_words",
 ]
 
 #: LASTZ's default 12-of-19 spaced seed pattern (1 = care, 0 = don't care).
@@ -123,9 +121,8 @@ def pack_words(
     """Pack windows under either seeding mode; returns ``(words, valid, span)``.
 
     The one dispatch point between contiguous and spaced seeds, and the
-    one place a soft mask applies, shared by :func:`find_seeds`,
-    :func:`build_seed_table`, :func:`overrepresented_words` and the
-    streaming producer so every caller packs identically.  ``mask``
+    one place a soft mask applies, shared by :func:`find_seeds` and
+    :func:`build_seed_table` so both sides pack identically.  ``mask``
     (True = masked base, one per code) invalidates every window that
     touches a masked base; a mask of another length is a ``ValueError``.
     """
@@ -191,25 +188,6 @@ def build_seed_table(
         positions=pos_all[order].astype(np.int64, copy=False),
         span=span,
     )
-
-
-def censored_from_table(
-    table: SeedTable, *, max_word_count: int = 64
-) -> np.ndarray:
-    """Sorted words occurring more than ``max_word_count`` times in ``table``.
-
-    A :class:`SeedTable` indexes exactly the valid (N-free, unmasked)
-    windows :func:`overrepresented_words` would count, with ``words``
-    already sorted — so the censor set falls out of a run-length scan,
-    letting the streaming producer derive the *global* censoring decision
-    from a cached table without touching the raw sequence.
-    """
-    words = table.words
-    if words.size == 0:
-        return np.zeros(0, dtype=np.uint64)
-    starts = np.flatnonzero(np.concatenate(([True], words[1:] != words[:-1])))
-    counts = np.diff(np.concatenate((starts, [words.size])))
-    return words[starts[counts > max_word_count]].copy()
 
 
 def find_seeds(
@@ -317,28 +295,3 @@ def find_seeds(
         query_pos=q_rep[order].astype(np.int64),
         span=span,
     )
-
-
-def overrepresented_words(
-    codes: np.ndarray,
-    *,
-    k: int = 19,
-    spaced_pattern: str | None = None,
-    max_word_count: int = 64,
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Sorted ``uint64`` words occurring more than ``max_word_count`` times.
-
-    Counts valid (N-free, unmasked) windows of ``codes`` exactly as
-    :func:`find_seeds` counts the target side, so the streaming producer,
-    which seeds the target in chunks against a query-side table, drops
-    exactly the words :func:`find_seeds` censors over the whole target.
-    """
-    words, valid, _ = pack_words(
-        codes, k=k, spaced_pattern=spaced_pattern, mask=mask
-    )
-    words = words[valid]
-    if words.size == 0:
-        return np.zeros(0, dtype=np.uint64)
-    unique, counts = np.unique(words, return_counts=True)
-    return np.sort(unique[counts > max_word_count])

@@ -44,7 +44,7 @@ import numpy as np
 
 from .. import obs
 from ..core.options import FastzOptions
-from ..core.pipeline import FastzResult
+from ..core.pipeline import FastzResult, run_fastz
 from ..core.pool import WorkerPool
 from ..genome.sequence import Sequence
 from ..lastz.config import LastzConfig
@@ -127,10 +127,6 @@ class AlignmentService:
         ``None`` (default) rejects by-ref submissions.
     config, options:
         Defaults applied to submissions that do not bring their own.
-    stream_chunk_bp:
-        Default seeding-chunk size (target bases) for
-        :meth:`align_stream`; tunes partial-result granularity only —
-        streamed results stay bit-identical at any value.
     fleet:
         The lanes fused extension batches run on: either a ready
         :class:`~repro.fleet.scheduler.FleetScheduler` (adopted; closed
@@ -155,7 +151,6 @@ class AlignmentService:
         store: "ReferenceStore | str | None" = None,
         config: LastzConfig | None = None,
         options: FastzOptions = _DEFAULT_OPTIONS,
-        stream_chunk_bp: int | None = None,
         fleet=None,
     ) -> None:
         if max_queue < 1:
@@ -178,11 +173,6 @@ class AlignmentService:
         self.default_config = config or LastzConfig()
         self.default_options = options
         self.max_inflight_bytes = max_inflight_bytes
-        if stream_chunk_bp is not None and stream_chunk_bp < 1:
-            raise ValueError("stream_chunk_bp must be positive or None")
-        #: Default seeding-chunk size for :meth:`align_stream` (None =
-        #: the pipeline default); granularity only, never results.
-        self.stream_chunk_bp = stream_chunk_bp
         self._queue: queue.Queue = queue.Queue(maxsize=max_queue)
         self._cache = ResultCache(cache_entries)
         self._recorder = StatsRecorder()
@@ -435,23 +425,19 @@ class AlignmentService:
         query_ref: str | None = None,
         on_partial=None,
         should_abort=None,
-        chunk_bp: int | None = None,
     ) -> FastzResult:
-        """Run one alignment with the streaming pipeline, on *this* thread.
+        """Run one streamed alignment, on *this* thread.
 
-        Streaming runs bypass the micro-batcher — overlap comes from the
-        run's own producer/consumer stages, not from fusing with other
-        requests — so the caller's thread (an HTTP handler, typically)
-        does the work and ``on_partial`` fires inline as extension
-        batches complete.  The result is bit-identical to :meth:`align`
-        with the same inputs.  ``should_abort`` is polled between batches
-        (the HTTP layer's graceful drain hooks in here) and aborts with
-        :class:`~repro.core.streaming.StreamAborted`.  By-ref sides
-        resolve against the store; a store-cached seed table supplies the
-        censor set so the seeding stage skips the target count pass.
+        Streamed runs bypass the micro-batcher: the caller's thread (an
+        HTTP handler, typically) runs :func:`~repro.core.pipeline.run_fastz`
+        with ``on_partial``, which fires inline after each slice of
+        anchors is extended.  The result is bit-identical to
+        :meth:`align` with the same inputs.  ``should_abort`` is polled
+        before each slice (the HTTP layer's graceful drain hooks in here)
+        and aborts with :class:`~repro.core.pipeline.StreamAborted`.
+        By-ref sides resolve against the store, and a by-ref target's
+        cached seed table skips the table build.
         """
-        from ..core.streaming import DEFAULT_CHUNK_BP, run_fastz_streaming
-
         with self._lock:
             if self._closed:
                 raise ServiceClosed("service is shut down")
@@ -467,13 +453,12 @@ class AlignmentService:
         self._recorder.record_submitted()
         start = time.monotonic()
         try:
-            result = run_fastz_streaming(
+            result = run_fastz(
                 t_codes,
                 q_codes,
                 config,
                 options,
                 seed_table=seed_table,
-                chunk_bp=chunk_bp or self.stream_chunk_bp or DEFAULT_CHUNK_BP,
                 on_partial=on_partial,
                 should_abort=should_abort,
             )

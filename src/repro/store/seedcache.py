@@ -58,23 +58,13 @@ def _note_degraded(path: Path, reason: str) -> None:
         )
 
 
-def seed_params_key(
-    *, k: int = 19, spaced_pattern: str | None = None, masked: bool = False
-) -> str:
-    """Filename-safe cache key for one set of seeding parameters.
-
-    ``masked`` tables bake the reference's soft-mask into the validity
-    filter and are keyed apart from unmasked ones — the default pipeline
-    (:func:`~repro.lastz.pipeline.select_anchors`) seeds unmasked, and
-    serving it a masked table would break by-ref/by-bytes bit-identity.
-    """
+def seed_params_key(*, k: int = 19, spaced_pattern: str | None = None) -> str:
+    """Filename-safe cache key for one set of seeding parameters."""
     if spaced_pattern is not None:
         if not spaced_pattern or any(c not in "01" for c in spaced_pattern):
             raise ValueError("pattern must be a non-empty string of 0s and 1s")
-        base = f"v{STORE_VERSION}-p{spaced_pattern}"
-    else:
-        base = f"v{STORE_VERSION}-k{int(k)}"
-    return base + "-m" if masked else base
+        return f"v{STORE_VERSION}-p{spaced_pattern}"
+    return f"v{STORE_VERSION}-k{int(k)}"
 
 
 def table_span(*, k: int = 19, spaced_pattern: str | None = None) -> int:

@@ -389,19 +389,15 @@ class ReferenceStore:
         *,
         k: int = 19,
         spaced_pattern: str | None = None,
-        masked: bool = False,
     ) -> SeedTable:
         """The reference's sorted seed table, building + persisting on miss.
 
-        Cache key = store format version + seeding parameters.  By
-        default the table is built *without* the reference's soft-mask —
-        exactly what the inline pipeline computes, preserving by-ref /
-        by-bytes bit-identity; ``masked=True`` bakes the registered mask
-        in (separate cache key) for callers that seed mask-aware.
+        Cache key = store format version + seeding parameters.  The table
+        is built *without* the reference's soft-mask — exactly what the
+        inline pipeline computes, preserving by-ref / by-bytes
+        bit-identity.
         """
-        key = seedcache.seed_params_key(
-            k=k, spaced_pattern=spaced_pattern, masked=masked
-        )
+        key = seedcache.seed_params_key(k=k, spaced_pattern=spaced_pattern)
         span = seedcache.table_span(k=k, spaced_pattern=spaced_pattern)
         cached = self._tables.get((digest, key))
         if cached is not None:
@@ -411,9 +407,7 @@ class ReferenceStore:
                 "Seed-table lookups served from cache",
             ).inc()
             return cached
-        table = self.load_seed_table(
-            digest, k=k, spaced_pattern=spaced_pattern, masked=masked
-        )
+        table = self.load_seed_table(digest, k=k, spaced_pattern=spaced_pattern)
         if table is None:
             obs.counter(
                 "repro_store_seed_cache_misses_total",
@@ -424,10 +418,7 @@ class ReferenceStore:
                 "store.seed_table_build", digest=digest[:12], key=key
             ):
                 table = build_seed_table(
-                    ref.codes,
-                    k=k,
-                    spaced_pattern=spaced_pattern,
-                    mask=ref.mask if masked else None,
+                    ref.codes, k=k, spaced_pattern=spaced_pattern
                 )
             seedcache.save_table(self._seeds_path(digest, key), table)
         else:
@@ -447,12 +438,9 @@ class ReferenceStore:
         *,
         k: int = 19,
         spaced_pattern: str | None = None,
-        masked: bool = False,
     ) -> SeedTable | None:
         """Pure cache read: the persisted table or ``None``, never a build."""
-        key = seedcache.seed_params_key(
-            k=k, spaced_pattern=spaced_pattern, masked=masked
-        )
+        key = seedcache.seed_params_key(k=k, spaced_pattern=spaced_pattern)
         cached = self._tables.get((digest, key))
         if cached is not None:
             return cached

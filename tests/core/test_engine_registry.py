@@ -6,7 +6,7 @@ custom engines round-trip through ``register_engine`` /
 ``unregister_engine`` and are immediately legal ``FastzOptions.engine``
 values.  Second — the reason the registry exists — every registered
 engine is pushed through the same bit-identity matrix against the scalar
-baseline: direct pipeline, streaming overlap, worker pool,
+baseline: direct pipeline, streamed slices, worker pool,
 mixed fleet backends and the windowed chunk path.  Registering an engine
 buys you this suite for free; an engine that can't pass it doesn't
 belong in the registry.
@@ -198,10 +198,15 @@ class TestEngineMatrix:
         _assert_runs_identical(scalar_baseline, got)
 
     def test_streaming_matches_scalar(self, anchored, scalar_baseline, engine):
-        """The bounded-queue overlap pipeline resolves the same registry
-        name per chunk; streaming never changes results."""
-        got = _run(anchored, replace(BENCH_OPTIONS, engine=engine), streaming=True)
+        """A streamed run resolves the same registry name per slice;
+        slicing never changes results."""
+        partials = []
+        got = _run(
+            anchored, replace(BENCH_OPTIONS, engine=engine, batch_size=8),
+            on_partial=partials.append,
+        )
         _assert_runs_identical(scalar_baseline, got)
+        assert len(partials) >= 2
 
     def test_pool_matches_scalar(self, anchored, scalar_baseline, engine):
         """Pool workers receive the engine name via pickled options and

@@ -1,6 +1,10 @@
-"""Streaming seed→extend pipeline: bit-identity with the barrier runs."""
+"""Streamed runs: ``run_fastz(on_partial=...)`` is the barrier run in slices."""
 
+import math
+import multiprocessing
 import threading
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,13 +14,11 @@ from repro.core import (
     FastzOptions,
     StreamAborted,
     run_fastz,
-    run_fastz_streaming,
 )
 from repro.genome import SegmentClass, build_pair
 from repro.lastz.config import LastzConfig
 from repro.lastz.pipeline import select_anchors
 from repro.scoring import default_scheme
-from repro.seeding import IncrementalCollapser, SeedMatches, collapse_diagonal
 from repro.workloads.profiles import BENCH_OPTIONS, bench_config
 
 
@@ -37,6 +39,10 @@ def result_key(result):
     }
 
 
+def _ignore(_partial):
+    pass
+
+
 @pytest.fixture(scope="module")
 def small_pair():
     return build_pair(
@@ -53,6 +59,38 @@ def small_config():
     return LastzConfig(scheme=default_scheme(gap_extend=60, ydrop=2400))
 
 
+class TestSlices:
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("batch_size", [2, 7, 256])
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    def test_slices_match_barrier(
+        self, small_pair, small_config, engine, batch_size, workers
+    ):
+        options = FastzOptions(engine=engine, batch_size=batch_size)
+        barrier = run_fastz(
+            small_pair.target, small_pair.query, small_config, options
+        )
+        partials = []
+        streamed = run_fastz(
+            small_pair.target, small_pair.query, small_config, options,
+            workers=workers, on_partial=partials.append,
+        )
+        assert result_key(streamed) == result_key(barrier)
+
+        n_anchors = len(streamed.tasks)
+        step = max(1, batch_size // 2)
+        assert len(partials) == math.ceil(n_anchors / step)
+        assert [p.seq for p in partials] == list(range(len(partials)))
+        assert [p.n_anchors for p in partials] == [
+            min(step, n_anchors - lo) for lo in range(0, n_anchors, step)
+        ]
+        assert [p.done_anchors for p in partials] == list(
+            np.cumsum([p.n_anchors for p in partials])
+        )
+        assert [a for p in partials for a in p.alignments] == streamed.alignments
+        assert sum(p.eager for p in partials) == streamed.eager_count
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize(
         "options", [FASTZ_FULL, BENCH_OPTIONS], ids=["scalar", "batched"]
@@ -61,30 +99,21 @@ class TestBitIdentity:
         barrier = run_fastz(
             small_pair.target, small_pair.query, small_config, options
         )
-        streamed = run_fastz_streaming(
+        streamed = run_fastz(
             small_pair.target, small_pair.query, small_config, options,
-            chunk_bp=2048,
+            on_partial=_ignore,
         )
         assert result_key(streamed) == result_key(barrier)
-
-    def test_chunk_size_never_changes_results(self, small_pair, small_config):
-        runs = [
-            run_fastz_streaming(
-                small_pair.target, small_pair.query, small_config, FASTZ_FULL,
-                chunk_bp=chunk_bp, max_batch_anchors=batch,
-            )
-            for chunk_bp, batch in [(977, 7), (4096, 1024), (1 << 20, 2)]
-        ]
-        assert result_key(runs[1]) == result_key(runs[0])
-        assert result_key(runs[2]) == result_key(runs[0])
 
     def test_banded_collapse_matches_barrier(self, small_pair):
         config = LastzConfig(
             scheme=default_scheme(gap_extend=60, ydrop=2400), diag_band=150
         )
-        barrier = run_fastz(small_pair.target, small_pair.query, config, FASTZ_FULL)
-        streamed = run_fastz_streaming(
-            small_pair.target, small_pair.query, config, FASTZ_FULL, chunk_bp=2048
+        options = FastzOptions(batch_size=4)
+        barrier = run_fastz(small_pair.target, small_pair.query, config, options)
+        streamed = run_fastz(
+            small_pair.target, small_pair.query, config, options,
+            on_partial=_ignore,
         )
         assert result_key(streamed) == result_key(barrier)
 
@@ -96,41 +125,45 @@ class TestBitIdentity:
             small_pair.target, small_pair.query, small_config, FASTZ_FULL,
             anchors=anchors,
         )
-        streamed = run_fastz_streaming(
-            small_pair.target, small_pair.query, small_config, FASTZ_FULL,
-            anchors=anchors,
+        streamed = run_fastz(
+            small_pair.target, small_pair.query, small_config,
+            FastzOptions(batch_size=4), anchors=anchors, on_partial=_ignore,
         )
         assert result_key(streamed) == result_key(barrier)
 
     def test_worker_pool_matches_serial(self, small_pair, small_config):
-        serial = run_fastz_streaming(
-            small_pair.target, small_pair.query, small_config, FASTZ_FULL,
-            chunk_bp=4096,
+        options = FastzOptions(batch_size=6)
+        serial = run_fastz(
+            small_pair.target, small_pair.query, small_config, options,
+            on_partial=_ignore,
         )
-        pooled = run_fastz_streaming(
-            small_pair.target, small_pair.query, small_config, FASTZ_FULL,
-            chunk_bp=4096, workers=2,
+        pooled = run_fastz(
+            small_pair.target, small_pair.query, small_config, options,
+            workers=2, on_partial=_ignore,
         )
         assert result_key(pooled) == result_key(serial)
 
     def test_tiny_genome_pair_bench_profile(self, tiny_genome_pair):
         config = bench_config()
+        options = replace(BENCH_OPTIONS, batch_size=16)
         barrier = run_fastz(
-            tiny_genome_pair.target, tiny_genome_pair.query, config, BENCH_OPTIONS
+            tiny_genome_pair.target, tiny_genome_pair.query, config, options
         )
-        streamed = run_fastz_streaming(
-            tiny_genome_pair.target, tiny_genome_pair.query, config, BENCH_OPTIONS,
-            chunk_bp=8192,
+        partials = []
+        streamed = run_fastz(
+            tiny_genome_pair.target, tiny_genome_pair.query, config, options,
+            on_partial=partials.append,
         )
         assert result_key(streamed) == result_key(barrier)
+        assert len(partials) >= 2
 
 
 class TestPartials:
     def test_partial_union_equals_final(self, small_pair, small_config):
         partials = []
-        result = run_fastz_streaming(
-            small_pair.target, small_pair.query, small_config, FASTZ_FULL,
-            chunk_bp=2048, max_batch_anchors=16, on_partial=partials.append,
+        result = run_fastz(
+            small_pair.target, small_pair.query, small_config,
+            FastzOptions(batch_size=4), on_partial=partials.append,
         )
         assert len(partials) >= 2
 
@@ -157,9 +190,9 @@ class TestPartials:
 
     def test_eager_counts_sum(self, small_pair, small_config):
         partials = []
-        result = run_fastz_streaming(
-            small_pair.target, small_pair.query, small_config, FASTZ_FULL,
-            chunk_bp=2048, max_batch_anchors=16, on_partial=partials.append,
+        result = run_fastz(
+            small_pair.target, small_pair.query, small_config,
+            FastzOptions(batch_size=4), on_partial=partials.append,
         )
         assert sum(p.eager for p in partials) == result.eager_count
 
@@ -167,88 +200,39 @@ class TestPartials:
 class TestAbort:
     def test_should_abort_raises(self, small_pair, small_config):
         with pytest.raises(StreamAborted):
-            run_fastz_streaming(
+            run_fastz(
                 small_pair.target, small_pair.query, small_config, FASTZ_FULL,
-                chunk_bp=2048, should_abort=lambda: True,
+                on_partial=_ignore, should_abort=lambda: True,
             )
 
     def test_abort_mid_stream_leaves_no_producer(self, small_pair, small_config):
-        before = {t.ident for t in threading.enumerate()}
+        """An abort after the first partial delivers exactly that partial
+        and leaves nothing behind that was producing the stream: no pool
+        worker process outlives the call, and no new thread outlives it
+        by more than a bounded wait (a closed multiprocessing queue's
+        feeder thread exits asynchronously)."""
+        threads_before = {t.ident for t in threading.enumerate()}
+        children_before = {p.pid for p in multiprocessing.active_children()}
         seen = []
 
-        def abort_after_first():
-            return len(seen) >= 1
-
         with pytest.raises(StreamAborted):
-            run_fastz_streaming(
-                small_pair.target, small_pair.query, small_config, FASTZ_FULL,
-                chunk_bp=1024, max_batch_anchors=4,
-                on_partial=seen.append, should_abort=abort_after_first,
+            run_fastz(
+                small_pair.target, small_pair.query, small_config,
+                FastzOptions(batch_size=2), workers=2,
+                on_partial=seen.append, should_abort=lambda: len(seen) >= 1,
             )
-        # The producer thread must be joined on the abort path, not leaked.
-        leaked = [
-            t for t in threading.enumerate()
-            if t.ident not in before and t.name == "fastz-stream-seed"
-        ]
-        assert leaked == []
+        assert len(seen) == 1
+        assert [
+            p for p in multiprocessing.active_children()
+            if p.pid not in children_before
+        ] == []
 
+        def new_threads():
+            return [
+                t for t in threading.enumerate() if t.ident not in threads_before
+            ]
 
-class TestValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"chunk_bp": 0}, {"queue_depth": 0}, {"max_batch_anchors": -1}],
-    )
-    def test_bad_knobs_rejected(self, small_pair, small_config, kwargs):
-        with pytest.raises(ValueError):
-            run_fastz_streaming(
-                small_pair.target, small_pair.query, small_config, FASTZ_FULL,
-                **kwargs,
-            )
-
-
-class TestIncrementalCollapser:
-    """Segmented drains reproduce the one-shot collapse scan exactly."""
-
-    @pytest.mark.parametrize("diag_band", [0, 150])
-    @pytest.mark.parametrize("seed_rng", [0, 1, 2])
-    def test_segmented_equals_one_shot(self, diag_band, seed_rng):
-        rng = np.random.default_rng(seed_rng)
-        n = 4000
-        span = 19
-        t = rng.integers(0, 30_000, size=n, dtype=np.int64)
-        q = rng.integers(0, 30_000, size=n, dtype=np.int64)
-        seeds = SeedMatches(target_pos=t, query_pos=q, span=span)
-        one_shot = collapse_diagonal(seeds, window=500, diag_band=diag_band)
-
-        # Feed in ascending-diagonal groups with a drain between each —
-        # the streaming contract (everything added after a drain lies at
-        # or above its frontier).
-        diag = t - q
-        order = np.argsort(diag, kind="stable")
-        t_sorted, q_sorted, diag_sorted = t[order], q[order], diag[order]
-        collapser = IncrementalCollapser(window=500, diag_band=diag_band, span=span)
-        out_t, out_q = [], []
-        cuts = [-25_000, -10_000, 0, 4_000, 17_000]
-        lo = 0
-        for frontier in cuts:
-            hi = int(np.searchsorted(diag_sorted, frontier, side="left"))
-            collapser.add(t_sorted[lo:hi], q_sorted[lo:hi])
-            drained = collapser.drain(frontier)
-            out_t.append(drained.target_pos)
-            out_q.append(drained.query_pos)
-            lo = hi
-        collapser.add(t_sorted[lo:], q_sorted[lo:])
-        final = collapser.drain(None)
-        out_t.append(final.target_pos)
-        out_q.append(final.query_pos)
-
-        assert np.concatenate(out_t).tolist() == one_shot.target_pos.tolist()
-        assert np.concatenate(out_q).tolist() == one_shot.query_pos.tolist()
-
-    def test_pending_counts(self):
-        collapser = IncrementalCollapser(window=500, diag_band=0, span=19)
-        assert collapser.pending == 0
-        collapser.add(np.array([5, 6], dtype=np.int64), np.array([1, 2], dtype=np.int64))
-        assert collapser.pending == 2
-        collapser.drain(None)
-        assert collapser.pending == 0
+        deadline = time.monotonic() + 10.0
+        while new_threads() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert new_threads() == []

@@ -1,7 +1,8 @@
-"""``workers=`` on the barrier and streaming pipelines.
+"""``workers=`` on barrier and streamed runs.
 
-Both run their extensions through a per-call
-:class:`~repro.core.pool.WorkerPool`: a worker that dies has its shard
+Both run their extensions through one per-call
+:class:`~repro.core.pool.WorkerPool` (a streamed run sends it one slice
+of anchors at a time): a worker that dies has its shard
 re-dispatched to a replacement, and a shard that raises re-raises its own
 exception, exactly as the in-process engine would.  The death tests run
 the pipeline in a subprocess with a timeout, so a pool that never
@@ -18,19 +19,28 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import run_fastz, run_fastz_streaming
+from repro.core import run_fastz
 from repro.seeding import Anchors
 from repro.workloads.profiles import BENCH_OPTIONS, bench_config
 
 from .test_pipeline_batched import _assert_runs_identical
 
-RUNS = {"barrier": run_fastz, "stream": run_fastz_streaming}
+# (options, run_fastz kwargs) per mode; a streamed run gets a small
+# batch_size so it is several slices.
+RUNS = {
+    "barrier": (BENCH_OPTIONS, {}),
+    "stream": (
+        replace(BENCH_OPTIONS, batch_size=8),
+        {"on_partial": lambda partial: None},
+    ),
+}
 
 # Runs one pipeline with workers=2 and pickles back the result plus the
 # stats of every pool the run closed.
 _KILLED_RUN = """
 import pickle, sys
-from repro.core import pool, run_fastz, run_fastz_streaming
+from dataclasses import replace
+from repro.core import pool, run_fastz
 from repro.workloads.profiles import BENCH_OPTIONS, bench_config
 
 stats = []
@@ -44,8 +54,12 @@ pool.WorkerPool.close = recording_close
 path, mode = sys.argv[1:]
 with open(path, "rb") as handle:
     target, query = pickle.load(handle)
-run = run_fastz_streaming if mode == "stream" else run_fastz
-result = run(target, query, bench_config(), BENCH_OPTIONS, workers=2)
+if mode == "stream":
+    options = replace(BENCH_OPTIONS, batch_size=8)
+    kwargs = {"on_partial": lambda partial: None}
+else:
+    options, kwargs = BENCH_OPTIONS, {}
+result = run_fastz(target, query, bench_config(), options, workers=2, **kwargs)
 with open(path, "wb") as handle:
     pickle.dump((result, stats), handle)
 """
@@ -97,7 +111,9 @@ def test_shard_exception_keeps_its_type(mode):
     codes = np.random.default_rng(3).integers(0, 4, 2_000, dtype=np.uint8)
     codes[500:600] = 99
     anchors = Anchors(np.array([520, 550]), np.array([520, 550]))
+    options, kwargs = RUNS[mode]
     with pytest.raises(IndexError, match="alphabet"):
-        RUNS[mode](
-            codes, codes, bench_config(), BENCH_OPTIONS, anchors=anchors, workers=2
+        run_fastz(
+            codes, codes, bench_config(), options, anchors=anchors, workers=2,
+            **kwargs,
         )

@@ -16,6 +16,7 @@ import json
 import pytest
 
 from repro.api import ApiError, Client
+from repro.core import FastzOptions
 from repro.fleet import InProcessBackend, SimGpuBackend, TenantQuotas
 from repro.genome import SegmentClass, build_pair
 from repro.lastz.config import LastzConfig
@@ -319,8 +320,11 @@ class TestDrain:
             classes=[SegmentClass("s", 12, 80, 250, divergence=0.05)],
             rng=17,
         )
+        # batch_size 8 streams slices of 4 anchors: many partials.
         service = AlignmentService(
-            max_wait_ms=1.0, config=CONFIG, stream_chunk_bp=1024
+            max_wait_ms=1.0,
+            config=CONFIG,
+            options=FastzOptions(engine="batched", batch_size=8),
         )
         d = Door(service)
         probes = {}

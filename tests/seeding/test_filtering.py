@@ -71,6 +71,36 @@ class TestCollapseDiagonal:
         assert len(banded) == 1
         assert len(exact) > 1
 
+    @pytest.mark.parametrize("diag_band", [0, 150])
+    @pytest.mark.parametrize("seed_rng", [0, 1, 2])
+    def test_matches_reference_scan(self, diag_band, seed_rng):
+        # The rule read literally, with no per-diagonal or per-bucket
+        # index: scan in (diagonal, query) order and keep a seed unless a
+        # kept one lies within diag_band diagonals and window query bases.
+        rng = np.random.default_rng(seed_rng)
+        n, span, window = 4000, 19, 500
+        t = rng.integers(0, 30_000, size=n, dtype=np.int64)
+        q = rng.integers(0, 30_000, size=n, dtype=np.int64)
+        got = collapse_diagonal(
+            SeedMatches(t, q, span), window=window, diag_band=diag_band
+        )
+
+        kept_d = np.empty(n, dtype=np.int64)
+        kept_q = np.empty(n, dtype=np.int64)
+        m = 0
+        expect = []
+        for k in np.lexsort((q, t - q)):
+            d = t[k] - q[k]
+            near = (np.abs(kept_d[:m] - d) <= diag_band) & (
+                np.abs(kept_q[:m] - q[k]) < window
+            )
+            if not near.any():
+                kept_d[m], kept_q[m] = d, q[k]
+                m += 1
+                expect.append((int(t[k]) + span // 2, int(q[k]) + span // 2))
+        assert 0 < m < n
+        assert got.pairs() == expect
+
 
 class TestAnchors:
     def test_take(self):

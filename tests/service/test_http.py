@@ -8,6 +8,7 @@ import urllib.parse
 
 import pytest
 
+from repro.core import FastzOptions
 from repro.fleet.asgi import API_PREFIX, LEGACY_PATHS
 from repro.genome import SegmentClass, build_pair
 from repro.lastz.config import LastzConfig
@@ -245,8 +246,11 @@ class TestStreaming:
 class TestGracefulDrain:
     @pytest.fixture()
     def drain_endpoint(self):
+        # batch_size 8 streams slices of 4 anchors: many partials.
         service = AlignmentService(
-            max_wait_ms=1.0, config=CONFIG, stream_chunk_bp=1024
+            max_wait_ms=1.0,
+            config=CONFIG,
+            options=FastzOptions(engine="batched", batch_size=8),
         )
         door = Door(service, grace_s=30.0)
         yield door.url, door.server, door.thread

@@ -187,17 +187,6 @@ class TestSeedCache:
         assert fresh.load_seed_table(digest, k=13).span == 13
         assert fresh.load_seed_table(digest, k=19).span == 19
 
-    def test_masked_is_separate_key(self, store):
-        codes, mask = encode_with_mask("acgtacgtacgtacgt" + "ACGT" * 100)
-        digest = store.add(codes, mask=mask)
-        plain = store.seed_table(digest, k=13)
-        masked = store.seed_table(digest, k=13, masked=True)
-        # The soft-masked prefix is excluded only from the masked table.
-        assert len(masked) < len(plain)
-        fresh = ReferenceStore(store.root)
-        assert len(fresh.load_seed_table(digest, k=13)) == len(plain)
-        assert len(fresh.load_seed_table(digest, k=13, masked=True)) == len(masked)
-
     def test_torn_cache_file_degrades_to_rebuild(self, store, rng):
         codes = rng.integers(0, 4, size=4000).astype(np.uint8)
         digest = store.add(codes)

@@ -76,9 +76,8 @@ class TestAlign:
             pair.target,
             pair.query,
             CONFIG,
-            streaming=True,
+            {"batch_size": 8},
             on_partial=partials.append,
-            stream_chunk_bp=2048,
         )
         assert streamed.alignments == barrier.alignments
         assert len(partials) >= 1
