@@ -66,7 +66,7 @@ sharing a block keep its union window tight.
 Tail handoff
 ------------
 A sweep step's cost is mostly per-step NumPy dispatch (DESIGN.md §17
-measures 76 µs with one live row and 95 µs with fifty, against 19-34 µs
+measures 76 µs with one live row and 95 µs with fifty, against 16-24 µs
 per row-step on the row kernel), so a block that is down to its last few
 long alignments pays the whole per-step cost for almost no work (the
 reason the paper bins by length, §3.3).  Once a block has ``_TAIL_ROWS`` or
@@ -131,7 +131,7 @@ _N_SCORE_PLANES = 9
 #: Live rows at or below which a block stops sweeping: the survivors are
 #: lifted out of the slabs and finished on the row kernel, and a block that
 #: starts this small never stages slabs.  Near the measured break-even,
-#: where one sweep step costs as much as 3-4 row-kernel steps.
+#: where one sweep step costs as much as about 4 row-kernel steps.
 _TAIL_ROWS = 4
 
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from ..scoring import NEG_INF, ScoringScheme
 from .alignment import Alignment
-from .traceback import S_DIAG, S_FROM_D, S_FROM_I, S_ORIGIN, walk_traceback
+from .traceback import S_FROM_D, S_ORIGIN, walk_traceback
 
 __all__ = [
     "WavefrontStats",
@@ -320,13 +320,19 @@ def resume_wavefront(
     target = np.asarray(target, dtype=np.uint8)
     query = np.asarray(query, dtype=np.uint8)
     m, n = int(target.shape[0]), int(query.shape[0])
-    oe = int(scheme.gap_open + scheme.gap_extend)
-    e = int(scheme.gap_extend)
-    ydrop = int(scheme.ydrop) if prune else None
+    # Ufunc operands are 0-d int64 arrays: NumPy converts a Python int on
+    # every call, which on a short window costs more than the arithmetic.
+    oe = np.array(scheme.gap_open + scheme.gap_extend, dtype=np.int64)
+    e = np.array(scheme.gap_extend, dtype=np.int64)
+    ydrop = int(scheme.ydrop)
     sub = scheme.substitution
 
     tile_tb, full_tb = state.tile_tb, state.full_tb
     tile = tile_tb.shape[0] - 1 if tile_tb is not None else 0
+    if full_tb is not None:
+        record_to = m + n
+    else:
+        record_to = 2 * tile if tile_tb is not None else 0
     S_pp, S_p, I_p, D_p = state.S_pp, state.S_p, state.I_p, state.D_p
     cap = S_p.shape[0]
     S_c = np.full(cap, NEG_INF, dtype=np.int64)
@@ -334,10 +340,21 @@ def resume_wavefront(
     D_c = np.full(cap, NEG_INF, dtype=np.int64)
     I_pp = np.full(cap, NEG_INF, dtype=np.int64)
     D_pp = np.full(cap, NEG_INF, dtype=np.int64)
-    scratch = np.empty(cap, dtype=np.int64)
+    # Per-step scratch: ``so[k]`` holds ``S_p - oe`` at coordinate
+    # ``lo - 1 + k`` (the gap-open candidate of I at window index ``k - 1``
+    # and of D at window index ``k``), ``dg`` the diagonal candidates,
+    # ``alive`` the prune test and ``u8`` the traceback byte's parts (I and
+    # D extension bits, S choice, diagonal-lost flag).
+    so = np.empty(cap + 1, dtype=np.int64)
+    dg = np.empty(cap, dtype=np.int64)
+    alive = np.empty(cap, dtype=bool)
+    u8 = np.empty((4, cap), dtype=np.uint8)
+    from_d = np.array(S_FROM_D, dtype=np.uint8)
 
     best = state.best
     best_i, best_j = state.best_i, state.best_j
+    # The prune threshold ``best - ydrop``, rewritten only when best moves.
+    thr = np.array(best - ydrop, dtype=np.int64) if prune else None
     lo_prev, hi_prev = state.lo_prev, state.hi_prev
 
     diagonals = state.diagonals
@@ -348,6 +365,7 @@ def resume_wavefront(
 
     maximum = np.maximum
     subtract = np.subtract
+    greater = np.greater
 
     for d in range(state.d + 1, m + n + 1):
         lo = lo_prev if lo_prev > d - n else d - n
@@ -361,13 +379,17 @@ def resume_wavefront(
         if lo > hi:
             break
         width = hi - lo + 1
+        record = d <= record_to
 
-        if hi + 3 > S_c.shape[0]:
-            cap = max(hi + 3, 2 * S_c.shape[0])
+        if hi + 3 > cap:
+            cap = max(hi + 3, 2 * cap)
             S_pp, S_p, S_c = _regrow(S_pp, cap), _regrow(S_p, cap), _regrow(S_c, cap)
             I_pp, I_p, I_c = _regrow(I_pp, cap), _regrow(I_p, cap), _regrow(I_c, cap)
             D_pp, D_p, D_c = _regrow(D_pp, cap), _regrow(D_p, cap), _regrow(D_c, cap)
-            scratch = np.empty(cap, dtype=np.int64)
+            so = np.empty(cap + 1, dtype=np.int64)
+            dg = np.empty(cap, dtype=np.int64)
+            alive = np.empty(cap, dtype=bool)
+            u8 = np.empty((4, cap), dtype=np.uint8)
 
         # Scrub recycled buffer edges (windows move by at most 1 per step).
         if lo >= 1:
@@ -377,57 +399,69 @@ def resume_wavefront(
         Icur = I_c[lo : hi + 1]
         Dcur = D_c[lo : hi + 1]
         Scur = S_c[lo : hi + 1]
-        sc = scratch[:width]
+        if lo >= 1:
+            subtract(S_p[lo - 1 : hi + 1], oe, out=so[: width + 1])
+        else:
+            subtract(S_p[0 : hi + 1], oe, out=so[1 : width + 1])
+        if record:
+            i_ext, d_ext = u8[0, :width], u8[1, :width]
 
         # --- I(i, j): from diagonal d-1, same index -------------------------
+        so_i = so[1 : width + 1]
         subtract(I_p[lo : hi + 1], e, out=Icur)
-        subtract(S_p[lo : hi + 1], oe, out=sc)
-        maximum(Icur, sc, out=Icur)
+        if record:
+            greater(Icur, so_i, out=i_ext)
+        maximum(Icur, so_i, out=Icur)
         if hi == d:  # cell (d, 0) has no insertion parent
             Icur[-1] = NEG_INF
 
         # --- D(i, j): from diagonal d-1, index i-1 --------------------------
         if lo >= 1:
+            so_d = so[:width]
             subtract(D_p[lo - 1 : hi], e, out=Dcur)
-            subtract(S_p[lo - 1 : hi], oe, out=sc)
-            maximum(Dcur, sc, out=Dcur)
+            if record:
+                greater(Dcur, so_d, out=d_ext)
+            maximum(Dcur, so_d, out=Dcur)
         else:
             Dcur[0] = NEG_INF
+            if record:
+                d_ext[0] = 0
             if width > 1:
-                subtract(D_p[0:hi], e, out=Dcur[1:])
-                subtract(S_p[0:hi], oe, out=sc[1:])
-                maximum(Dcur[1:], sc[1:], out=Dcur[1:])
+                so_d, Dtop = so[1:width], Dcur[1:]
+                subtract(D_p[0:hi], e, out=Dtop)
+                if record:
+                    greater(Dtop, so_d, out=d_ext[1:])
+                maximum(Dtop, so_d, out=Dtop)
 
         # --- S = max(I, D, diag) --------------------------------------------
         maximum(Icur, Dcur, out=Scur)
         di_lo = lo if lo >= 1 else 1
         di_hi = hi if hi <= d - 1 else d - 1
-        diag_core = None
         if di_lo <= di_hi:
             t_sl = target[di_lo - 1 : di_hi]
             q_sl = query[d - di_hi - 1 : d - di_lo][::-1]
-            diag_core = S_pp[di_lo - 1 : di_hi] + sub[t_sl, q_sl]
+            diag = dg[: di_hi - di_lo + 1]
+            np.add(S_pp[di_lo - 1 : di_hi], sub[t_sl, q_sl], out=diag)
             core = Scur[di_lo - lo : di_hi - lo + 1]
-            maximum(core, diag_core, out=core)
+            maximum(core, diag, out=core)
 
         # --- traceback recording --------------------------------------------
-        record_tile = tile_tb is not None and d <= 2 * tile
-        if full_tb is not None or record_tile:
-            i_from_i = (I_p[lo : hi + 1] - e) > (S_p[lo : hi + 1] - oe)
-            if lo >= 1:
-                d_from_d = (D_p[lo - 1 : hi] - e) > (S_p[lo - 1 : hi] - oe)
-            else:
-                d_from_d = np.zeros(width, dtype=bool)
-                if width > 1:
-                    d_from_d[1:] = (D_p[0:hi] - e) > (S_p[0:hi] - oe)
-            s_choice = np.full(width, S_FROM_D, dtype=np.uint8)
-            s_choice[Scur == Icur] = S_FROM_I
-            if diag_core is not None:
-                sl = slice(di_lo - lo, di_hi - lo + 1)
-                hit = Scur[sl] == diag_core
-                s_choice[sl][hit] = S_DIAG
-            packed = s_choice | (i_from_i.astype(np.uint8) << 2)
-            packed |= d_from_d.astype(np.uint8) << 3
+        if record:
+            s_ch, lost = u8[2, :width], u8[3, :width]
+            np.equal(Scur, Icur, out=s_ch)
+            # S_FROM_D, or S_FROM_I (= S_FROM_D - 1) where S == I.
+            subtract(from_d, s_ch, out=s_ch)
+            if lo == 0:  # no diagonal parent at the matrix edges
+                lost[0] = 1
+            if hi == d:
+                lost[-1] = 1
+            if di_lo <= di_hi:
+                np.not_equal(core, diag, out=lost[di_lo - lo : di_hi - lo + 1])
+            np.multiply(s_ch, lost, out=s_ch)  # S_DIAG (= 0) where it wins
+            np.left_shift(i_ext, 2, out=i_ext)
+            np.left_shift(d_ext, 3, out=d_ext)
+            np.bitwise_or(s_ch, i_ext, out=s_ch)
+            packed = np.bitwise_or(s_ch, d_ext)
             if full_tb is not None:
                 full_tb.append_diag(lo, packed)
             else:
@@ -438,9 +472,11 @@ def resume_wavefront(
                     tile_tb[ii, d - ii] = packed[t_lo - lo : t_hi - lo + 1]
 
         # --- prune window edges against completed-diagonal best -------------
-        if ydrop is not None:
-            alive = np.flatnonzero(Scur >= best - ydrop)
-            if alive.shape[0] == 0:
+        if thr is not None:
+            live = alive[:width]
+            np.greater_equal(Scur, thr, out=live)
+            first = int(live.argmax())
+            if not live[first]:
                 diagonals += 1
                 cells += width
                 strips = -(-width // WARP_WIDTH)
@@ -449,8 +485,10 @@ def resume_wavefront(
                 if width > max_width:
                     max_width = width
                 break
-            first = int(alive[0])
-            last = int(alive[-1])
+            if live[-1]:
+                last = width - 1
+            else:
+                last = width - 1 - int(live[::-1].argmax())
             if first > 0:
                 S_c[lo : lo + first] = NEG_INF
                 I_c[lo : lo + first] = NEG_INF
@@ -464,12 +502,14 @@ def resume_wavefront(
             lo_next, hi_next = lo, hi
 
         # --- best-cell tracking (ties: smallest i+j, then smallest i) -------
-        w_idx = int(np.argmax(Scur))
+        w_idx = int(Scur.argmax())
         d_best = int(Scur[w_idx])
         if d_best > best:
             best = d_best
             best_i = lo + w_idx
             best_j = d - best_i
+            if thr is not None:
+                thr[()] = best - ydrop
 
         diagonals += 1
         cells += width

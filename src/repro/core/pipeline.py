@@ -515,9 +515,10 @@ class ExtensionSpec:
 
     The form a batch travels in from the service dispatcher to a fleet
     lane and on to pool workers.  ``codes`` holds each distinct sequence
-    once; ``digests`` names the store-backed ones (``None`` for raw
-    request codes) so :meth:`~repro.core.pool.WorkerPool.extend_spec`
-    can publish them to shared memory instead of pickling them.  Row
+    once; ``digests`` keys the ones a pool may publish to shared memory
+    instead of pickling them (store digests, or ``run_fastz``'s per-call
+    keys; ``None`` ships the codes inline) in
+    :meth:`~repro.core.pool.WorkerPool.extend_spec`.  Row
     ``(ti, qi, t, q)`` is one anchor at ``t`` in ``codes[ti]`` and ``q``
     in ``codes[qi]``.  Every lane feeds the engine :meth:`suffixes`, so
     records are bit-identical wherever the batch runs.
@@ -737,9 +738,10 @@ def run_fastz(
     ``"batched"`` lockstep batches); ``workers`` > 1 additionally deals
     the anchors into LPT-balanced shards across a
     :class:`~repro.core.pool.WorkerPool` of up to ``workers`` processes,
-    opened for this call — a worker that dies has its shard re-dispatched,
-    and a shard's exception is re-raised as the in-process engine would
-    raise it.  Both knobs change only wall-clock, never results.
+    opened for this call and handed the pair once, in shared memory — a
+    worker that dies has its shard re-dispatched, and a shard's exception
+    is re-raised as the in-process engine would raise it.  Both knobs
+    change only wall-clock, never results.
 
     ``on_partial`` streams the run: the sorted anchors are extended in
     order, in slices of ``max(1, options.batch_size // 2)`` anchors (one
@@ -767,6 +769,9 @@ def run_fastz(
             from .pool import WorkerPool
 
             pool = WorkerPool(min(int(workers), n_anchors))
+            # Source keys for this call's pool: it publishes the pair to
+            # shared memory once, and every slice ships handles and rows.
+            keys = [f"run:{id(c)}" for c in (prepared.t_codes, prepared.q_codes)]
         per_anchor: list[_AnchorExtension] = []
         try:
             for lo in range(0, n_anchors, step):
@@ -775,7 +780,7 @@ def run_fastz(
                 part = prepared.sliced(lo, lo + step)
                 if pool is not None:
                     records = pool.extend_spec(
-                        ExtensionSpec.fuse([(part, None, None)]),
+                        ExtensionSpec.fuse([(part, *keys)]),
                         scheme, options, tile, key="run",
                     )
                 else:

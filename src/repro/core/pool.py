@@ -29,8 +29,9 @@ dispatched one per worker — the SaLoBa workload-balance lever applied to
 the online path.  :meth:`WorkerPool.extend_spec` takes the batch's
 :class:`~repro.core.pipeline.ExtensionSpec` and decides how each of its
 sequences reaches the workers — this module is the only one that builds
-or resolves a code source: a digest-named sequence is published once to
-shared memory and travels as its handle, any other ships inline.  A
+or resolves a code source: a keyed sequence (a store digest, or one of
+``run_fastz``'s per-call keys) is published once to shared memory and
+travels as its handle, any other ships inline.  A
 shard message carries those sources plus ``(ti, qi, t, q)`` rows; the
 worker rebuilds the suffix views with
 :meth:`~repro.core.pipeline.ExtensionSpec.suffixes`.  Because every
@@ -359,8 +360,8 @@ def _resolve_sources(sources) -> list:
     ``("shm", name, length)`` attaches to the parent's published segment
     (cached per process by :func:`repro.store.attach_codes`, so repeated
     shards over the same reference map it once); ``("inline", codes)``
-    arrived pickled in the message itself — sequences without a digest,
-    or past the publisher's byte cap.  :meth:`WorkerPool._sources` builds
+    arrived pickled in the message itself — sequences without a key, or
+    past the publisher's byte cap.  :meth:`WorkerPool._sources` builds
     both.
     """
     out = []
@@ -445,7 +446,7 @@ class WorkerPool:
         )
         self._jobs = itertools.count()
         self._closed = False
-        #: Parent-owned shared-memory segments of digest-named sequences,
+        #: Parent-owned shared-memory segments of keyed sequences,
         #: published once each; live until :meth:`close`.
         self._shm = ShmPublisher()
         # The empty dict is each worker's own warm-params cache.
@@ -525,9 +526,9 @@ class WorkerPool:
     def _sources(self, spec: ExtensionSpec) -> list:
         """How each of ``spec``'s sequences reaches the workers.
 
-        A digest-named sequence ships as ``("shm", name, length)``,
-        published once per digest; one without a digest, or one the
-        publisher declines (byte cap, no segment), ships as
+        A keyed sequence ships as ``("shm", name, length)``, published
+        once per key for the life of the pool; one without a key, or one
+        the publisher declines (byte cap, no segment), ships as
         ``("inline", codes)`` — slower, never wrong.
         """
         out = []

@@ -5,11 +5,12 @@ default, LASTZ's seed length) to serve as anchor candidates for gapped
 extension.  Both contiguous k-mers and LASTZ-style spaced seeds (a pattern
 of care/don't-care positions, default ``12-of-19``) are supported.
 
-Everything is vectorised: k-mer words are packed into ``uint64`` with a
-Horner scan (k passes over the sequence), and matching is sort +
-``searchsorted`` rather than a Python-dict hash table.  Words that occur too
-often in the target are *censored* (dropped), mirroring LASTZ's treatment of
-high-frequency repeat words.
+Everything is vectorised: words are packed into ``uint64`` (k-mers by
+doubling, about log2(k) passes over the sequence; spaced words one pass
+per care position), and matching is sort + ``searchsorted`` rather than a
+Python-dict hash table.  Words that occur too often in the target are
+*censored* (dropped), mirroring LASTZ's treatment of high-frequency repeat
+words.
 """
 
 from __future__ import annotations
@@ -81,10 +82,26 @@ def pack_kmers(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     n = codes.shape[0]
     if n < k:
         return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=bool)
-    safe = np.where(codes >= 4, 0, codes).astype(np.uint64)
-    words = np.zeros(n - k + 1, dtype=np.uint64)
-    for offset in range(k):
-        words = (words << np.uint64(2)) | safe[offset : n - k + 1 + offset]
+    # Pack by doubling: ``run`` holds every window of ``width`` bases and
+    # is joined with itself shifted by ``width`` to double it, while
+    # ``words`` (windows of ``have`` bases) takes on the run for each set
+    # bit of k, so k = 19 costs 6 shift-or passes instead of 19.
+    run = np.where(codes >= 4, 0, codes).astype(np.uint64)
+    width, bits = 1, k
+    words, have = None, 0
+    while True:
+        if bits & 1:
+            if words is None:
+                words, have = run, width
+            else:
+                words = words[: run.shape[0] - have] << np.uint64(2 * width)
+                words |= run[have:]
+                have += width
+        bits >>= 1
+        if not bits:
+            break
+        run = (run[:-width] << np.uint64(2 * width)) | run[width:]
+        width *= 2
     return words, ~_window_masked(codes >= 4, k)
 
 
@@ -140,13 +157,35 @@ def pack_words(
     return words, valid, span
 
 
+def _sort_by_word(
+    words: np.ndarray, positions: np.ndarray, n_windows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(words, positions)`` sorted by word, ties by position.
+
+    ``positions`` are ascending window indices below ``n_windows``, so this
+    is exactly the order of a stable argsort of ``words``.  When a word and
+    a position fit one 64-bit key side by side, one in-place sort of
+    ``(word << p) | position`` (``p`` the bit length of the largest window
+    index) replaces the argsort and both gathers; the keys are distinct, so
+    any sort gives the stable order.
+    """
+    p = max(n_windows - 1, 0).bit_length()
+    if words.shape[0] and int(words.max()).bit_length() + p <= 64:
+        keys = (words << np.uint64(p)) | positions.astype(np.uint64)
+        keys.sort()
+        low = np.uint64((1 << p) - 1)
+        return keys >> np.uint64(p), (keys & low).view(np.int64)
+    order = np.argsort(words, kind="stable")
+    return words[order], positions[order].astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class SeedTable:
     """Sorted target-side word table, the precomputable half of seeding.
 
     ``words`` is sorted ascending and ``positions[i]`` is the start offset
     of ``words[i]`` in the target; ``span`` is the word footprint in bases.
-    Building this table (pack + stable argsort over the whole target) is
+    Building this table (pack + sort by word over the whole target) is
     the expensive part of :func:`find_seeds` and depends only on the
     target and the seeding parameters, so the reference store persists it
     per registered sequence and hands it back on every request.
@@ -181,13 +220,8 @@ def build_seed_table(
         codes, k=k, spaced_pattern=spaced_pattern, mask=mask
     )
     pos_all = np.flatnonzero(valid)
-    w = words[pos_all]
-    order = np.argsort(w, kind="stable")
-    return SeedTable(
-        words=w[order],
-        positions=pos_all[order].astype(np.int64, copy=False),
-        span=span,
-    )
+    w, positions = _sort_by_word(words[pos_all], pos_all, words.shape[0])
+    return SeedTable(words=w, positions=positions, span=span)
 
 
 def find_seeds(
@@ -257,28 +291,26 @@ def find_seeds(
         return SeedMatches(
             np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), span
         )
-    q_w = q_words[q_pos_all]
+    # Search the query words in ascending order: NumPy's binary search then
+    # keeps the previous key's bound and walks cache-resident paths.  The
+    # hits stay in word order; the canonical sort below fixes their order.
+    q_w, q_pos_all = _sort_by_word(q_words[q_pos_all], q_pos_all, q_words.shape[0])
+    left = np.searchsorted(t_w_sorted, q_w, side="left")
+    # Most query words occur nowhere in the target, so only the words found
+    # at their lower bound get the second search.
+    hit = np.flatnonzero(t_w_sorted.take(left, mode="clip") == q_w)
+    left, q_hit_pos = left[hit], q_pos_all[hit]
+    counts = np.searchsorted(t_w_sorted, q_w[hit], side="right") - left
 
-    # Search the query words in ascending order — NumPy's binary search
-    # then keeps the previous key's bound and walks cache-resident paths —
-    # and scatter the bounds back to query order.
-    q_order = np.argsort(q_w)
-    q_w_sorted = q_w[q_order]
-    left = np.empty(q_w.shape[0], dtype=np.intp)
-    right = np.empty(q_w.shape[0], dtype=np.intp)
-    left[q_order] = np.searchsorted(t_w_sorted, q_w_sorted, side="left")
-    right[q_order] = np.searchsorted(t_w_sorted, q_w_sorted, side="right")
-    counts = right - left
-
-    # Censor high-frequency words and non-matches.
-    keep = (counts > 0) & (counts <= max_word_count)
+    # Censor high-frequency words.
+    keep = counts <= max_word_count
     if not keep.any():
         return SeedMatches(
             np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), span
         )
     left = left[keep]
     counts = counts[keep]
-    q_hit_pos = q_pos_all[keep]
+    q_hit_pos = q_hit_pos[keep]
 
     # Expand (query hit, count) pairs into flat index lists.
     total = int(counts.sum())

@@ -19,6 +19,7 @@ would tear the segment out from under its siblings.
 
 from __future__ import annotations
 
+import os
 import warnings
 from multiprocessing import resource_tracker, shared_memory
 
@@ -61,13 +62,28 @@ def _note_unregister_failed(name: str, exc: BaseException) -> None:
 #: declines (returns None) and dispatch falls back to inline codes.
 DEFAULT_BYTE_CAP = 1 << 30
 
+#: The tmpfs Linux backs POSIX shared memory with.  A segment larger than
+#: its free space is created without error and raises SIGBUS in the
+#: process that first writes past the space, so publish() checks first.
+_SHM_DIR = "/dev/shm"
+
+
+def _has_room(size: int) -> bool:
+    """Whether :data:`_SHM_DIR` has ``size`` bytes free (True if unknown)."""
+    try:
+        st = os.statvfs(_SHM_DIR)
+    except OSError:
+        return True
+    return st.f_bavail * st.f_frsize >= size
+
 
 class ShmPublisher:
     """Parent-side registry of published reference segments.
 
     ``publish`` is idempotent per key and returns the ``(name, length)``
     handle a worker needs to attach, or ``None`` when the byte cap would
-    be exceeded (callers then ship codes inline — slower, never wrong).
+    be exceeded or the shared-memory filesystem lacks the room (callers
+    then ship codes inline — slower, never wrong).
     """
 
     def __init__(self, *, byte_cap: int = DEFAULT_BYTE_CAP) -> None:
@@ -82,6 +98,8 @@ class ShmPublisher:
             return self._segments[key].name, self._lengths[key]
         codes = np.ascontiguousarray(codes, dtype=np.uint8)
         if codes.size == 0 or self._bytes + codes.size > self._byte_cap:
+            return None
+        if not _has_room(codes.size):
             return None
         try:
             seg = shared_memory.SharedMemory(create=True, size=codes.size)

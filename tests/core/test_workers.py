@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core import run_fastz
+from repro.core.pool import WorkerPool
 from repro.seeding import Anchors
 from repro.workloads.profiles import BENCH_OPTIONS, bench_config
 
@@ -117,3 +118,32 @@ def test_shard_exception_keeps_its_type(mode):
             codes, codes, bench_config(), options, anchors=anchors, workers=2,
             **kwargs,
         )
+
+
+def test_streamed_slices_ship_handles_not_codes(tiny_genome_pair, monkeypatch):
+    # The pair is published to shared memory once per call: every slice's
+    # shard message carries two handles and its rows, never the codes.
+    shipped = []
+    send = WorkerPool._send
+
+    def spy(self, slot, job_id, shard_id, key, params, work):
+        shipped.append(pickle.dumps(work, protocol=pickle.HIGHEST_PROTOCOL))
+        return send(self, slot, job_id, shard_id, key, params, work)
+
+    monkeypatch.setattr(WorkerPool, "_send", spy)
+    pair = tiny_genome_pair
+    options, kwargs = RUNS["stream"]
+    barrier = run_fastz(pair.target, pair.query, bench_config(), options)
+    streamed = run_fastz(
+        pair.target, pair.query, bench_config(), options, workers=2, **kwargs
+    )
+    _assert_runs_identical(barrier, streamed)
+    slices = -(-len(streamed.tasks) // max(1, options.batch_size // 2))
+    assert slices > 1 and len(shipped) >= slices
+    names = set()
+    for message in shipped:
+        sources, _rows = pickle.loads(message)
+        assert [src[0] for src in sources] == ["shm", "shm"]
+        names.update(src[1] for src in sources)
+        assert len(message) < 4096
+    assert len(names) == 2

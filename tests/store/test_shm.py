@@ -42,6 +42,19 @@ class TestPublishAttach:
             release_attachments()
             pub.close()
 
+    def test_full_shm_filesystem_declined(self, publisher, rng, monkeypatch):
+        # A segment past the tmpfs's free space would be created and then
+        # SIGBUS the writer; the publisher declines it instead.
+        from types import SimpleNamespace
+
+        from repro.store import shm
+
+        free = SimpleNamespace(f_bavail=2, f_frsize=4096)
+        monkeypatch.setattr(shm.os, "statvfs", lambda path: free)
+        codes = rng.integers(0, 4, size=3 * 4096).astype(np.uint8)
+        assert publisher.publish("too-big", codes) is None
+        assert publisher.publish("fits", codes[:4096]) is not None
+
     def test_close_unlinks(self, rng):
         pub = ShmPublisher()
         codes = rng.integers(0, 4, size=100).astype(np.uint8)
