@@ -6,11 +6,8 @@ pipeline internals:
 
 * :func:`align` — one in-process alignment
   (:func:`repro.core.pipeline.run_fastz`).
-* :func:`align_window` — extend pre-selected anchors inside a sequence
-  window, one chunk-pair task of the whole-genome runner (the one-task
-  case of :func:`repro.core.pipeline.run_fastz_chunks`).
-* :func:`align_chunked` — a segmented, checkpointed, fault-tolerant
-  whole-genome job (:func:`repro.jobs.run_wga`).
+* :func:`align_chunked` — a checkpointed, fault-tolerant whole-genome
+  job (:func:`repro.jobs.run_wga`).
 * :class:`Client` — a stdlib HTTP client for a running ``repro serve``
   endpoint, speaking the versioned ``/v1`` surface.
 
@@ -34,7 +31,7 @@ from urllib.parse import urlsplit
 import numpy as np
 
 from .core.options import FASTZ_FULL, FastzOptions
-from .core.pipeline import ChunkResult, FastzResult, run_fastz, run_fastz_chunk
+from .core.pipeline import FastzResult, run_fastz
 from .genome.sequence import Sequence
 from .lastz.config import LastzConfig
 from .seeding import Anchors
@@ -48,7 +45,6 @@ __all__ = [
     "Client",
     "align",
     "align_chunked",
-    "align_window",
     "register_reference",
     "resolve_options",
 ]
@@ -145,33 +141,6 @@ def align(
     )
 
 
-def align_window(
-    target: Sequence | np.ndarray,
-    query: Sequence | np.ndarray,
-    config: LastzConfig | None = None,
-    options: FastzOptions | Mapping | None = None,
-    *,
-    anchors: Anchors,
-    t_window: tuple[int, int] | None = None,
-    q_window: tuple[int, int] | None = None,
-) -> ChunkResult:
-    """Extend pre-selected anchors inside target/query windows.
-
-    One chunk-pair task of the whole-genome runner, whose workers fuse
-    several of them per engine call (:func:`~repro.core.pipeline.run_fastz_chunks`)
-    — seam-guarded, so windowing never changes an alignment.
-    """
-    return run_fastz_chunk(
-        target,
-        query,
-        config,
-        resolve_options(options),
-        anchors=anchors,
-        t_window=t_window,
-        q_window=q_window,
-    )
-
-
 def align_chunked(
     target: "Sequence | StoredReference",
     query: "Sequence | StoredReference",
@@ -184,7 +153,7 @@ def align_chunked(
     log: Callable[[str], None] | None = None,
     on_alignment: Callable | None = None,
 ) -> "WgaReport":
-    """Run (or resume) a segmented, checkpointed whole-genome job.
+    """Run (or resume) a checkpointed whole-genome job.
 
     Wraps :func:`repro.jobs.run_wga` (imported lazily — the jobs
     subsystem is heavier than one alignment needs).  ``job_dir`` is the

@@ -33,10 +33,11 @@ Four subcommands:
     (eager fraction, per-bin task counts, memory traffic elided).
 
 ``wga``
-    Durable whole-genome alignment job (:mod:`repro.jobs`): the pair is
-    segmented into overlapping chunks, chunk tasks run on a fault-tolerant
-    worker pool, and every completed chunk is journaled under ``--job-dir``
-    — re-running the same command resumes where the last run stopped.
+    Durable whole-genome alignment job (:mod:`repro.jobs`): the anchors
+    each chunk pair of a ``--chunk-size`` grid owns form one task, tasks
+    run on a fault-tolerant worker pool, and every completed task is
+    journaled under ``--job-dir`` — re-running the same command resumes
+    where the last run stopped.
     Output is byte-identical to ``align --engine fastz`` at any worker
     count.
 
@@ -375,14 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-size",
         type=int,
         default=32_768,
-        help="core tile size per sequence, in bases",
-    )
-    wga.add_argument(
-        "--overlap",
-        type=int,
-        default=4_096,
-        help="window slack past each core (covers the y-drop horizon; "
-        "the seam guard keeps results exact regardless)",
+        help="core tile size per sequence, in bases: the ownership grid "
+        "that keys extend tasks (extension runs on the whole sequences)",
     )
     wga.add_argument(
         "--max-attempts",
@@ -794,7 +789,6 @@ def _wga_command(args: argparse.Namespace) -> int:
         {"engine": args.engine, "batch_size": args.batch_size},
         job=JobOptions(
             chunk_size=args.chunk_size,
-            overlap=args.overlap,
             workers=args.workers,
             max_attempts=args.max_attempts,
         ),

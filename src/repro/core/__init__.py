@@ -14,15 +14,7 @@ from .perfmodel import (
     time_fastz,
     time_feng_baseline,
 )
-from .pipeline import (
-    ChunkResult,
-    FastzResult,
-    StreamAborted,
-    StreamPartial,
-    run_fastz,
-    run_fastz_chunk,
-    run_fastz_chunks,
-)
+from .pipeline import FastzResult, StreamAborted, StreamPartial, run_fastz
 from .task import FastzTask, TaskArrays, tasks_to_arrays
 
 __all__ = [
@@ -31,7 +23,6 @@ __all__ = [
     "FastzResult",
     "FastzTask",
     "FastzTiming",
-    "ChunkResult",
     "MultiGpuTiming",
     "StreamAborted",
     "StreamPartial",
@@ -46,8 +37,6 @@ __all__ = [
     "bin_histogram",
     "bin_labels",
     "run_fastz",
-    "run_fastz_chunk",
-    "run_fastz_chunks",
     "tasks_to_arrays",
     "time_fastz",
     "time_feng_baseline",

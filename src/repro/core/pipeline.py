@@ -58,7 +58,6 @@ from .options import FASTZ_FULL, FastzOptions
 from .task import FastzTask, TaskArrays, tasks_to_arrays
 
 __all__ = [
-    "ChunkResult",
     "ExtensionSpec",
     "FastzResult",
     "PreparedRequest",
@@ -69,8 +68,6 @@ __all__ = [
     "finish_fastz",
     "prepare_fastz",
     "run_fastz",
-    "run_fastz_chunk",
-    "run_fastz_chunks",
 ]
 
 
@@ -812,210 +809,3 @@ def run_fastz(
         )
         return result
 
-
-# ---------------------------------------------------------------------------
-# Chunk-scoped entry (the whole-genome job runner, :mod:`repro.jobs`)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ChunkResult:
-    """Extension of one chunk-pair task's anchors, window-bounded.
-
-    ``records`` carries ``(anchor_t, anchor_q, alignment)`` triples — the
-    source anchor rides along so the merge stage can deduplicate overlap
-    regions in global anchor order, exactly reproducing
-    :meth:`FastzResult.unique_alignments` on an unsegmented run.
-    """
-
-    records: list[tuple[int, int, Alignment]]
-    n_anchors: int
-    eager_count: int
-    #: Anchors whose window-bounded wavefront touched the window edge and
-    #: were re-extended against the full sequences (seam guard).
-    window_fallbacks: int
-    executor_fallbacks: int
-
-
-def _confined(result: WavefrontResult, t_len: int, q_len: int, t_cut: bool, q_cut: bool) -> bool:
-    """Did a window-bounded extension provably match the full-suffix run?
-
-    The wavefront advances one anti-diagonal per step from the origin, so
-    after ``stats.diagonals`` steps every visited cell has ``i, j <=
-    diagonals - 1``.  The band-evolution recurrence only senses a sequence
-    boundary at anti-diagonals *beyond* that dimension.  The run stops
-    when the band of the *next* anti-diagonal is empty, and that band is
-    clamped by the boundary too, so the next anti-diagonal must also stay
-    within every *truncated* dimension: then the windowed run is
-    step-for-step identical to the full-suffix run (pruning, best-cell
-    tie-breaks, traceback — all of it).  Dimensions that were not
-    truncated clamp identically in both runs and need no check.
-    """
-    following = result.stats.diagonals  # the anti-diagonal after the deepest
-    return (not t_cut or following <= t_len) and (not q_cut or following <= q_len)
-
-
-def run_fastz_chunk(
-    target: Sequence | np.ndarray,
-    query: Sequence | np.ndarray,
-    config: LastzConfig | None = None,
-    options: FastzOptions = FASTZ_FULL,
-    *,
-    anchors: Anchors,
-    t_window: tuple[int, int] | None = None,
-    q_window: tuple[int, int] | None = None,
-) -> ChunkResult:
-    """Extend pre-selected anchors inside a sequence window (one job chunk).
-
-    The one-task case of :func:`run_fastz_chunks`.
-    """
-    (result,) = run_fastz_chunks(
-        target, query, config, options, tasks=[(anchors, t_window, q_window)]
-    )
-    return result
-
-
-def run_fastz_chunks(
-    target: Sequence | np.ndarray,
-    query: Sequence | np.ndarray,
-    config: LastzConfig | None = None,
-    options: FastzOptions = FASTZ_FULL,
-    *,
-    tasks: list[tuple[Anchors, tuple[int, int] | None, tuple[int, int] | None]],
-) -> list[ChunkResult]:
-    """Extend several chunk-pair tasks' anchors in one engine call.
-
-    Each task is ``(anchors, t_window, q_window)`` (``None`` = the whole
-    sequence): the anchors owned by one chunk pair plus target/query
-    windows extending ``overlap`` bases beyond the chunk cores.  Extension
-    suffixes are clipped to their own task's window, so a worker only
-    ever touches ``chunk + 2 * overlap`` bases per side and task — the
-    SegAlign memory story — while the seam guard keeps every result
-    *unconditionally* equal to an unsegmented run: any extension whose
-    wavefront could have sensed its window edge (:func:`_confined`) is
-    re-run against the full sequences and counted in ``window_fallbacks``.
-
-    Every task's clipped suffixes go to the engine in one call, and a
-    second call re-runs all the fallbacks together: the extension problems
-    are independent, so each record is bit-identical to a per-task run.
-    Returns one :class:`ChunkResult` per task, in order.
-    """
-    config = config or LastzConfig()
-    scheme = config.scheme
-    t_codes = np.asarray(target.codes if isinstance(target, Sequence) else target)
-    q_codes = np.asarray(query.codes if isinstance(query, Sequence) else query)
-    tile = options.eager_tile if options.eager_traceback else 0
-
-    # Per task: (t_pos, q_pos, t_lo, t_hi, q_lo, q_hi), anchors sorted.
-    members = []
-    for anchors, t_window, q_window in tasks:
-        t_lo, t_hi = t_window if t_window is not None else (0, len(t_codes))
-        q_lo, q_hi = q_window if q_window is not None else (0, len(q_codes))
-        if not (0 <= t_lo <= t_hi <= len(t_codes)):
-            raise ValueError(f"target window [{t_lo}, {t_hi}) out of range")
-        if not (0 <= q_lo <= q_hi <= len(q_codes)):
-            raise ValueError(f"query window [{q_lo}, {q_hi}) out of range")
-        anchors = anchors.take(np.lexsort((anchors.target_pos, anchors.query_pos)))
-        t_pos = anchors.target_pos.tolist()
-        q_pos = anchors.query_pos.tolist()
-        for t, q in zip(t_pos, q_pos):
-            if not (t_lo <= t <= t_hi and q_lo <= q <= q_hi):
-                raise ValueError(f"anchor ({t}, {q}) outside its chunk window")
-        members.append((t_pos, q_pos, t_lo, t_hi, q_lo, q_hi))
-    n_anchors = sum(len(m[0]) for m in members)
-
-    with obs.span(
-        "fastz.chunk", tasks=len(members), anchors=n_anchors, engine=options.engine
-    ) as sp:
-        # Window-clipped right/left suffixes, interleaved like _anchor_suffixes.
-        suffixes: list[tuple[np.ndarray, np.ndarray]] = []
-        for t_pos, q_pos, t_lo, t_hi, q_lo, q_hi in members:
-            for t, q in zip(t_pos, q_pos):
-                suffixes.append((t_codes[t:t_hi], q_codes[q:q_hi]))
-                suffixes.append((t_codes[t_lo:t][::-1], q_codes[q_lo:q][::-1]))
-        per_anchor = extend_suffixes_shard(suffixes, scheme, options, tile)
-
-        # --- seam guard ----------------------------------------------------
-        fallbacks: list[int] = []  # indices into per_anchor
-        k = 0
-        for t_pos, q_pos, t_lo, t_hi, q_lo, q_hi in members:
-            t_cut_hi = t_hi < len(t_codes)
-            q_cut_hi = q_hi < len(q_codes)
-            t_cut_lo = t_lo > 0
-            q_cut_lo = q_lo > 0
-            for t, q in zip(t_pos, q_pos):
-                insp_l, insp_r, final_l, final_r, _fb = per_anchor[k]
-                # The executor's input is derived from the inspector (trimmed
-                # to its optimum), so once the inspector is confined the
-                # executor matches too — except in the untrimmed-ablation
-                # mode, where the executor reruns the raw window suffix and
-                # needs its own check.
-                checks = [
-                    (insp_r, t_hi - t, q_hi - q, t_cut_hi, q_cut_hi),
-                    (insp_l, t - t_lo, q - q_lo, t_cut_lo, q_cut_lo),
-                ]
-                if not options.executor_trimming:
-                    checks.append((final_r, t_hi - t, q_hi - q, t_cut_hi, q_cut_hi))
-                    checks.append((final_l, t - t_lo, q - q_lo, t_cut_lo, q_cut_lo))
-                if not all(_confined(r, tl, ql, tc, qc) for r, tl, ql, tc, qc in checks):
-                    fallbacks.append(k)
-                k += 1
-        if fallbacks:
-            all_t = [t for m in members for t in m[0]]
-            all_q = [q for m in members for q in m[1]]
-            redone = extend_suffixes_shard(
-                _anchor_suffixes(
-                    t_codes,
-                    q_codes,
-                    [all_t[k] for k in fallbacks],
-                    [all_q[k] for k in fallbacks],
-                ),
-                scheme,
-                options,
-                tile,
-            )
-            for k, record in zip(fallbacks, redone):
-                per_anchor[k] = record
-            obs.counter(
-                "repro_jobs_window_fallbacks_total",
-                "Chunk extensions re-run unbounded because the window-clipped "
-                "wavefront reached the overlap edge.",
-            ).inc(len(fallbacks))
-
-        # --- fold into alignment records, per task ------------------------
-        results: list[ChunkResult] = []
-        fallback_set = set(fallbacks)
-        k = 0
-        for t_pos, q_pos, *_window in members:
-            records: list[tuple[int, int, Alignment]] = []
-            eager_count = 0
-            executor_fallbacks = 0
-            window_fallbacks = 0
-            for t, q in zip(t_pos, q_pos):
-                insp_l, insp_r, final_l, final_r, fb = per_anchor[k]
-                window_fallbacks += k in fallback_set
-                k += 1
-                executor_fallbacks += fb
-                if insp_l.eager_hit and insp_r.eager_hit:
-                    eager_count += 1
-                score = insp_l.score + insp_r.score
-                if score >= scheme.gapped_threshold:
-                    records.append(
-                        (t, q, combine_alignment(t, q, final_l, final_r, score))
-                    )
-            results.append(
-                ChunkResult(
-                    records=records,
-                    n_anchors=len(t_pos),
-                    eager_count=eager_count,
-                    window_fallbacks=window_fallbacks,
-                    executor_fallbacks=executor_fallbacks,
-                )
-            )
-
-        sp.set(
-            alignments=sum(len(r.records) for r in results),
-            eager=sum(r.eager_count for r in results),
-            window_fallbacks=len(fallbacks),
-        )
-        return results

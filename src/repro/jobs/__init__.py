@@ -1,15 +1,16 @@
-"""Durable whole-genome alignment jobs: segment, schedule, checkpoint, merge.
+"""Durable whole-genome alignment jobs: seed, extend, checkpoint, merge.
 
-This package scales the FastZ pipeline past what one process (or one
-accelerator's memory) can hold, the way SegAlign scales LASTZ: the
-genome pair is tiled into overlapping chunks (:mod:`.segmenter`), chunk
-pairs are scheduled across a fault-tolerant multiprocess pool
-(:mod:`.scheduler`), every completed chunk is checkpointed to an
-append-only journal (:mod:`.journal`) so a killed job resumes where it
-left off, and per-chunk results are merged deterministically
-(:mod:`.merge`) — the final output is byte-identical to an unsegmented
-run at any worker count.  :func:`run_wga` in :mod:`.runner` ties the
-phases together; the ``repro wga`` CLI subcommand fronts it.
+This package runs the FastZ pipeline as a job that survives failures,
+the way SegAlign runs LASTZ: the pair's anchors are selected once, and
+the anchors each chunk pair of a fixed ownership grid owns form one
+extend task, run against the whole sequences.  Tasks are scheduled
+across a fault-tolerant multiprocess pool (:mod:`.scheduler`), every
+completed task is checkpointed to an append-only journal
+(:mod:`.journal`) so a killed job resumes where it left off, and the
+per-task results are merged deterministically (:mod:`.merge`) — the
+final output is byte-identical to a single-pass run at any worker count.
+:func:`run_wga` in :mod:`.runner` ties the phases together; the
+``repro wga`` CLI subcommand fronts it.
 """
 
 from .journal import Journal, JournalError, replay
@@ -29,11 +30,8 @@ from .runner import (
     run_wga,
 )
 from .scheduler import TaskOutcome, TaskSpec, run_tasks
-from .segmenter import Chunk, ChunkPair, chunk_pairs, segment_sequence
 
 __all__ = [
-    "Chunk",
-    "ChunkPair",
     "IncrementalMerger",
     "JobDigestMismatch",
     "JobOptions",
@@ -44,13 +42,11 @@ __all__ = [
     "TaskSpec",
     "WgaReport",
     "canonical_order",
-    "chunk_pairs",
     "dedupe_records",
     "job_digest",
     "ops_from_cigar",
     "replay",
     "run_tasks",
     "run_wga",
-    "segment_sequence",
     "sort_canonical",
 ]

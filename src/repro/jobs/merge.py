@@ -1,9 +1,9 @@
 """Deterministic merging of chunk-pair alignment results.
 
-Chunk windows overlap, and an anchor's extension is free to run past its
+An anchor's extension runs on the whole sequences, free to run past its
 chunk's core, so the same genomic alignment can be discovered by anchors
-owned by different chunk pairs.  The merge reproduces exactly what an
-unsegmented :meth:`~repro.core.pipeline.FastzResult.unique_alignments`
+owned by different chunk pairs.  The merge reproduces exactly what a
+single-pass :meth:`~repro.core.pipeline.FastzResult.unique_alignments`
 pass would keep:
 
 1. every record carries its source anchor ``(query_pos, target_pos)``;

@@ -1,10 +1,12 @@
-"""The whole-genome job runner: segmented, checkpointed, fault-tolerant WGA.
+"""The whole-genome job runner: checkpointed, fault-tolerant WGA.
 
 ``run_wga`` drives a full alignment job through four phases:
 
-1. **Segment** — both sequences are tiled into overlapping chunks
-   (:mod:`repro.jobs.segmenter`); extend work is the chunk-pair cross
-   product.
+1. **Ownership grid** — both sequences are tiled into disjoint cores of
+   ``chunk_size`` bases (the last core absorbs the remainder), and each
+   chunk pair of that grid owns the anchors whose positions its cores
+   hold.  The grid keys the extend tasks, the journal records and the
+   merge watermark; it bounds no extension.
 2. **Seed** — one task (``anchors``) runs
    :func:`repro.lastz.pipeline.select_anchors` over the whole pair, the
    call the single-pass pipeline makes, so the job's anchors are the
@@ -14,19 +16,21 @@
 3. **Extend** — anchors are grouped by owning chunk pair, one task per
    pair.  Tasks are dealt by anchor weight into *units* of about one
    lockstep block's rows (``FastzOptions.batch_size``), at least one per
-   worker; each unit runs window-bounded through one
-   :func:`repro.core.pipeline.run_fastz_chunks` call — one engine call
-   for all its members' anchors, seam-guarded, so neither chunking nor
-   fusion ever changes an alignment.  Units are scheduled heaviest-first
-   across the worker pool (:mod:`repro.jobs.scheduler`); retry,
-   quarantine, worker-death re-queue and the journal stay per task,
-   because a unit that fails splits into its members, uncharged.
-4. **Merge** — chunk results are deduplicated in global anchor order and
+   worker.  A unit runs the calls :func:`repro.core.pipeline.run_fastz`
+   makes, on the whole sequences: ``prepare_fastz`` per member, one
+   ``extend_suffixes_shard`` engine call over every member's suffixes and
+   ``finish_fastz`` per member.  Extension problems are independent, so
+   a task's records are the single pass's records for its anchors.
+   Units are scheduled heaviest-first across the worker pool
+   (:mod:`repro.jobs.scheduler`); retry, quarantine, worker-death
+   re-queue and the journal stay per task, because a unit that fails
+   splits into its members, uncharged.
+4. **Merge** — task results are deduplicated in global anchor order and
    canonically sorted (:mod:`repro.jobs.merge`).
 
 Every completed task appends one record to an on-disk journal
 (:mod:`repro.jobs.journal`) keyed by a job digest over the sequences,
-scoring configuration, pipeline options and segmentation geometry.
+scoring configuration, pipeline options and ownership grid.
 Killing a job at any point and re-running it replays the journal and
 re-executes only unfinished tasks; the final output is byte-identical to
 an uninterrupted run at any worker count.
@@ -63,7 +67,7 @@ from .. import obs
 from ..align.alignment import Alignment
 from ..core.multigpu import partition_loads
 from ..core.options import FASTZ_FULL, FastzOptions
-from ..core.pipeline import run_fastz_chunks
+from ..core.pipeline import extend_suffixes_shard, finish_fastz, prepare_fastz
 from ..genome.sequence import Sequence
 from ..lastz.config import LastzConfig
 from ..lastz.pipeline import select_anchors
@@ -72,17 +76,14 @@ from ..service.request import scheme_digest
 from .journal import Journal, replay
 from .merge import IncrementalMerger, ops_from_cigar
 from .scheduler import TaskSpec, run_tasks
-from .segmenter import chunk_pairs, segment_sequence
 
 __all__ = ["JobOptions", "QuarantinedTask", "WgaReport", "run_wga"]
 
 #: Bump when the journal schema changes; part of the job digest, so stale
 #: journals are rejected rather than misread.
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
-#: Task id of the seed phase's one task.  Journals written when seeding
-#: ran per chunk pair hold pair-keyed ``seeds`` records; resume ignores
-#: them and seeds once.
+#: Task id of the seed phase's one task.
 SEED_TASK = "anchors"
 
 
@@ -90,13 +91,9 @@ SEED_TASK = "anchors"
 class JobOptions:
     """Knobs of the job runner (orthogonal to :class:`FastzOptions`)."""
 
-    #: Core tile size per sequence, in bases.
+    #: Core tile size per sequence, in bases: the ownership grid that
+    #: keys extend tasks.
     chunk_size: int = 32_768
-    #: Window slack past each core, in bases.  Should cover the y-drop
-    #: extension horizon; the pipeline's seam guard re-extends unbounded
-    #: when it does not, so this is a performance knob, never a
-    #: correctness one.
-    overlap: int = 4_096
     #: Worker processes; 0 = run inline in this process.
     workers: int = 0
     #: Attempts per task before quarantine.
@@ -110,8 +107,6 @@ class JobOptions:
     def __post_init__(self) -> None:
         if self.chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
-        if self.overlap < 0:
-            raise ValueError("overlap must be non-negative")
         if self.workers < 0:
             raise ValueError("workers must be non-negative")
         if self.max_attempts < 1:
@@ -143,7 +138,9 @@ class WgaReport:
     extend_skipped: int
     retries: int
     worker_deaths: int
-    window_fallbacks: int
+    #: Always 0: extension runs on the whole sequences.  perfbench's
+    #: ``jobs.window_fallback_frac`` reads it.
+    window_fallbacks: int = 0
     quarantined: list[QuarantinedTask] = field(default_factory=list)
     elapsed_s: float = 0.0
 
@@ -180,15 +177,14 @@ def job_digest(
     config: LastzConfig,
     options: FastzOptions,
     chunk_size: int,
-    overlap: int,
 ) -> str:
     """Identity of a job's *result-relevant* inputs.
 
     Worker count, retry policy and fsync mode are deliberately excluded:
     they change wall-clock, never output, and a journal written at
     ``workers=8`` must resume cleanly at ``workers=1``.  Geometry is
-    included — a journal records per-chunk completions, so the chunk grid
-    must match.
+    included — a journal records one completion per chunk pair of the
+    ownership grid, so the grid must match.
     """
     h = hashlib.sha256()
     h.update(f"journal-v{JOURNAL_VERSION}".encode())
@@ -198,7 +194,7 @@ def job_digest(
     h.update(_config_digest(config).encode())
     for f in dataclass_fields(options):
         h.update(f"{f.name}={getattr(options, f.name)!r}".encode() + b"\x00")
-    h.update(f"chunk_size={chunk_size},overlap={overlap}".encode())
+    h.update(f"chunk_size={chunk_size}".encode())
     return h.hexdigest()
 
 
@@ -265,41 +261,56 @@ def _seed_handler(state, payloads: list, attempt: int) -> list[dict]:
 
 
 def _extend_handler(state, payloads: list, attempt: int) -> list[dict]:
-    """Extend a unit of chunk pairs' owned anchors in one engine call."""
+    """Extend a unit of tasks' owned anchors in one engine call.
+
+    Each member is prepared and finished as ``run_fastz`` prepares and
+    finishes a pair, and every member's suffixes go to the engine in one
+    call: the records are the single pass's records for those anchors.
+    """
     t_codes, q_codes, config, options = state
     # Any member's injected fault fails the whole unit; the scheduler then
     # splits it and the member fails alone, exactly as an unfused task.
     for payload in payloads:
         _maybe_inject_fault(f"e:{payload['id']}", attempt)
-    results = run_fastz_chunks(
-        t_codes,
-        q_codes,
-        config,
-        options,
-        tasks=[
-            (
-                Anchors(
-                    np.asarray(payload["at"], dtype=np.int64),
-                    np.asarray(payload["aq"], dtype=np.int64),
-                ),
-                tuple(payload["tw"]),
-                tuple(payload["qw"]),
-            )
-            for payload in payloads
-        ],
-    )
-    return [
-        {
-            "alignments": [
-                [t, q, a.target_start, a.target_end, a.query_start, a.query_end, a.score, a.cigar()]
-                for t, q, a in result.records
-            ],
-            "n_anchors": result.n_anchors,
-            "eager": result.eager_count,
-            "window_fallbacks": result.window_fallbacks,
-        }
-        for result in results
+    members = [
+        prepare_fastz(
+            t_codes,
+            q_codes,
+            config,
+            options,
+            anchors=Anchors(
+                np.asarray(payload["at"], dtype=np.int64),
+                np.asarray(payload["aq"], dtype=np.int64),
+            ),
+        )
+        for payload in payloads
     ]
+    per_anchor = extend_suffixes_shard(
+        [s for prep in members for s in prep.suffixes()],
+        config.scheme,
+        options,
+        members[0].tile,
+    )
+    out = []
+    lo = 0
+    for prep in members:
+        result = finish_fastz(prep, per_anchor[lo : lo + prep.n_anchors])
+        lo += prep.n_anchors
+        # Tasks are in anchor order; those clearing the gapped threshold
+        # have one alignment each, in the same order.
+        alignments = iter(result.alignments)
+        rows = []
+        for task in result.tasks:
+            if task.score >= config.scheme.gapped_threshold:
+                a = next(alignments)
+                rows.append(
+                    [task.anchor_t, task.anchor_q, a.target_start, a.target_end,
+                     a.query_start, a.query_end, a.score, a.cigar()]
+                )
+        out.append(
+            {"alignments": rows, "n_anchors": prep.n_anchors, "eager": result.eager_count}
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +339,26 @@ def _extend_units(
     return [[tasks[i].task_id for i in sorted(part)] for part in parts], loads
 
 
-def _owner_index(pos: np.ndarray, chunk_size: int, n_chunks: int) -> np.ndarray:
-    """Core-ownership chunk index per position (last core absorbs the tail)."""
-    return np.minimum(pos // chunk_size, n_chunks - 1)
+def _owner_index(pos: np.ndarray, length: int, chunk_size: int) -> np.ndarray:
+    """Owning core per position of a sequence of ``length`` bases.
+
+    Cores of ``chunk_size`` bases tile the sequence; the last absorbs the
+    remainder, so no core is a stub, and a sequence shorter than one core
+    is one chunk.
+    """
+    return np.minimum(pos // chunk_size, max(1, length // chunk_size) - 1)
+
+
+def _owned_anchors(
+    anchors: Anchors, t_len: int, q_len: int, chunk_size: int
+) -> dict[str, list[int]]:
+    """Anchor indices per owning chunk pair, keyed ``c{t core}x{q core}``."""
+    t_owner = _owner_index(anchors.target_pos, t_len, chunk_size)
+    q_owner = _owner_index(anchors.query_pos, q_len, chunk_size)
+    by_pair: dict[str, list[int]] = {}
+    for idx, (ti, qi) in enumerate(zip(t_owner.tolist(), q_owner.tolist())):
+        by_pair.setdefault(f"c{ti}x{qi}", []).append(idx)
+    return by_pair
 
 
 def _stale_journal_name(journal_path: Path, digest: str) -> Path:
@@ -380,12 +408,12 @@ def run_wga(
     log: Callable[[str], None] | None = None,
     on_alignment: Callable[[Alignment], None] | None = None,
 ) -> WgaReport:
-    """Run (or resume) a segmented whole-genome alignment job.
+    """Run (or resume) a checkpointed whole-genome alignment job.
 
     Parameters
     ----------
     job:
-        Segmentation geometry, worker pool size and fault-tolerance policy.
+        Ownership grid, worker pool size and fault-tolerance policy.
     job_dir:
         Durable state directory; holds ``journal.jsonl``.  Re-running with
         the same directory resumes: tasks with journal records are
@@ -401,13 +429,14 @@ def run_wga(
         to the barrier merge.
     """
     t0 = time.perf_counter()
+    for side in (target, query):
+        if not len(side):
+            raise ValueError(f"sequence {side.name!r} is empty")
     config = config or LastzConfig()
     say = log or (lambda _msg: None)
     job_dir = Path(job_dir)
     journal_path = job_dir / "journal.jsonl"
-    digest = job_digest(
-        target, query, config, options, job.chunk_size, job.overlap
-    )
+    digest = job_digest(target, query, config, options, job.chunk_size)
     exit_after = _ExitAfter()
 
     with obs.span("jobs.run", workers=job.workers) as run_span:
@@ -425,9 +454,9 @@ def run_wga(
                         if record.get("digest") != digest:
                             raise JobDigestMismatch(
                                 f"{journal_path} was written by a different job "
-                                "(sequences, scoring, pipeline options or chunk "
-                                "geometry changed); pass fresh=True / --fresh "
-                                "to discard it"
+                                "(sequences, scoring, pipeline options, chunk "
+                                "size or journal version changed); pass "
+                                "fresh=True / --fresh to discard it"
                             )
                         resumed = True
                     elif kind == "seeds":
@@ -450,22 +479,8 @@ def run_wga(
                         "target_bp": len(target),
                         "query_bp": len(query),
                         "chunk_size": job.chunk_size,
-                        "overlap": job.overlap,
                     }
                 )
-
-            # --- segment -----------------------------------------------
-            with obs.span("jobs.segment"):
-                t_chunks = segment_sequence(len(target), job.chunk_size, job.overlap)
-                q_chunks = segment_sequence(len(query), job.chunk_size, job.overlap)
-                pairs = chunk_pairs(t_chunks, q_chunks)
-            pair_by_id = {p.task_id: p for p in pairs}
-            say(
-                f"segmented {target.name} x {query.name} into "
-                f"{len(t_chunks)} x {len(q_chunks)} chunks "
-                f"({len(pairs)} pair tasks, core {job.chunk_size} bp, "
-                f"overlap {job.overlap} bp)"
-            )
 
             quarantined: list[QuarantinedTask] = []
             counters = {"retries": 0, "deaths": 0}
@@ -583,16 +598,9 @@ def run_wga(
 
             # --- extend phase ------------------------------------------
             with obs.span("jobs.extend", anchors=len(anchors)) as sp:
-                t_owner = _owner_index(
-                    anchors.target_pos, job.chunk_size, len(t_chunks)
+                by_pair = _owned_anchors(
+                    anchors, len(target), len(query), job.chunk_size
                 )
-                q_owner = _owner_index(
-                    anchors.query_pos, job.chunk_size, len(q_chunks)
-                )
-                by_pair: dict[str, list[int]] = {}
-                for idx in range(len(anchors)):
-                    key = f"c{int(t_owner[idx])}x{int(q_owner[idx])}"
-                    by_pair.setdefault(key, []).append(idx)
 
                 # Incremental merge: every chunk task can still produce
                 # records only at or above its minimum anchor key, so the
@@ -614,7 +622,6 @@ def run_wga(
                 for task_id, idxs in sorted(by_pair.items()):
                     if task_id in extend_done:
                         continue
-                    p = pair_by_id[task_id]
                     extend_tasks.append(
                         TaskSpec(
                             task_id=task_id,
@@ -622,8 +629,6 @@ def run_wga(
                                 "id": task_id,
                                 "at": anchors.target_pos[idxs].tolist(),
                                 "aq": anchors.query_pos[idxs].tolist(),
-                                "tw": (p.target.start, p.target.end),
-                                "qw": (p.query.start, p.query.end),
                             },
                             weight=len(idxs),
                         )
@@ -681,10 +686,8 @@ def run_wga(
 
             # --- merge (already folded incrementally; finalize) --------
             with obs.span("jobs.merge", chunks=len(extend_done)) as sp:
-                window_fallbacks = 0
                 n_records = 0
                 for task_id, record in extend_done.items():
-                    window_fallbacks += int(record.get("window_fallbacks", 0))
                     n_records += len(record["alignments"])
                     # Idempotent safety net: a result delivered without a
                     # "done" event (scheduler edge cases) still merges.
@@ -705,7 +708,6 @@ def run_wga(
                 extend_skipped=extend_skipped,
                 retries=counters["retries"],
                 worker_deaths=counters["deaths"],
-                window_fallbacks=window_fallbacks,
                 quarantined=quarantined,
                 elapsed_s=elapsed,
             )

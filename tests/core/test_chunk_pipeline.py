@@ -1,20 +1,22 @@
-"""Unit tests for the chunk-scoped pipeline entries.
+"""Unit tests for the chunk pipeline: how a job extends its chunk tasks.
 
-The contract: extending a chunk's anchors inside window-clipped suffixes
-produces *exactly* the alignments the full-sequence pipeline produces for
-those anchors.  Where the window could have truncated a wavefront, the
-seam guard must detect it (``window_fallbacks``) and transparently
-re-extend on the full sequences.  Fusing several chunk tasks into one
-engine call (``run_fastz_chunks``) changes no task's result;
-``run_fastz_chunk`` is its one-task case.
+A unit of chunk tasks (``repro.jobs.runner._extend_handler``) runs the
+calls ``run_fastz`` makes, on the whole sequences: ``prepare_fastz`` per
+task, one ``extend_suffixes_shard`` engine call over every task's
+suffixes and ``finish_fastz`` per task.  The contract: a task's records
+are *exactly* the full pipeline's records for its anchors, on any engine,
+and fusing several tasks into one engine call changes no task's records.
+Every task's window is the whole pair, so nothing is clipped and nothing
+is re-extended.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import FastzOptions, run_fastz, run_fastz_chunk, run_fastz_chunks
+from repro.core import FastzOptions, run_fastz
 from repro.genome import N_CODE, SegmentClass, build_pair
+from repro.jobs.runner import _extend_handler
 from repro.lastz import LastzConfig
 from repro.lastz.pipeline import select_anchors
 from repro.scoring import default_scheme
@@ -41,6 +43,7 @@ def setup():
 
 
 def reference_records(reference, scheme):
+    """The full pipeline's journal rows, keyed by anchor."""
     # Tasks and alignments run in the same (prepared) anchor order;
     # alignments exist only for tasks at or above the gapped threshold.
     records = {}
@@ -48,127 +51,45 @@ def reference_records(reference, scheme):
     for task in reference.tasks:
         if task.score >= scheme.gapped_threshold:
             a = next(alignments)
-            records[(task.anchor_t, task.anchor_q)] = (
-                a.target_start, a.target_end, a.query_start, a.query_end,
-                a.score, a.ops,
-            )
+            records[(task.anchor_t, task.anchor_q)] = [
+                task.anchor_t, task.anchor_q, a.target_start, a.target_end,
+                a.query_start, a.query_end, a.score, a.cigar(),
+            ]
     return records
+
+
+def run_chunks(target, query, config, options, tasks):
+    """One unit: every task's ``Anchors`` extended in one engine call."""
+    payloads = [
+        {"id": f"t{i}", "at": a.target_pos.tolist(), "aq": a.query_pos.tolist()}
+        for i, a in enumerate(tasks)
+    ]
+    return _extend_handler((target, query, config, options), payloads, 1)
 
 
 class TestChunkEquivalence:
     def test_full_window_matches_run_fastz(self, setup):
         pair, config, anchors, reference = setup
-        chunk = run_fastz_chunk(pair.target, pair.query, config, anchors=anchors)
-        assert chunk.n_anchors == len(anchors)
-        assert chunk.window_fallbacks == 0
-        got = {
-            (t, q): (
-                a.target_start, a.target_end, a.query_start, a.query_end,
-                a.score, a.ops,
-            )
-            for t, q, a in chunk.records
-        }
-        assert got == reference_records(reference, config.scheme)
-
-    def test_generous_window_no_fallbacks(self, setup):
-        pair, config, anchors, reference = setup
-        mid_t = int(np.median(anchors.target_pos))
-        mid_q = int(np.median(anchors.query_pos))
-        keep = (anchors.target_pos <= mid_t) & (anchors.query_pos <= mid_q)
-        subset = anchors.take(np.flatnonzero(keep))
-        chunk = run_fastz_chunk(
-            pair.target,
-            pair.query,
-            config,
-            anchors=subset,
-            t_window=(0, min(len(pair.target), mid_t + 4_096)),
-            q_window=(0, min(len(pair.query), mid_q + 4_096)),
+        (chunk,) = run_chunks(
+            pair.target.codes, pair.query.codes, config, FastzOptions(), [anchors]
         )
-        assert chunk.window_fallbacks == 0
-        ref = reference_records(reference, config.scheme)
-        for t, q, a in chunk.records:
-            assert ref[(t, q)] == (
-                a.target_start, a.target_end, a.query_start, a.query_end,
-                a.score, a.ops,
-            )
-
-    def test_degenerate_window_falls_back_and_stays_identical(self, setup):
-        # Windows only a few bases past each anchor guarantee truncated
-        # wavefronts; the seam guard must fire and the results must still
-        # be bit-identical to the unsegmented run.
-        pair, config, anchors, reference = setup
-        ref = reference_records(reference, config.scheme)
-        for idx in range(min(4, len(anchors))):
-            t = int(anchors.target_pos[idx])
-            q = int(anchors.query_pos[idx])
-            one = anchors.take(np.array([idx]))
-            chunk = run_fastz_chunk(
-                pair.target,
-                pair.query,
-                config,
-                anchors=one,
-                t_window=(max(0, t - 8), min(len(pair.target), t + 8)),
-                q_window=(max(0, q - 8), min(len(pair.query), q + 8)),
-            )
-            assert chunk.window_fallbacks > 0
-            for at, aq, a in chunk.records:
-                assert ref[(at, aq)] == (
-                    a.target_start, a.target_end, a.query_start, a.query_end,
-                    a.score, a.ops,
-                )
+        assert chunk["n_anchors"] == len(anchors)
+        assert chunk["eager"] == reference.eager_count
+        got = {(row[0], row[1]): row for row in chunk["alignments"]}
+        assert len(got) == len(chunk["alignments"])
+        assert got == reference_records(reference, config.scheme)
 
     def test_batched_engine_matches_scalar(self, setup):
         pair, config, anchors, _ = setup
-        scalar = run_fastz_chunk(pair.target, pair.query, config, anchors=anchors)
-        batched = run_fastz_chunk(
-            pair.target,
-            pair.query,
-            config,
-            FastzOptions(engine="batched", batch_size=64),
-            anchors=anchors,
+        scalar = run_chunks(
+            pair.target.codes, pair.query.codes, config,
+            FastzOptions(engine="scalar"), [anchors],
         )
-        assert [(t, q, a) for t, q, a in scalar.records] == [
-            (t, q, a) for t, q, a in batched.records
-        ]
-
-
-    def test_window_edge_on_the_anchor_falls_back(self):
-        # Shrunk from the generated property below: a zero-width window
-        # stops the wavefront after the origin because the next
-        # anti-diagonal is clamped away, not because of the y-drop.
-        anchors = Anchors(np.array([2822]), np.array([4027]))
-        ref = reference_records(
-            run_fastz(_T, _Q, _CONFIG, anchors=anchors), _CONFIG.scheme
+        batched = run_chunks(
+            pair.target.codes, pair.query.codes, config,
+            FastzOptions(engine="batched", batch_size=64), [anchors],
         )
-        assert (2822, 4027) in ref
-        chunk = run_fastz_chunk(
-            _T, _Q, _CONFIG,
-            anchors=anchors, t_window=(2822, 2822), q_window=(4027, 4027),
-        )
-        assert chunk.window_fallbacks == 1
-        ((t, q, a),) = chunk.records
-        assert ref[(t, q)] == (
-            a.target_start, a.target_end, a.query_start, a.query_end,
-            a.score, a.ops,
-        )
-
-
-class TestChunkValidation:
-    def test_window_out_of_range(self, setup):
-        pair, config, anchors, _ = setup
-        with pytest.raises(ValueError, match="window"):
-            run_fastz_chunk(
-                pair.target, pair.query, config,
-                anchors=anchors, t_window=(0, len(pair.target) + 1),
-            )
-
-    def test_anchor_outside_window(self, setup):
-        pair, config, anchors, _ = setup
-        with pytest.raises(ValueError, match="outside"):
-            run_fastz_chunk(
-                pair.target, pair.query, config,
-                anchors=anchors, t_window=(0, 10), q_window=(0, 10),
-            )
+        assert batched == scalar
 
 
 # ---------------------------------------------------------------------------
@@ -207,43 +128,21 @@ _T, _Q, _CONFIG, _POOL = _property_pair()
 
 @st.composite
 def _chunk_tasks(draw):
-    """1-6 tasks of 1-2 anchors; windows from zero slack to unclipped."""
+    """1-6 tasks of 1-2 anchors, from the pair's anchors or anywhere on it."""
     anchor = st.one_of(
         st.sampled_from(_POOL),
         st.tuples(st.integers(0, len(_T)), st.integers(0, len(_Q))),
     )
-    # Zero slack puts the extreme anchors on the window edge; 1-64 bases
-    # is far below the y-drop horizon; None leaves that side unclipped.
-    slack = st.one_of(
-        st.just(0), st.integers(1, 64), st.integers(65, 3_000), st.none()
-    )
     tasks = []
     for _ in range(draw(st.integers(1, 6))):
         picks = draw(st.lists(anchor, min_size=1, max_size=2))
-        ts = [t for t, _ in picks]
-        qs = [q for _, q in picks]
-        windows = []
-        for lo, hi, n in ((min(ts), max(ts), len(_T)), (min(qs), max(qs), len(_Q))):
-            below, above = draw(slack), draw(slack)
-            windows.append(
-                (
-                    0 if below is None else max(0, lo - below),
-                    n if above is None else min(n, hi + above),
-                )
+        tasks.append(
+            Anchors(
+                np.array([t for t, _ in picks], dtype=np.int64),
+                np.array([q for _, q in picks], dtype=np.int64),
             )
-        anchors = Anchors(np.array(ts, dtype=np.int64), np.array(qs, dtype=np.int64))
-        tasks.append((anchors, windows[0], windows[1]))
+        )
     return tasks
-
-
-def _summary(chunk):
-    return (
-        chunk.records,
-        chunk.n_anchors,
-        chunk.eager_count,
-        chunk.window_fallbacks,
-        chunk.executor_fallbacks,
-    )
 
 
 @settings(max_examples=20, deadline=None)
@@ -252,27 +151,22 @@ def test_fused_matches_per_task_and_unsegmented(tasks, engine):
     """Generated chunk tasks on one pair: the fused call, one call per
     task and the unsegmented pipeline agree on every record."""
     options = FastzOptions(engine=engine, batch_size=16)
-    fused = run_fastz_chunks(_T, _Q, _CONFIG, options, tasks=tasks)
+    fused = run_chunks(_T, _Q, _CONFIG, options, tasks)
     assert len(fused) == len(tasks)
-    for (anchors, t_window, q_window), got in zip(tasks, fused):
-        alone = run_fastz_chunk(
-            _T, _Q, _CONFIG, options,
-            anchors=anchors, t_window=t_window, q_window=q_window,
-        )
-        assert _summary(got) == _summary(alone)
+    for anchors, got in zip(tasks, fused):
+        (alone,) = run_chunks(_T, _Q, _CONFIG, options, [anchors])
+        assert got == alone
 
     every = Anchors(
-        np.concatenate([a.target_pos for a, _, _ in tasks]),
-        np.concatenate([a.query_pos for a, _, _ in tasks]),
+        np.concatenate([a.target_pos for a in tasks]),
+        np.concatenate([a.query_pos for a in tasks]),
     )
     ref = reference_records(
         run_fastz(_T, _Q, _CONFIG, options, anchors=every), _CONFIG.scheme
     )
-    for (anchors, _, _), got in zip(tasks, fused):
+    for anchors, got in zip(tasks, fused):
+        assert got["n_anchors"] == len(anchors)
         owned = set(zip(anchors.target_pos.tolist(), anchors.query_pos.tolist()))
-        assert {(t, q) for t, q, _ in got.records} == owned & set(ref)
-        for t, q, a in got.records:
-            assert ref[(t, q)] == (
-                a.target_start, a.target_end, a.query_start, a.query_end,
-                a.score, a.ops,
-            )
+        assert {(row[0], row[1]) for row in got["alignments"]} == owned & set(ref)
+        for row in got["alignments"]:
+            assert ref[(row[0], row[1])] == row

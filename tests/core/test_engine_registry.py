@@ -7,8 +7,8 @@ custom engines round-trip through ``register_engine`` /
 values.  Second — the reason the registry exists — every registered
 engine is pushed through the same bit-identity matrix against the scalar
 baseline: direct pipeline, streamed slices, worker pool,
-mixed fleet backends and the windowed chunk path.  Registering an engine
-buys you this suite for free; an engine that can't pass it doesn't
+mixed fleet backends, a job's fused chunk tasks and the whole-genome job
+runner.  Registering an engine buys you this suite for free; an engine that can't pass it doesn't
 belong in the registry.
 """
 
@@ -23,10 +23,13 @@ from repro.align.engines import (
     registered_engines,
     unregister_engine,
 )
-from repro.core import FastzOptions, run_fastz, run_fastz_chunk
+from repro.core import FastzOptions, run_fastz
 from repro.core.pipeline import ExtensionSpec, extend_suffixes_shard, prepare_fastz
 from repro.fleet import FleetScheduler, InProcessBackend, SimGpuBackend
 from repro.genome import SegmentClass, build_pair
+from repro.jobs import JobOptions, run_wga
+from repro.jobs.merge import sort_canonical
+from repro.jobs.runner import _extend_handler, _owned_anchors
 from repro.lastz import LastzConfig, run_gapped_lastz
 from repro.lastz.pipeline import select_anchors
 from repro.scoring import default_scheme
@@ -171,24 +174,28 @@ def chunk_setup():
         scheme=default_scheme(gap_extend=60, ydrop=2400), diag_band=150
     )
     anchors = select_anchors(pair.target, pair.query, config)
-    scalar = run_fastz_chunk(
-        pair.target, pair.query, config,
-        FastzOptions(engine="scalar"), anchors=anchors,
+    by_pair = _owned_anchors(anchors, len(pair.target), len(pair.query), 4_096)
+    payloads = [
+        {
+            "id": task_id,
+            "at": anchors.target_pos[idxs].tolist(),
+            "aq": anchors.query_pos[idxs].tolist(),
+        }
+        for task_id, idxs in sorted(by_pair.items())
+    ]
+    scalar = _extend_handler(
+        (pair.target.codes, pair.query.codes, config, FastzOptions(engine="scalar")),
+        payloads,
+        1,
     )
-    return pair, config, anchors, scalar
+    return pair, config, payloads, scalar
 
 
-def _assert_chunks_identical(scalar, got):
-    assert got.n_anchors == scalar.n_anchors
-    assert got.eager_count == scalar.eager_count
-    assert got.window_fallbacks == scalar.window_fallbacks
-    assert got.executor_fallbacks == scalar.executor_fallbacks
-    assert len(got.records) == len(scalar.records)
-    for (rt, rq, ra), (gt, gq, ga) in zip(scalar.records, got.records):
-        assert (gt, gq) == (rt, rq)
-        assert (ga.target_start, ga.target_end) == (ra.target_start, ra.target_end)
-        assert (ga.query_start, ga.query_end) == (ra.query_start, ra.query_end)
-        assert (ga.score, ga.ops) == (ra.score, ra.ops)
+@pytest.fixture(scope="module")
+def job_setup(chunk_setup):
+    pair, config, _, _ = chunk_setup
+    scalar = run_fastz(pair.target, pair.query, config, FastzOptions(engine="scalar"))
+    return pair, config, sort_canonical(scalar.unique_alignments())
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -230,12 +237,27 @@ class TestEngineMatrix:
         assert all(r == expected for r in results)
 
     def test_chunk_matches_scalar(self, chunk_setup, engine):
-        pair, config, anchors, scalar = chunk_setup
-        got = run_fastz_chunk(
-            pair.target, pair.query, config,
-            FastzOptions(engine=engine), anchors=anchors,
+        """A job unit resolves the engine name for its one fused engine
+        call; every chunk task's records are the scalar engine's."""
+        pair, config, payloads, scalar = chunk_setup
+        got = _extend_handler(
+            (pair.target.codes, pair.query.codes, config, FastzOptions(engine=engine)),
+            payloads,
+            1,
         )
-        _assert_chunks_identical(scalar, got)
+        assert len(payloads) > 1
+        assert got == scalar
+
+    def test_job_matches_scalar(self, job_setup, engine, tmp_path):
+        """A whole-genome job's workers resolve the engine name per unit;
+        its output is the scalar single pass's."""
+        pair, config, reference = job_setup
+        report = run_wga(
+            pair.target, pair.query, config, FastzOptions(engine=engine),
+            job=JobOptions(chunk_size=4_096, fsync=False), job_dir=tmp_path,
+        )
+        assert report.n_extend_tasks > 1
+        assert report.complete and report.alignments == reference
 
 
 class TestWholebinObservability:

@@ -43,9 +43,7 @@ pair = build_pair(
 run_wga(
     pair.target, pair.query,
     LastzConfig(scheme=default_scheme(gap_extend=60, ydrop=2400), diag_band=150),
-    job=JobOptions(
-        chunk_size=8_192, overlap=2_048, workers=int(sys.argv[2]), fsync=False
-    ),
+    job=JobOptions(chunk_size=8_192, workers=int(sys.argv[2]), fsync=False),
     job_dir=sys.argv[1],
     log=lambda line: print(line, file=sys.stderr, flush=True),
 )
@@ -112,7 +110,7 @@ def test_sigkilled_job_resumes_without_rework(pair, config, tmp_path):
         pair.target,
         pair.query,
         config,
-        job=JobOptions(chunk_size=8_192, overlap=2_048, workers=2, fsync=False),
+        job=JobOptions(chunk_size=8_192, workers=2, fsync=False),
         job_dir=tmp_path,
     )
     assert report.resumed
@@ -138,7 +136,7 @@ def test_kill_inside_a_fused_unit_reruns_only_its_missing_tasks(
     # the kill lands right after that unit's second journaled record.
     reference = run_wga(
         pair.target, pair.query, config,
-        job=JobOptions(chunk_size=8_192, overlap=2_048, fsync=False),
+        job=JobOptions(chunk_size=8_192, fsync=False),
         job_dir=tmp_path / "reference",
     )
     n_seed, n_extend = reference.n_seed_tasks, reference.n_extend_tasks
@@ -154,7 +152,7 @@ def test_kill_inside_a_fused_unit_reruns_only_its_missing_tasks(
         pair.target,
         pair.query,
         config,
-        job=JobOptions(chunk_size=8_192, overlap=2_048, workers=1, fsync=False),
+        job=JobOptions(chunk_size=8_192, workers=1, fsync=False),
         job_dir=job_dir,
     )
     assert report.resumed
@@ -191,7 +189,7 @@ def test_resuming_a_completed_job_costs_under_10pct_of_a_single_pass(
         run_fastz(pair.target, pair.query, config).unique_alignments()
     )
     single_pass_s = time.perf_counter() - start
-    job = JobOptions(chunk_size=16_384, overlap=3_072, workers=8, fsync=False)
+    job = JobOptions(chunk_size=16_384, workers=8, fsync=False)
     run_wga(pair.target, pair.query, config, job=job, job_dir=tmp_path)
 
     start = time.perf_counter()

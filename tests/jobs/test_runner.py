@@ -1,7 +1,7 @@
 """End-to-end tests for ``run_wga``: equivalence, resume, fault tolerance.
 
-The acceptance bar for the job runner is *byte-identity*: a segmented run
-— at any worker count, with any resume history — must produce exactly the
+The acceptance bar for the job runner is *byte-identity*: a job — at any
+worker count, with any resume history — must produce exactly the
 alignments of a single-pass ``run_fastz``, including alignments that span
 chunk seams.
 """
@@ -9,29 +9,20 @@ chunk seams.
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro import obs
 from repro.core.pipeline import run_fastz
 from repro.genome import SegmentClass, build_pair
-from repro.jobs import (
-    JobDigestMismatch,
-    JobOptions,
-    Journal,
-    chunk_pairs,
-    replay,
-    run_wga,
-    runner,
-    segment_sequence,
-)
+from repro.jobs import JobDigestMismatch, JobOptions, replay, run_wga, runner
 from repro.jobs.merge import sort_canonical
 from repro.lastz import LastzConfig, select_anchors, write_general, write_maf
 from repro.obs import Tracer
 from repro.scoring import default_scheme
-from repro.seeding import LASTZ_SPACED_SEED, find_seeds
+from repro.seeding import LASTZ_SPACED_SEED
 
 CHUNK = 8_192
-OVERLAP = 2_048
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +53,6 @@ def reference(pair, config):
 
 def options(**kw):
     kw.setdefault("chunk_size", CHUNK)
-    kw.setdefault("overlap", OVERLAP)
     kw.setdefault("fsync", False)
     kw.setdefault("backoff_s", 0.001)
     return JobOptions(**kw)
@@ -116,16 +106,27 @@ class TestEquivalence:
     def test_seam_spanning_alignments_survive_tiny_overlap(
         self, pair, config, reference, tmp_path
     ):
-        # An overlap far below the y-drop horizon forces the seam guard to
-        # re-extend window-clipped anchors against the full sequences.
+        # Cores meet with no overlap at all, and extension never sees them,
+        # so an alignment that crosses a core seam is the single pass's.
+        chunk = 1_024
+
+        def crosses(start, end, length):
+            owner = runner._owner_index(np.array([start, end - 1]), length, chunk)
+            return owner[0] != owner[1]
+
+        assert any(
+            crosses(a.target_start, a.target_end, len(pair.target))
+            or crosses(a.query_start, a.query_end, len(pair.query))
+            for a in reference
+        )
         report = run_wga(
             pair.target,
             pair.query,
             config,
-            job=options(chunk_size=4_096, overlap=64),
+            job=options(chunk_size=chunk),
             job_dir=tmp_path,
         )
-        assert report.window_fallbacks > 0
+        assert report.n_extend_tasks > 1
         assert report.alignments == reference
 
     def test_worker_counts_byte_identical(self, pair, config, tmp_path):
@@ -178,20 +179,6 @@ class TestSeedPhase:
             run_fastz(pair.target, pair.query, config).unique_alignments()
         )
 
-    def test_overlap_below_the_seed_span_is_not_clamped(
-        self, pair, config, reference, tmp_path
-    ):
-        # Only extension windows use the overlap, and the seam guard keeps
-        # them exact at any width, so a zero overlap runs as given.
-        report = run_wga(
-            pair.target, pair.query, config,
-            job=options(chunk_size=4_096, overlap=0), job_dir=tmp_path,
-        )
-        header = next(replay(tmp_path / "journal.jsonl"))
-        assert header["overlap"] == 0
-        assert report.window_fallbacks > 0
-        assert report.alignments == reference
-
     def test_seed_fault_hook_retries_quarantines_and_resumes(
         self, pair, config, reference, tmp_path, monkeypatch
     ):
@@ -222,63 +209,6 @@ class TestSeedPhase:
         assert healed.seed_skipped == 0
         assert healed.alignments == reference
 
-    def test_journal_with_per_pair_seeds_records_resumes(
-        self, pair, config, reference, tmp_path
-    ):
-        """A journal written when seeding ran per chunk pair still resumes.
-
-        Such a journal holds one ``seeds`` record per chunk pair: the
-        globally censored seed starts that pair's cores own.  Resume
-        ignores them, runs the one seed task, and replays every ``chunk``
-        record, since the job digest and the chunk tasks are unchanged.
-        """
-        path = tmp_path / "journal.jsonl"
-        first = run_wga(
-            pair.target, pair.query, config, job=options(), job_dir=tmp_path
-        )
-        records = list(replay(path))
-        header = records[0]
-        chunks = [r for r in records if r["type"] == "chunk"]
-        seeds = find_seeds(
-            pair.target.codes,
-            pair.query.codes,
-            k=config.seed_length,
-            spaced_pattern=config.spaced_pattern,
-            max_word_count=config.max_word_count,
-        )
-        t, q = seeds.target_pos, seeds.query_pos
-        legacy = []
-        for p in chunk_pairs(
-            segment_sequence(len(pair.target), CHUNK, OVERLAP),
-            segment_sequence(len(pair.query), CHUNK, OVERLAP),
-        ):
-            own = (
-                (t >= p.target.core_start)
-                & (t < p.target.core_end)
-                & (q >= p.query.core_start)
-                & (q < p.query.core_end)
-            )
-            legacy.append(
-                {"type": "seeds", "task": p.task_id, "attempts": 1,
-                 "t": t[own].tolist(), "q": q[own].tolist()}
-            )
-        path.unlink()
-        with Journal(path, fsync=False) as journal:
-            for record in [header, *legacy, *chunks]:
-                journal.append(record)
-
-        resumed = run_wga(
-            pair.target, pair.query, config, job=options(), job_dir=tmp_path
-        )
-        assert resumed.resumed
-        assert resumed.seed_skipped == 0
-        assert resumed.extend_skipped == resumed.n_extend_tasks == len(chunks)
-        assert resumed.alignments == first.alignments == reference
-        after = journal_task_records(tmp_path)
-        assert len(after) == len(legacy) + len(chunks) + 1
-        assert (after[-1]["type"], after[-1]["task"]) == ("seeds", "anchors")
-
-
 class TestFusedExtend:
     """A worker runs its unit of extend tasks through one engine call."""
 
@@ -293,33 +223,9 @@ class TestFusedExtend:
             job=options(workers=1), job_dir=tmp_path / "job",
         )
         assert report.alignments == reference
-        assert report.n_extend_tasks > 1 and report.window_fallbacks == 0
+        assert report.n_extend_tasks > 1
         # One unit of every extend task, one fastz.extend span.
         assert calls.read_text().split() == ["1"]
-
-    def test_unit_fallbacks_take_one_extra_engine_call(
-        self, pair, config, reference, tmp_path, monkeypatch
-    ):
-        from repro.core import pipeline
-
-        sizes = []
-        real = pipeline.extend_suffixes_shard
-
-        def spy(suffixes, *args):
-            sizes.append(len(suffixes) // 2)
-            return real(suffixes, *args)
-
-        monkeypatch.setattr(pipeline, "extend_suffixes_shard", spy)
-        report = run_wga(
-            pair.target, pair.query, config,
-            job=options(chunk_size=4_096, overlap=64), job_dir=tmp_path,
-        )
-        assert report.alignments == reference
-        assert report.window_fallbacks > 1
-        # One call over the unit's window-clipped anchors, then one more
-        # over every anchor the seam guard sent back, unclipped.
-        assert sizes == [report.n_anchors, report.window_fallbacks]
-
 
 class TestResume:
     def test_completed_job_skips_everything(self, pair, config, tmp_path):
@@ -344,6 +250,27 @@ class TestResume:
         )
         with pytest.raises(JobDigestMismatch):
             run_wga(pair.target, pair.query, other, job=options(), job_dir=tmp_path)
+
+    def test_older_journal_version_refused_and_fresh_rotates_it(
+        self, pair, config, tmp_path, monkeypatch
+    ):
+        # The digest hashes the journal version, so a journal written under
+        # an older schema is refused at its header, never misread.
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "JOURNAL_VERSION", 1)
+            run_wga(pair.target, pair.query, config, job=options(), job_dir=tmp_path)
+        with pytest.raises(JobDigestMismatch):
+            run_wga(pair.target, pair.query, config, job=options(), job_dir=tmp_path)
+        report = run_wga(
+            pair.target, pair.query, config,
+            job=options(), job_dir=tmp_path, fresh=True,
+        )
+        assert not report.resumed
+        assert len(list(tmp_path.glob("journal.jsonl.stale-*"))) == 1
+        header = next(replay(tmp_path / "journal.jsonl"))
+        assert header["version"] == 2 and "overlap" not in header
+        for record in journal_task_records(tmp_path):
+            assert "window_fallbacks" not in record
 
     def test_fresh_discards_mismatched_journal(self, pair, config, tmp_path):
         run_wga(pair.target, pair.query, config, job=options(), job_dir=tmp_path)

@@ -55,19 +55,6 @@ class TestAlign:
         )
         assert batched.alignments == scalar.alignments
 
-    def test_align_window_matches_unbounded(self):
-        pair = _pair()
-        full = api.align(pair.target, pair.query, CONFIG, keep_extensions=True)
-        windowed = api.align_window(
-            pair.target.codes,
-            pair.query.codes,
-            CONFIG,
-            anchors=full.anchors,
-        )
-        assert {a.cigar() for _, _, a in windowed.records} >= {
-            a.cigar() for a in full.unique_alignments()
-        }
-
     def test_streaming_matches_barrier(self):
         pair = _pair(seed=53)
         barrier = api.align(pair.target, pair.query, CONFIG)

@@ -135,7 +135,7 @@ class TestWga:
         assert main([
             "wga", t, q,
             "--job-dir", str(tmp_path / "job"),
-            "--chunk-size", "10000", "--overlap", "2048",
+            "--chunk-size", "10000",
             "--format", "maf", "--output", str(wga_out),
             "--quiet", *_FAST,
         ]) == 0
@@ -151,7 +151,7 @@ class TestWga:
         args = [
             "wga", t, q,
             "--job-dir", str(tmp_path / "job"),
-            "--chunk-size", "10000", "--overlap", "2048",
+            "--chunk-size", "10000",
             "--quiet", *_FAST,
         ]
         first = tmp_path / "first.tsv"
@@ -167,7 +167,6 @@ class TestWga:
             ["wga", "a.fa", "b.fa", "--job-dir", "jd"]
         )
         assert args.chunk_size == 32_768
-        assert args.overlap == 4_096
         assert args.workers == 0
         assert args.max_attempts == 3
         assert not args.fresh
