@@ -777,8 +777,7 @@ def run_fastz(
                 part = prepared.sliced(lo, lo + step)
                 if pool is not None:
                     records = pool.extend_spec(
-                        ExtensionSpec.fuse([(part, *keys)]),
-                        scheme, options, tile, key="run",
+                        ExtensionSpec.fuse([(part, *keys)]), scheme, options, tile
                     )
                 else:
                     records = extend_suffixes_shard(

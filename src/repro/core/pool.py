@@ -1,23 +1,76 @@
-"""Worker processes: one lifecycle, two protocols on top of it.
+"""Worker processes: one lifecycle, one dispatch loop on top of it.
 
 Every worker process :mod:`repro` starts is started by
 :class:`ProcessSlots`, which owns the lifecycle: **spawn** daemon workers
-in fixed slots, each with its own task queue and all writing to one
-result queue; run **one worker loop** (exit on a ``None`` sentinel or
+in fixed slots, each with its own task queue and its own answer pipe;
+run **one worker loop** (exit on a ``None`` sentinel or
 when re-parented; a raised exception, or an answer that cannot be
 pickled, becomes a failure message carrying its text and, when it
 pickles, the exception, and never kills the worker); **reap** (respawn a
 dead worker in its slot and hand back what it had in flight); **tear
 down** (sentinel, join against one deadline, terminate stragglers).
-Per-worker state travels once, in the process arguments — under
+The group's state travels once, in the process arguments — under
 ``fork`` it is inherited, not pickled.  :class:`InlineSlots` is the same
-surface over one in-process slot.  Two protocols run on them: the one
-scheduling loop of :func:`repro.jobs.scheduler.run_tasks` (units, retry,
-split, quarantine; ``workers=0`` drives it over :class:`InlineSlots`)
-and :class:`WorkerPool` — the service's pool lane
+surface over one in-process slot, and :func:`open_slots` picks between
+the two by worker count.
+
+:func:`run_tasks` is the one dispatch loop over a group (units, retry,
+split, quarantine).  Its caller opens the group and closes it, so one
+group serves many calls: a whole-genome job
+(:func:`repro.jobs.run_wga`) opens one for its seed and extend phases,
+and :class:`WorkerPool` keeps one for its life — the service's pool lane
 (:class:`~repro.fleet.backends.PoolBackend`) and, opened per call, the
-``workers=`` path of :func:`~repro.core.pipeline.run_fastz`, streamed
-or not (one pool per call serves every slice).
+``workers=`` path of :func:`~repro.core.pipeline.run_fastz`, streamed or
+not (one pool per call serves every slice).
+
+The loop
+--------
+
+The unit of work is a :class:`TaskSpec` — an opaque payload plus a weight.
+Scheduling follows the SaLoBa observation that workload balance across
+segments dominates scaling.  Work is dispatched **heaviest-first** (LPT
+order) to whichever slot is idle, so one repeat-dense chunk pair cannot
+serialise the tail of a run.  Each pass of the loop reaps dead workers,
+dispatches ready units to idle slots, then waits for answers only while
+a unit is in flight or in backoff.  ``workers=0`` runs the same loop over
+one inline slot, so inline runs share every line of the retry, split
+and quarantine bookkeeping.
+
+Units: every dispatch sends a **unit** — one or more tasks — to one
+worker in one message ``(handler, payloads, attempt)``, so a handler can
+run its members together (the job runner fuses a unit's extend tasks
+into one lockstep engine call).  Callers group first-attempt tasks into
+units by id (``units=``); the default is every task alone.  Handlers
+must be module-level callables (pickled by reference with every message)
+with signature ``handler(state, payloads, attempt) -> list``: the
+group's state, then one value per payload, in order.
+
+Fault tolerance stays per task:
+
+* a task that raises is retried with exponential backoff
+  (``backoff_s * 2**(attempt-1)``, capped at :data:`BACKOFF_CAP_S`) up to
+  ``max_attempts``;
+* a task that exhausts its attempts is **quarantined**: the call
+  completes and reports the gap instead of crashing;
+* a **worker death** (segfault, OOM-kill, ``os._exit``) is detected by
+  process liveness and emits ``worker_death``; it counts as a failed
+  attempt, so the in-flight task is re-queued with a ``retry`` event, or
+  quarantined once its attempts are spent (a task that reliably kills its
+  worker is not respawned forever); a replacement worker is spawned;
+* a unit of two or more tasks that fails — its handler raises or its
+  worker dies — is **split**: each member goes back on the ready queue
+  alone, at once, and no member is charged an attempt, so it runs alone
+  at the same attempt number.  The fault then lands on the culprit alone,
+  and a unit never changes which tasks are quarantined or their attempt
+  counts.  A split emits one ``split`` event (with the error and whether
+  a worker died); the service's fused batches fall back the same way
+  (``service/batcher.py``).
+
+Every message is tagged with its call, so an answer or a reaped tag a
+group carries over from an earlier call is dropped, never claimed.
+
+The worker pool
+---------------
 
 The dispatcher's fused extension batches are CPU-bound numpy loops, so a
 single process caps the service at roughly one core no matter how well
@@ -32,53 +85,52 @@ sequences reaches the workers — this module is the only one that builds
 or resolves a code source: a keyed sequence (a store digest, or one of
 ``run_fastz``'s per-call keys) is published once to shared memory and
 travels as its handle, any other ships inline.  A
-shard message carries those sources plus ``(ti, qi, t, q)`` rows; the
-worker rebuilds the suffix views with
+shard message carries the scoring parameters, those sources and
+``(ti, qi, t, q)`` rows; the worker rebuilds the suffix views with
 :meth:`~repro.core.pipeline.ExtensionSpec.suffixes`.  Because every
 extension task is independent, re-placing shard records by anchor index
 reproduces the in-process result bit for bit at any worker count.
 
-Robustness, on top of the lifecycle it shares with
-:mod:`repro.jobs.scheduler`:
+Each batch is one :func:`run_tasks` call, one task per shard, and the
+pool's policy is the loop's:
 
-* **warm per-worker caches** — the scoring scheme / options / tile of a
-  fuse group are shipped once per worker and cached by digest, so steady
-  traffic pays one small key per dispatch instead of re-pickling the
-  scheme every batch (workers are persistent precisely so process-local
-  state stays warm);
 * **death detection + respawn + re-dispatch** — a worker that dies
   (segfault, OOM-kill, SIGKILL) is detected by process liveness, a
   replacement is spawned into its slot, and the in-flight shard is
   re-dispatched, so the requests in that batch still complete; a shard
-  that repeatedly kills its workers stops after ``MAX_REDISPATCH``
-  attempts with :class:`PoolError` instead of respawning forever;
+  is dispatched at most ``MAX_REDISPATCH + 1`` times, then the batch
+  fails with :class:`PoolError` instead of respawning forever;
+* **errors fail fast** — a shard whose extension raises, or whose
+  records cannot be pickled, answers with the failure itself, so the
+  loop never retries it: ``extend_spec`` re-raises the worker's
+  exception — the type the in-process engine raises — and the
+  dispatcher's existing per-request isolation takes over;
 * **graceful degradation** — a shard that keeps killing its workers
   fails only its batch with :class:`PoolError` (the service re-runs it
   in-process and the pool keeps serving); :class:`PoolUnavailable`
   (pool closed, or a dead worker cannot be replaced) means the pool
   itself is gone.
 
-A shard whose *handler* raises (poisoned request) is reported as a
-failure message, not a death: ``extend_spec`` re-raises the worker's
-exception — the type the in-process engine raises — and
-the dispatcher's existing per-request isolation takes over.
-
 Test hook (inert unless set): ``REPRO_POOL_TEST_KILL_WORKER`` is a
 comma-separated list of :class:`WorkerPool` worker ids that
 ``os._exit(137)`` on their first
 task receipt — SIGKILL semantics placed deterministically mid-batch.
-Worker ids increment across respawns, so a replacement never re-matches
+Worker ids count spawns, so a replacement never re-matches
 its predecessor's id.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import queue as queue_mod
 import time
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from ..align.arena import release_thread_arenas
 from ..obs.metrics import MetricsRegistry
@@ -92,8 +144,12 @@ __all__ = [
     "PoolError",
     "PoolUnavailable",
     "ProcessSlots",
+    "TaskOutcome",
+    "TaskSpec",
     "WorkerPool",
+    "open_slots",
     "plan_shards",
+    "run_tasks",
 ]
 
 #: Test hook: comma-separated worker ids that hard-exit on first task.
@@ -103,6 +159,9 @@ _KILL_ENV = "REPRO_POOL_TEST_KILL_WORKER"
 #: with :class:`PoolError` (a shard that keeps killing its workers is not
 #: respawned forever).
 MAX_REDISPATCH = 2
+
+#: Ceiling of a retried task's exponential backoff, in seconds.
+BACKOFF_CAP_S = 2.0
 
 #: Dispatch-latency histogram boundaries (seconds).
 _DISPATCH_BUCKETS = (
@@ -134,20 +193,31 @@ def _failure(exc: Exception) -> tuple[str, Exception | None]:
     return text, exc
 
 
-def _worker_loop(work, state, worker_id: int, task_q, result_q) -> None:
-    """Worker loop: one item at a time, failures reported not raised.
+def _run_unit(state, item) -> list:
+    """One unit ``(handler, payloads, attempt)``: one value per payload."""
+    handler, payloads, attempt = item
+    values = list(handler(state, payloads, attempt))
+    if len(values) != len(payloads):
+        raise RuntimeError(
+            f"handler returned {len(values)} values for {len(payloads)} payloads"
+        )
+    return values
+
+
+def _worker_loop(state, task_q, answers) -> None:
+    """Worker loop: one unit at a time, failures reported not raised.
 
     Polls with a timeout so an orphaned worker (coordinator hard-killed,
     skipping the atexit reaping of daemon children) notices the
     re-parenting and exits instead of blocking on the queue forever.
 
-    Each message is ``(tag, payload)`` and runs ``work(state, worker_id,
-    payload)``; each answer is ``(tag, ok, value, seconds)``, where a
-    failed item's value is ``(text, exception or None)``.  A successful
-    value ships pickled, so one that cannot be pickled fails its item
-    here instead of being dropped by the queue's feeder thread, which
-    would leave the caller waiting forever.  On exit the worker drops the
-    lockstep arenas and shared-memory attachments its work left resident.
+    Each message is a pickled ``(tag, unit)`` and runs :func:`_run_unit`;
+    each answer is ``(tag, ok, value, seconds)``, where a failed unit's value
+    is ``(text, exception or None)``, sent on the worker's own pipe before
+    it takes the next message.  A successful value ships pickled, so one
+    that cannot be pickled fails its unit here instead of leaving the
+    caller waiting forever.  On exit the worker drops the lockstep arenas
+    and shared-memory attachments its work left resident.
     """
     parent = os.getppid()
     while True:
@@ -159,16 +229,16 @@ def _worker_loop(work, state, worker_id: int, task_q, result_q) -> None:
             continue
         if item is None:
             break
-        tag, payload = item
+        tag, unit = pickle.loads(item)
         t0 = time.perf_counter()
         try:
             value = pickle.dumps(
-                work(state, worker_id, payload), protocol=pickle.HIGHEST_PROTOCOL
+                _run_unit(state, unit), protocol=pickle.HIGHEST_PROTOCOL
             )
         except Exception as exc:  # noqa: BLE001 - fault isolation boundary
-            result_q.put((tag, False, _failure(exc), time.perf_counter() - t0))
+            answers.send((tag, False, _failure(exc), time.perf_counter() - t0))
         else:
-            result_q.put((tag, True, value, time.perf_counter() - t0))
+            answers.send((tag, True, value, time.perf_counter() - t0))
     release_thread_arenas()
     release_attachments()
 
@@ -181,42 +251,51 @@ def _retire(task_q) -> None:
 
 
 class ProcessSlots:
-    """``n`` worker processes in fixed slots, one task queue each.
+    """``n`` worker processes in fixed slots, a task queue and an answer pipe each.
 
-    ``work(state, worker_id, item)`` must be a module-level function;
-    ``state`` is the caller's per-worker state and ``worker_id`` counts
-    spawns, so a respawned slot gets a new id.  A slot is busy from
-    :meth:`send` until :meth:`wait` returns the answer carrying the same
-    tag, so tags must be unique among items in flight.  One thread drives
-    a set of slots.
+    ``state`` is the group's per-worker state, every handler's first
+    argument.  Worker ids count spawns, so a respawned slot gets a new
+    id; each process is named ``<name>-<worker id>``.  A slot is busy
+    from :meth:`send` until :meth:`wait` returns its answer or
+    :meth:`reap` replaces its worker.  One thread drives a set of slots.
+
+    Each worker answers on a pipe only it writes: a worker that dies
+    mid-answer breaks its own pipe, never a lock the others need.  (A
+    result queue shared by all workers has one write lock; a worker
+    killed while its feeder thread holds it leaves every later answer
+    blocked, and the caller waiting forever.)
     """
 
-    def __init__(self, n: int, work, state, *, name: str) -> None:
+    def __init__(self, n: int, state, *, name: str) -> None:
         self._ctx = multiprocessing.get_context()
-        self._work = work
         self._state = state
         self._name = name
         self._ids = itertools.count()
-        self._results = self._ctx.Queue()
+        #: Dead workers replaced by :meth:`reap`, idle or busy.
+        self.respawns = 0
         self._procs: list = []
         self._queues: list = []
+        self._answers: list = []
         for _ in range(n):
-            proc, task_q = self._start()
+            proc, task_q, answers = self._start()
             self._procs.append(proc)
             self._queues.append(task_q)
+            self._answers.append(answers)
         self._inflight: list = [None] * n
 
     def _start(self):
         worker_id = next(self._ids)
         task_q = self._ctx.Queue()
+        answers, sink = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_loop,
-            args=(self._work, self._state, worker_id, task_q, self._results),
+            args=(self._state, task_q, sink),
             name=f"{self._name}-{worker_id}",
             daemon=True,
         )
         proc.start()
-        return proc, task_q
+        sink.close()  # the worker holds the only writing end
+        return proc, task_q, answers
 
     @property
     def pids(self) -> list[int]:
@@ -231,20 +310,27 @@ class ProcessSlots:
         return [slot for slot, tag in enumerate(self._inflight) if tag is None]
 
     def send(self, slot: int, tag, item) -> None:
+        # Pickled here, not by the queue's feeder thread: a message that
+        # cannot be pickled (a handler that is not module-level) raises in
+        # the caller and leaves the slot idle, instead of being dropped
+        # while the caller waits for its answer forever.
+        message = pickle.dumps((tag, item), protocol=pickle.HIGHEST_PROTOCOL)
         self._inflight[slot] = tag
-        self._queues[slot].put((tag, item))
+        self._queues[slot].put(message)
 
     def wait(self, timeout: float) -> list[tuple]:
         """Answers so far, blocking up to ``timeout`` for the first one."""
         out = []
-        try:
-            out.append(self._results.get(timeout=timeout))
-            while True:
-                out.append(self._results.get_nowait())
-        except queue_mod.Empty:
-            pass
-        for tag, *_ in out:
-            self._inflight = [None if busy == tag else busy for busy in self._inflight]
+        ready = multiprocessing.connection.wait(self._answers, timeout)
+        for slot, answers in enumerate(self._answers):
+            if answers not in ready:
+                continue
+            try:
+                while answers.poll():
+                    out.append(answers.recv())
+                    self._inflight[slot] = None
+            except (EOFError, OSError):
+                pass  # its worker died: reap replaces the worker and the pipe
         return [
             (tag, ok, pickle.loads(value) if ok else value, seconds)
             for tag, ok, value, seconds in out
@@ -261,8 +347,10 @@ class ProcessSlots:
                 continue
             dead.append((slot, self._inflight[slot], proc.exitcode))
             _retire(self._queues[slot])
+            self._answers[slot].close()
             self._inflight[slot] = None
-            self._procs[slot], self._queues[slot] = self._start()
+            self._procs[slot], self._queues[slot], self._answers[slot] = self._start()
+            self.respawns += 1
         return dead
 
     def close(self, timeout: float = 2.0) -> None:
@@ -280,22 +368,21 @@ class ProcessSlots:
                 proc.join(timeout=1.0)
         for task_q in self._queues:
             _retire(task_q)
-        self._results.close()
-        self._results.cancel_join_thread()
+        for answers in self._answers:
+            answers.close()
 
 
 class InlineSlots:
     """One in-process slot with the :class:`ProcessSlots` surface.
 
-    :meth:`wait` runs the item sent in the calling thread and reports a
+    :meth:`wait` runs the unit sent in the calling thread and reports a
     raised exception through :func:`_failure`, as the worker loop does;
     answers are not pickled.  With nothing sent it sleeps out its timeout,
     so a caller's backoff still passes.  Nothing here can die, so
     :meth:`reap` returns nothing.
     """
 
-    def __init__(self, work, state) -> None:
-        self._work = work
+    def __init__(self, state) -> None:
         self._state = state
         self._sent: tuple | None = None
 
@@ -312,7 +399,7 @@ class InlineSlots:
         (tag, item), self._sent = self._sent, None
         t0 = time.perf_counter()
         try:
-            value = self._work(self._state, 0, item)
+            value = _run_unit(self._state, item)
         except Exception as exc:  # noqa: BLE001 - fault isolation boundary
             return [(tag, False, _failure(exc), time.perf_counter() - t0)]
         return [(tag, True, value, time.perf_counter() - t0)]
@@ -322,6 +409,297 @@ class InlineSlots:
 
     def close(self) -> None:
         pass
+
+
+def open_slots(workers: int, state, *, name: str):
+    """A group for :func:`run_tasks`: ``workers`` processes, or one inline slot at 0.
+
+    ``state`` is every handler's first argument; ``name`` prefixes the
+    worker processes' names.  The caller closes the group.
+    """
+    if workers < 0:
+        raise ValueError("workers must be non-negative")
+    if workers == 0:
+        return InlineSlots(state)
+    return ProcessSlots(workers, state, name=name)
+
+
+# ---------------------------------------------------------------------------
+# The dispatch loop
+# ---------------------------------------------------------------------------
+
+#: on_event kinds, in roughly increasing order of concern.
+EVENTS = ("done", "retry", "split", "worker_death", "quarantined")
+
+#: Numbers each :func:`run_tasks` call, so its tags never match another's.
+_calls = itertools.count()
+
+
+@dataclass(frozen=True)
+class TaskSpec:
+    """One schedulable task."""
+
+    task_id: str
+    payload: Any
+    #: Relative cost estimate (the job runner uses anchor counts); only
+    #: the ordering matters.
+    weight: float = 1.0
+
+
+@dataclass
+class TaskOutcome:
+    """Terminal state of one task."""
+
+    task_id: str
+    ok: bool
+    value: Any = None
+    error: str | None = None
+    attempts: int = 0
+    worker_deaths: int = 0
+    elapsed_s: float = 0.0
+
+
+@dataclass
+class _TaskState:
+    spec: TaskSpec
+    #: Dispatches so far, including uncharged ones in units that split.
+    #: The staleness key of :func:`_claim_attempt`: it only advances on
+    #: dispatch, so every dispatch gets its own number.
+    attempts: int = 0
+    #: Dispatches in units that split; never charged to the task.
+    uncharged: int = 0
+    worker_deaths: int = 0
+    elapsed_s: float = 0.0
+    last_error: str | None = None
+    #: Highest attempt number already resolved (success, retry, death,
+    #: split or quarantine).  ``attempts`` only advances on dispatch, so
+    #: without this a dying worker's final message could race the
+    #: death-reap that already re-queued the same attempt and be
+    #: double-counted.
+    consumed_attempt: int = 0
+
+    @property
+    def charged(self) -> int:
+        """Attempts charged to the task: what handlers, events and outcomes see."""
+        return self.attempts - self.uncharged
+
+
+def _claim_attempt(state: _TaskState, outcomes: dict, attempt: int) -> bool:
+    """Consume one attempt's terminal signal; True exactly once per attempt.
+
+    The death-reap and the dead worker's last queued message can both
+    observe the same in-flight attempt; whichever arrives second must be
+    dropped as stale — otherwise one failure burns two attempts toward
+    quarantine and re-queues the task twice (duplicate dispatch).
+    ``attempts`` only advances on dispatch, so an ``attempt ==
+    state.attempts`` check alone cannot tell the second observer from the
+    first; the ``consumed_attempt`` high-water mark does.  A split unit's
+    members are re-dispatched under a new number, so a late message from
+    the unit is stale for every one of them.
+    """
+    if state.spec.task_id in outcomes:
+        return False
+    if attempt != state.attempts or attempt <= state.consumed_attempt:
+        return False
+    state.consumed_attempt = attempt
+    return True
+
+
+def _lpt_units(
+    units: list[tuple[str, ...]], states: dict[str, _TaskState]
+) -> list[tuple[str, ...]]:
+    """Heaviest unit first (summed member weight); ties keep input order."""
+    return sorted(units, key=lambda u: -sum(states[i].spec.weight for i in u))
+
+
+def _backoff(attempt: int, backoff_s: float) -> float:
+    return min(backoff_s * (2 ** (attempt - 1)), BACKOFF_CAP_S)
+
+
+def _split(unit: tuple[str, ...], states: dict, error: str, died: bool, emit) -> None:
+    """Un-charge a failed unit's members; the caller runs each alone next."""
+    emit("split", "+".join(unit), tasks=list(unit), error=error, died=died)
+    for task_id in unit:
+        states[task_id].uncharged += 1
+
+
+def _success(state: _TaskState, value, emit) -> TaskOutcome:
+    # The value rides on the event so callers can checkpoint each task the
+    # moment it completes, not at end of phase.
+    emit("done", state.spec.task_id, attempts=state.charged, value=value)
+    return TaskOutcome(
+        task_id=state.spec.task_id,
+        ok=True,
+        value=value,
+        attempts=state.charged,
+        worker_deaths=state.worker_deaths,
+        elapsed_s=state.elapsed_s,
+    )
+
+
+def _quarantine(state: _TaskState, emit) -> TaskOutcome:
+    emit(
+        "quarantined",
+        state.spec.task_id,
+        attempts=state.charged,
+        error=state.last_error,
+    )
+    return TaskOutcome(
+        task_id=state.spec.task_id,
+        ok=False,
+        error=state.last_error,
+        attempts=state.charged,
+        worker_deaths=state.worker_deaths,
+        elapsed_s=state.elapsed_s,
+    )
+
+
+def run_tasks(
+    tasks: list[TaskSpec],
+    handler: Callable[[Any, list, int], list],
+    slots,
+    *,
+    units: list[list[str]] | None = None,
+    max_attempts: int = 3,
+    backoff_s: float = 0.05,
+    on_event: Callable[[str, str, dict], None] | None = None,
+) -> dict[str, TaskOutcome]:
+    """Run every task to a terminal state (success or quarantine) on ``slots``.
+
+    ``slots`` is a group from :func:`open_slots` (or
+    :class:`WorkerPool`'s own); the caller closes it, and it stays open
+    for the next call.  ``units`` groups task ids for their first
+    dispatch; every task must appear in exactly one group (default: every
+    task alone).  Returns ``{task_id: TaskOutcome}`` covering every input
+    task.  Raises only on programming errors (duplicate ids, bad units,
+    bad arguments, a handler or payload that cannot be pickled into a
+    worker's message) and on a worker that cannot be respawned
+    (``OSError``) — task failures surface as outcomes, never as
+    exceptions.  Emits no
+    metrics: ``on_event(kind, task_id, info)`` sees every event in
+    :data:`EVENTS`.
+    """
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be at least 1")
+    ids = [t.task_id for t in tasks]
+    if len(set(ids)) != len(ids):
+        raise ValueError("task ids must be unique")
+    groups = [(i,) for i in ids] if units is None else [tuple(u) for u in units]
+    members = [i for unit in groups for i in unit]
+    if (
+        not all(groups)
+        or len(members) != len(set(members))
+        or set(members) != set(ids)
+    ):
+        raise ValueError("units must cover every task exactly once")
+    if not tasks:
+        return {}
+
+    def emit(kind: str, task_id: str, **info) -> None:
+        if on_event is not None:
+            on_event(kind, task_id, info)
+
+    call = next(_calls)
+    states = {t.task_id: _TaskState(t) for t in tasks}
+    outcomes: dict[str, TaskOutcome] = {}
+    # Ready heap: (ready_at, seq, unit); seq follows LPT rank so the
+    # initial drain dispatches heaviest-first.
+    seq = itertools.count()
+    ready: list[tuple[float, int, tuple[str, ...]]] = []
+    for unit in _lpt_units(groups, states):
+        heapq.heappush(ready, (0.0, next(seq), unit))
+
+    def fail_attempt(state: _TaskState, error: str, *, death: bool) -> None:
+        """Shared retry/quarantine bookkeeping for failures and deaths."""
+        state.last_error = error
+        if death:
+            state.worker_deaths += 1
+            emit(
+                "worker_death",
+                state.spec.task_id,
+                attempt=state.charged,
+                error=error,
+            )
+        if state.charged >= max_attempts:
+            outcomes[state.spec.task_id] = _quarantine(state, emit)
+            return
+        emit(
+            "retry",
+            state.spec.task_id,
+            attempt=state.charged,
+            error=error,
+            died=death,
+        )
+        delay = _backoff(state.charged, backoff_s)
+        heapq.heappush(
+            ready, (time.monotonic() + delay, next(seq), (state.spec.task_id,))
+        )
+
+    def fail_unit(unit: tuple[str, ...], error: str, *, death: bool) -> None:
+        if len(unit) == 1:
+            fail_attempt(states[unit[0]], error, death=death)
+            return
+        _split(unit, states, error, death, emit)
+        now = time.monotonic()
+        for task_id in unit:
+            heapq.heappush(ready, (now, next(seq), (task_id,)))
+
+    def claim(tag) -> bool:
+        # The group outlives this call: a tag of another call is stale.
+        # A unit's members share their dispatch number and every state
+        # change, so a message is fresh for all of them or for none.
+        tag_call, unit, dispatch = tag
+        if tag_call != call:
+            return False
+        return all([_claim_attempt(states[i], outcomes, dispatch) for i in unit])
+
+    while len(outcomes) < len(states):
+        # 1. Reap dead workers (each respawned in its slot); re-queue
+        #    the units they had in flight.
+        for _slot, tag, exitcode in slots.reap():
+            if tag is not None and claim(tag):
+                fail_unit(tag[1], f"worker died (exit code {exitcode})", death=True)
+
+        # 2. Dispatch ready units to idle workers.
+        now = time.monotonic()
+        for slot in slots.idle():
+            while ready and ready[0][2][0] in outcomes:
+                heapq.heappop(ready)  # cancelled by quarantine
+            if not ready or ready[0][0] > now:
+                break
+            _, _, unit = heapq.heappop(ready)
+            unit_states = [states[i] for i in unit]
+            for state in unit_states:
+                state.attempts += 1
+            # Units are first dispatches, so members agree on both.
+            dispatch, attempt = unit_states[0].attempts, unit_states[0].charged
+            slots.send(
+                slot,
+                (call, unit, dispatch),
+                (handler, [s.spec.payload for s in unit_states], attempt),
+            )
+
+        # 3. Wait for results while work remains — a unit in flight,
+        #    or one in backoff — blocking up to 20 ms, never spinning.
+        #    An inline slot runs its unit here.
+        if len(outcomes) == len(states):
+            break
+        for tag, ok, result, elapsed in slots.wait(0.02):
+            # Stale messages (another call's, task already resolved, a
+            # newer attempt dispatched, this attempt already consumed by
+            # the death-reap, or the unit since split) are dropped.
+            if not claim(tag):
+                continue
+            unit = tag[1]
+            for task_id in unit:
+                states[task_id].elapsed_s += elapsed / len(unit)
+            if ok:
+                for task_id, value in zip(unit, result):
+                    outcomes[task_id] = _success(states[task_id], value, emit)
+            else:
+                fail_unit(unit, result[0], death=False)
+
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -374,28 +752,34 @@ def _resolve_sources(sources) -> list:
     return out
 
 
-def _extend_shard(warm: dict, worker_id: int, item) -> list:
-    """Worker side of :meth:`WorkerPool.extend_spec`: one shard's records.
+def _extend_shard(_state, payloads: list, _attempt: int) -> list:
+    """Worker side of :meth:`WorkerPool.extend_spec`: each shard's answer.
 
-    ``warm`` is this worker process's own copy of the pool's cache of
-    ``(scheme, options, tile)`` by fuse key; a message carries the
-    params only the first time its key reaches this worker.
+    A payload is ``((scheme, options, tile), (sources, rows))``: the
+    shard's rows of an :class:`~repro.core.pipeline.ExtensionSpec` over
+    code sources that resolve here — megabytes of shared sequence shrink
+    to a name.  The answer is ``(True, records pickled here)`` or
+    ``(False, failure)``: an engine error, or records that cannot be
+    pickled, is the shard's own answer, so only a worker death reaches
+    the loop's retry path.
 
     Each worker implicitly keeps the pipeline's warm lockstep arenas
     (:func:`repro.align.thread_arena`) alive between shards — the
     process-resident analogue of the device buffers a GPU stream would
-    own.  Work arrives as ``(sources, rows)``: the shard's rows of an
-    :class:`~repro.core.pipeline.ExtensionSpec` over code sources that
-    resolve here — megabytes of shared sequence shrink to a name.
+    own.
     """
-    key, params, (sources, rows) = item
-    if str(worker_id) in _kill_ids():
+    worker_id = multiprocessing.current_process().name.rpartition("-")[2]
+    if worker_id in _kill_ids():
         os._exit(137)
-    if params is not None:
-        warm[key] = params
-    scheme, options, tile = warm[key]
-    spec = ExtensionSpec(tuple(_resolve_sources(sources)), rows)
-    return extend_suffixes_shard(spec.suffixes(), scheme, options, tile)
+    out = []
+    for (scheme, options, tile), (sources, rows) in payloads:
+        try:
+            spec = ExtensionSpec(tuple(_resolve_sources(sources)), rows)
+            records = extend_suffixes_shard(spec.suffixes(), scheme, options, tile)
+            out.append((True, pickle.dumps(records, protocol=pickle.HIGHEST_PROTOCOL)))
+        except Exception as exc:  # noqa: BLE001 - the shard's own answer
+            out.append((False, _failure(exc)))
+    return out
 
 
 class WorkerPool:
@@ -429,7 +813,7 @@ class WorkerPool:
         )
         self._shard_counter = self.registry.counter(
             "repro_service_pool_shards_total",
-            "Extension shards dispatched, by worker slot.",
+            "Extension shards dispatched, re-dispatches included.",
         )
         self._redispatch_counter = self.registry.counter(
             "repro_service_pool_redispatched_total",
@@ -444,33 +828,22 @@ class WorkerPool:
             "Wall time of fused-batch dispatches through the pool.",
             buckets=_DISPATCH_BUCKETS,
         )
-        self._jobs = itertools.count()
         self._closed = False
         #: Parent-owned shared-memory segments of keyed sequences,
         #: published once each; live until :meth:`close`.
         self._shm = ShmPublisher()
-        # The empty dict is each worker's own warm-params cache.
-        self._slots = ProcessSlots(workers, _extend_shard, {}, name="repro-pool-worker")
-        #: Per slot, the fuse keys whose params that slot's worker has
-        #: cached; emptied when the worker is replaced.
-        self._seen: list[set] = [set() for _ in range(workers)]
+        self._slots = ProcessSlots(workers, None, name="repro-pool-worker")
         self._set_worker_gauges()
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _reap(self) -> list[tuple]:
-        """Replace dead workers; ``(slot, tag in flight, exit code)`` each."""
-        try:
-            dead = self._slots.reap()
-        except OSError as exc:  # pragma: no cover - OS resource exhaustion
-            raise PoolUnavailable(f"cannot respawn pool worker: {exc}") from exc
-        for slot, _tag, _exitcode in dead:
-            self._seen[slot] = set()
-            self.respawns += 1
-            self._respawn_counter.inc()
-        if dead:
+    def _count_respawns(self) -> None:
+        """Book the workers the loop's reaps replaced since the last count."""
+        new = self._slots.respawns - self.respawns
+        if new:
+            self.respawns += new
+            self._respawn_counter.inc(new)
             self._set_worker_gauges()
-        return dead
 
     def _set_worker_gauges(self) -> None:
         self._gauge.labels(state="configured").set(self.n_workers)
@@ -515,14 +888,6 @@ class WorkerPool:
 
     # -- dispatch ------------------------------------------------------------
 
-    def _send(self, slot: int, job_id: int, shard_id: int, key: str,
-              params: tuple, work) -> None:
-        seen = self._seen[slot]
-        payload = None if key in seen else params
-        seen.add(key)
-        self._slots.send(slot, (job_id, shard_id), (key, payload, work))
-        self._shard_counter.labels(slot=slot).inc()
-
     def _sources(self, spec: ExtensionSpec) -> list:
         """How each of ``spec``'s sequences reaches the workers.
 
@@ -537,9 +902,7 @@ class WorkerPool:
             out.append(("inline", codes) if handle is None else ("shm", *handle))
         return out
 
-    def extend_spec(
-        self, spec: ExtensionSpec, scheme, options, tile: int, *, key: str
-    ):
+    def extend_spec(self, spec: ExtensionSpec, scheme, options, tile: int):
         """Run one fused batch's extensions sharded across the workers.
 
         ``spec`` holds each sequence once and one ``(ti, qi, t, q)`` row
@@ -558,54 +921,47 @@ class WorkerPool:
             return []
         sources = self._sources(spec)
         shards = plan_shards([len(c) for c in spec.codes], rows, self.n_workers)
-        work_by_shard = [(sources, [rows[k] for k in idx]) for idx in shards]
+        params = (scheme, options, tile)
+        tasks = [
+            TaskSpec(str(k), (params, (sources, [rows[i] for i in idx])))
+            for k, idx in enumerate(shards)
+        ]
 
         t0 = time.perf_counter()
-        job_id = next(self._jobs)
-        params = (scheme, options, tile)
-        # Replace workers that died idle (e.g. killed between batches)
-        # before handing them shards.
-        self._reap()
-        for shard_id, work in enumerate(work_by_shard):
-            self._send(shard_id, job_id, shard_id, key, params, work)
         self.dispatches += 1
-
-        done: dict[int, list] = {}
-        failures: dict[int, tuple] = {}
-        redispatched: dict[int, int] = {}
-        while len(done) + len(failures) < len(shards):
-            for (msg_job, shard_id), ok, value, _seconds in self._slots.wait(0.02):
-                # Stale deliveries (an aborted earlier job, or a shard the
-                # death-reap already re-dispatched and resolved) are dropped.
-                if msg_job == job_id and shard_id not in done and shard_id not in failures:
-                    (done if ok else failures)[shard_id] = value
-            for slot, tag, _exitcode in self._reap():
-                if tag is None or tag[0] != job_id:
-                    continue
-                shard_id = tag[1]
-                if shard_id in done or shard_id in failures:
-                    continue
-                redispatched[shard_id] = redispatched.get(shard_id, 0) + 1
-                self.redispatches += 1
-                self._redispatch_counter.inc()
-                if redispatched[shard_id] > MAX_REDISPATCH:
-                    raise PoolError(
-                        f"shard killed {redispatched[shard_id]} workers in a row"
-                    )
-                self._send(
-                    slot, job_id, shard_id, key, params, work_by_shard[shard_id]
-                )
-
+        try:
+            outcomes = run_tasks(
+                tasks,
+                _extend_shard,
+                self._slots,
+                max_attempts=MAX_REDISPATCH + 1,
+                backoff_s=0.0,
+            )
+        except OSError as exc:  # pragma: no cover - OS resource exhaustion
+            raise PoolUnavailable(f"cannot respawn pool worker: {exc}") from exc
+        finally:
+            self._count_respawns()
         self._dispatch_seconds.observe(time.perf_counter() - t0)
-        if failures:
-            shard_id = min(failures)
-            error, exc = failures[shard_id]
-            if exc is not None:
-                raise exc
-            raise RuntimeError(f"pool shard {shard_id} failed: {error}")
+        results = [outcomes[task.task_id] for task in tasks]
+        sent = sum(outcome.attempts for outcome in results)
+        self._shard_counter.inc(sent)
+        self.redispatches += sent - len(tasks)
+        self._redispatch_counter.inc(sent - len(tasks))
 
+        for outcome in results:
+            if not outcome.ok:
+                raise PoolError(
+                    f"shard {outcome.task_id} killed "
+                    f"{outcome.worker_deaths} workers in a row"
+                )
         out: list = [None] * len(rows)
-        for shard_id, idx in enumerate(shards):
-            for anchor, record in zip(idx, done[shard_id]):
+        for outcome, idx in zip(results, shards):
+            ok, value = outcome.value
+            if not ok:
+                error, exc = value
+                if exc is not None:
+                    raise exc
+                raise RuntimeError(f"pool shard {outcome.task_id} failed: {error}")
+            for anchor, record in zip(idx, pickle.loads(value)):
                 out[anchor] = record
         return out

@@ -13,8 +13,9 @@ are bit-identical whichever backend ran them**; backends differ only in
   worker thread (kept warm via the thread-local arenas);
 * :class:`PoolBackend` — a :class:`~repro.core.pool.WorkerPool` of
   persistent worker processes; the spec's rows are LPT-sharded across
-  them and store-backed sources travel as shared-memory handles
-  (multiple cores, same bytes);
+  them, one task per shard on the pool's dispatch loop
+  (:func:`~repro.core.pool.run_tasks`), and store-backed sources travel
+  as shared-memory handles (multiple cores, same bytes);
 * :class:`SimGpuBackend` — one simulated GPU: the arithmetic still runs
   on the host (there is no real device), but the backend *accounts* the
   batch at the device's modelled rate
@@ -120,7 +121,7 @@ class FleetBackend:
 
     # -- execution -----------------------------------------------------------
 
-    def run(self, spec, scheme, options, tile: int, *, key: str,
+    def run(self, spec, scheme, options, tile: int, *,
             cancelled: threading.Event | None = None):
         """Execute one fused batch (an ``ExtensionSpec``); returns records.
 
@@ -137,14 +138,13 @@ class FleetBackend:
             if self._closed.is_set():
                 raise BackendUnavailable(f"backend {self.name!r} is closed")
         start = time.perf_counter()
-        records = self._execute(spec, scheme, options, tile, key=key,
-                                cancelled=cancelled)
+        records = self._execute(spec, scheme, options, tile, cancelled=cancelled)
         with self._lock:
             self.busy_seconds += time.perf_counter() - start
             self.completed += 1
         return records
 
-    def _execute(self, spec, scheme, options, tile, *, key, cancelled):
+    def _execute(self, spec, scheme, options, tile, *, cancelled):
         raise NotImplementedError
 
     # -- lifecycle -----------------------------------------------------------
@@ -180,7 +180,7 @@ class InProcessBackend(FleetBackend):
     def __init__(self, name: str = "cpu0") -> None:
         super().__init__(name)
 
-    def _execute(self, spec, scheme, options, tile, *, key, cancelled):
+    def _execute(self, spec, scheme, options, tile, *, cancelled):
         return extend_suffixes_shard(spec.suffixes(), scheme, options, tile)
 
 
@@ -216,9 +216,9 @@ class PoolBackend(FleetBackend):
         # Shards run in parallel, one per live worker.
         return estimate_extension_seconds(weight) / max(1, self.pool.n_alive)
 
-    def _execute(self, spec, scheme, options, tile, *, key, cancelled):
+    def _execute(self, spec, scheme, options, tile, *, cancelled):
         try:
-            return self.pool.extend_spec(spec, scheme, options, tile, key=key)
+            return self.pool.extend_spec(spec, scheme, options, tile)
         except PoolUnavailable as exc:
             raise BackendUnavailable(f"backend {self.name!r}: {exc}") from exc
         except PoolError:
@@ -251,7 +251,7 @@ class SimGpuBackend(FleetBackend):
     def estimate_seconds(self, weight: float) -> float:
         return estimate_extension_seconds(weight, self.device)
 
-    def _execute(self, spec, scheme, options, tile, *, key, cancelled):
+    def _execute(self, spec, scheme, options, tile, *, cancelled):
         modelled = estimate_extension_seconds(extension_weight(spec), self.device)
         records = extend_suffixes_shard(spec.suffixes(), scheme, options, tile)
         with self._lock:

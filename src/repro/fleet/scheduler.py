@@ -86,7 +86,6 @@ class _Unit:
     scheme: object
     options: object
     tile: int
-    key: object
     weight: float
     priority: int
     future: Future = field(default_factory=Future)
@@ -275,7 +274,6 @@ class FleetScheduler:
         options,
         tile: int,
         *,
-        key: object,
         priority: int = PRIORITY_INTERACTIVE,
         weight: float | None = None,
     ) -> Future:
@@ -296,7 +294,6 @@ class FleetScheduler:
             scheme=scheme,
             options=options,
             tile=tile,
-            key=key,
             weight=extension_weight(spec) if weight is None else float(weight),
             priority=int(priority),
         )
@@ -406,7 +403,6 @@ class FleetScheduler:
                 unit.scheme,
                 unit.options,
                 unit.tile,
-                key=unit.key,
                 cancelled=unit.cancelled,
             )
         except BackendUnavailable:

@@ -21,12 +21,17 @@
    ``extend_suffixes_shard`` engine call over every member's suffixes and
    ``finish_fastz`` per member.  Extension problems are independent, so
    a task's records are the single pass's records for its anchors.
-   Units are scheduled heaviest-first across the worker pool
-   (:mod:`repro.jobs.scheduler`); retry, quarantine, worker-death
+   Units are scheduled heaviest-first across the job's workers
+   (:func:`repro.core.pool.run_tasks`); retry, quarantine, worker-death
    re-queue and the journal stay per task, because a unit that fails
    splits into its members, uncharged.
 4. **Merge** — task results are deduplicated in global anchor order and
    canonically sorted (:mod:`repro.jobs.merge`).
+
+A job opens one worker group (:func:`repro.core.pool.open_slots`) when
+its first task is due and closes it when the job ends, so its workers
+are forked once and run both phases, and a job whose tasks are all
+journaled forks none.
 
 Every completed task appends one record to an on-disk journal
 (:mod:`repro.jobs.journal`) keyed by a job digest over the sequences,
@@ -54,6 +59,7 @@ import hashlib
 import math
 import os
 import time
+from contextlib import closing
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -68,6 +74,7 @@ from ..align.alignment import Alignment
 from ..core.multigpu import partition_loads
 from ..core.options import FASTZ_FULL, FastzOptions
 from ..core.pipeline import extend_suffixes_shard, finish_fastz, prepare_fastz
+from ..core.pool import TaskOutcome, TaskSpec, open_slots, run_tasks
 from ..genome.sequence import Sequence
 from ..lastz.config import LastzConfig
 from ..lastz.pipeline import select_anchors
@@ -75,7 +82,6 @@ from ..seeding import Anchors
 from ..service.request import scheme_digest
 from .journal import Journal, replay
 from .merge import IncrementalMerger, ops_from_cigar
-from .scheduler import TaskSpec, run_tasks
 
 __all__ = ["JobOptions", "QuarantinedTask", "WgaReport", "run_wga"]
 
@@ -98,9 +104,9 @@ class JobOptions:
     workers: int = 0
     #: Attempts per task before quarantine.
     max_attempts: int = 3
-    #: Base retry backoff (exponential, capped).
+    #: Base retry backoff (exponential, capped at
+    #: :data:`repro.core.pool.BACKOFF_CAP_S`).
     backoff_s: float = 0.05
-    backoff_cap_s: float = 2.0
     #: fsync the journal after every record (off = tests/benchmarks).
     fsync: bool = True
 
@@ -239,17 +245,18 @@ class _ExitAfter:
 
 
 # ---------------------------------------------------------------------------
-# Phase handlers (module-level: workers pickle them by reference)
+# Phase handlers (module-level: every message pickles its handler by
+# reference, and ``run_wga`` looks both up when it calls ``run_tasks``)
 #
-# Both take the job's decoded codes in their worker state, which travels
-# once per worker: inherited without a copy under ``fork``, pickled once
-# at spawn under other start methods.
+# Both take the job's worker-group state ``(t_codes, q_codes, config,
+# options)``, which travels once per worker: inherited without a copy
+# under ``fork``, pickled once at spawn under other start methods.
 # ---------------------------------------------------------------------------
 
 
 def _seed_handler(state, payloads: list, attempt: int) -> list[dict]:
     """Select the whole pair's anchors, exactly as the single pass does."""
-    t_codes, q_codes, config = state
+    t_codes, q_codes, config, _options = state
     out = []
     for payload in payloads:
         _maybe_inject_fault(f"s:{payload['id']}", attempt)
@@ -318,6 +325,26 @@ def _extend_handler(state, payloads: list, attempt: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+class _JobGroup:
+    """The job's one worker group, opened when its first task is due."""
+
+    def __init__(self, workers: int, state) -> None:
+        self._workers = workers
+        self._state = state
+        self._slots = None
+
+    def __call__(self):
+        if self._slots is None:
+            self._slots = open_slots(
+                self._workers, self._state, name="repro-job-worker"
+            )
+        return self._slots
+
+    def close(self) -> None:
+        if self._slots is not None:
+            self._slots.close()
+
+
 def _extend_units(
     tasks: list[TaskSpec], workers: int, batch_size: int
 ) -> tuple[list[list[str]], list[float]]:
@@ -337,6 +364,20 @@ def _extend_units(
     )
     parts, loads = partition_loads([t.weight for t in tasks], n_units)
     return [[tasks[i].task_id for i in sorted(part)] for part in parts], loads
+
+
+def _succeeded(outcomes: dict[str, TaskOutcome]) -> dict[str, dict]:
+    """The values of the tasks that succeeded; records each one's wall time."""
+    seconds = obs.histogram(
+        "repro_jobs_task_seconds",
+        "Wall time of individual WGA tasks (successful attempts).",
+    )
+    out = {}
+    for task_id, outcome in outcomes.items():
+        if outcome.ok:
+            seconds.observe(outcome.elapsed_s)
+            out[task_id] = outcome.value
+    return out
 
 
 def _owner_index(pos: np.ndarray, length: int, chunk_size: int) -> np.ndarray:
@@ -466,8 +507,12 @@ def run_wga(
                     # quarantined records: deliberately *not* terminal —
                     # a resume re-queues those tasks.
 
-        journal = Journal(journal_path, fsync=job.fsync)
-        try:
+        # One worker group for both phases: the seed task and every
+        # extend unit run on workers forked once for the job, when its
+        # first task is due, so a fully journaled job forks none.
+        with Journal(journal_path, fsync=job.fsync) as journal, closing(
+            _JobGroup(job.workers, (target.codes, query.codes, config, options))
+        ) as group:
             if not resumed:
                 journal.append(
                     {
@@ -496,6 +541,10 @@ def run_wga(
                 progress = {"done": skipped}
 
                 def on_event(kind: str, task_id: str, info: dict) -> None:
+                    obs.counter(
+                        "repro_jobs_scheduler_events_total",
+                        "Scheduler events (done/retry/split/worker_death/quarantined).",
+                    ).labels(kind=kind).inc()
                     if kind == "done":
                         progress["done"] += 1
                         record = dict(info["value"])
@@ -574,19 +623,16 @@ def run_wga(
                 # whole target's word table (16 B per base) does not grow
                 # the coordinator's heap, which lives through the extend
                 # phase.
-                outcomes = run_tasks(
-                    seed_tasks,
-                    _seed_handler,
-                    (target.codes, query.codes, config),
-                    workers=job.workers,
-                    max_attempts=job.max_attempts,
-                    backoff_s=job.backoff_s,
-                    backoff_cap_s=job.backoff_cap_s,
-                    on_event=make_events("seed", "seeds", 1, seed_skipped),
-                )
-                for task_id, outcome in outcomes.items():
-                    if outcome.ok:
-                        seed_done[task_id] = outcome.value
+                if seed_tasks:
+                    outcomes = run_tasks(
+                        seed_tasks,
+                        _seed_handler,
+                        group(),
+                        max_attempts=job.max_attempts,
+                        backoff_s=job.backoff_s,
+                        on_event=make_events("seed", "seeds", 1, seed_skipped),
+                    )
+                    seed_done.update(_succeeded(outcomes))
                 # A quarantined seed task leaves the job without anchors.
                 found = seed_done.get(SEED_TASK, {"at": [], "aq": []})
                 anchors = Anchors(
@@ -653,35 +699,31 @@ def run_wga(
                         f"{int(max(unit_anchors))}-{int(min(unit_anchors))} "
                         "anchors/unit)"
                     )
-                outcomes = run_tasks(
-                    extend_tasks,
-                    _extend_handler,
-                    (target.codes, query.codes, config, options),
-                    units=units,
-                    workers=job.workers,
-                    max_attempts=job.max_attempts,
-                    backoff_s=job.backoff_s,
-                    backoff_cap_s=job.backoff_cap_s,
-                    on_event=make_events(
-                        "extend",
-                        "chunk",
-                        len(by_pair),
-                        extend_skipped,
-                        # Feed the merger as chunk results land: the
-                        # watermark advances and finalized alignments
-                        # stream out mid-job.  Quarantined tasks complete
-                        # empty so one poisoned chunk cannot dam the rest.
-                        on_done=lambda task_id, record: merger.complete(
-                            task_id, _chunk_records(record)
+                    outcomes = run_tasks(
+                        extend_tasks,
+                        _extend_handler,
+                        group(),
+                        units=units,
+                        max_attempts=job.max_attempts,
+                        backoff_s=job.backoff_s,
+                        on_event=make_events(
+                            "extend",
+                            "chunk",
+                            len(by_pair),
+                            extend_skipped,
+                            # Feed the merger as chunk results land: the
+                            # watermark advances and finalized alignments
+                            # stream out mid-job.  Quarantined tasks complete
+                            # empty so one poisoned chunk cannot dam the rest.
+                            on_done=lambda task_id, record: merger.complete(
+                                task_id, _chunk_records(record)
+                            ),
+                            on_quarantined=lambda task_id: merger.complete(
+                                task_id, []
+                            ),
                         ),
-                        on_quarantined=lambda task_id: merger.complete(
-                            task_id, []
-                        ),
-                    ),
-                )
-                for task_id, outcome in outcomes.items():
-                    if outcome.ok:
-                        extend_done[task_id] = outcome.value
+                    )
+                    extend_done.update(_succeeded(outcomes))
                 sp.set(tasks=len(by_pair), skipped=extend_skipped, units=len(units))
 
             # --- merge (already folded incrementally; finalize) --------
@@ -728,5 +770,3 @@ def run_wga(
                     f"{gap.attempts} attempts ({gap.error})"
                 )
             return report
-        finally:
-            journal.close()

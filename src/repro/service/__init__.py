@@ -5,8 +5,9 @@ fuses them into bin-aware lockstep batches over the struct-of-arrays
 engine (:mod:`repro.align.batch`), runs every batch through a
 :class:`~repro.fleet.scheduler.FleetScheduler`, caches results in a
 keyed LRU, and degrades predictably under load (bounded queue, admission
-control, deadlines, drain-aware shutdown).  With ``pool_workers > 0`` the
-fused batches are sharded across a fault-tolerant multiprocess
+control, deadlines, drain-aware shutdown).  On a pool lane
+(``fleet=[PoolBackend("pool0", workers=N)]``) the fused batches are
+sharded across a fault-tolerant multiprocess
 :class:`~repro.core.pool.WorkerPool` — bit-identical results on
 multiple cores.  ``repro serve`` exposes it over versioned JSON/HTTP
 through the asyncio front door (:mod:`repro.fleet.asgi`, ``/v1/*``).

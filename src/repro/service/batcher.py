@@ -265,7 +265,6 @@ class Dispatcher:
             for pending, prep in prepared
         )
         priority = min(pending.priority for pending, _ in prepared)
-        fuse_key = prepared[0][0].request.fuse_key
 
         def finish(fused) -> None:
             offset = 0
@@ -288,9 +287,7 @@ class Dispatcher:
                     self._fail(pending, exc)
 
         try:
-            future = self._fleet.submit(
-                spec, scheme, options, tile, key=fuse_key, priority=priority
-            )
+            future = self._fleet.submit(spec, scheme, options, tile, priority=priority)
         except Exception:
             degrade()
             return

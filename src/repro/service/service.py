@@ -17,11 +17,12 @@ production-shaped edges around that core:
   bounded (``max_inflight_bytes``); beyond the bound, submissions are
   load-shed with :class:`ServiceOverloaded` (HTTP 503 + ``Retry-After``)
   *before* they can melt the queue with multi-megabyte payloads;
-* **execution lanes** — without ``fleet=`` the scheduler has one lane:
-  the in-process engine, or with ``pool_workers > 0`` a
+* **execution lanes** — without ``fleet=`` the scheduler has one lane,
+  the in-process engine; a pool lane
+  (``fleet=[PoolBackend("pool0", workers=N)]``) is a
   :class:`~repro.core.pool.WorkerPool` that shards each fused batch
   across persistent worker processes, LPT-balanced by extension weight;
-  results stay bit-identical either way, and a batch the pool cannot
+  results stay bit-identical on any lane, and a batch the pool cannot
   finish is re-run in-process;
 * **deadlines** — a per-request ``timeout_s`` expires requests that are
   still queued when it elapses
@@ -111,13 +112,6 @@ class AlignmentService:
         ``None`` disables the bound.
     cache_entries:
         LRU result-cache capacity (0 disables caching).
-    pool_workers:
-        Without ``fleet=``: shard each fused extension batch across this
-        many persistent worker processes (one ``pool0`` lane); 0 runs
-        batches on one in-process ``cpu0`` lane.  Results are
-        bit-identical either way.  Combining it with ``fleet=`` is a
-        ``ValueError`` — give the fleet a
-        :class:`~repro.fleet.backends.PoolBackend` instead.
     store:
         A :class:`~repro.store.ReferenceStore` (or its root path) backing
         align-by-digest submissions (``target_ref``/``query_ref``): codes
@@ -133,8 +127,10 @@ class AlignmentService:
         on shutdown) or a list of
         :class:`~repro.fleet.backends.FleetBackend`\\ s to build one from
         (its metrics then share this service's registry).  ``None``
-        builds the one-lane fleet described under ``pool_workers``.
-        Results are bit-identical for any backend mix.
+        builds one in-process ``cpu0`` lane; a
+        :class:`~repro.fleet.backends.PoolBackend` in the list shards
+        each fused batch across its worker processes.  Results are
+        bit-identical for any backend mix.
 
     Usable as a context manager; exit drains and shuts down.
     """
@@ -147,7 +143,6 @@ class AlignmentService:
         max_queue: int = 256,
         max_inflight_bytes: int | None = DEFAULT_MAX_INFLIGHT_BYTES,
         cache_entries: int = 128,
-        pool_workers: int = 0,
         store: "ReferenceStore | str | None" = None,
         config: LastzConfig | None = None,
         options: FastzOptions = _DEFAULT_OPTIONS,
@@ -157,13 +152,6 @@ class AlignmentService:
             raise ValueError("max_queue must be at least 1")
         if max_inflight_bytes is not None and max_inflight_bytes < 1:
             raise ValueError("max_inflight_bytes must be positive or None")
-        if pool_workers < 0:
-            raise ValueError("pool_workers must be non-negative")
-        if pool_workers and fleet is not None:
-            raise ValueError(
-                "give pool_workers or fleet=, not both: add a PoolBackend "
-                "to the fleet instead"
-            )
         self.policy = BatchPolicy(max_batch=max_batch, max_wait_ms=max_wait_ms)
         self._store = (
             store
@@ -184,22 +172,17 @@ class AlignmentService:
             "Sequence bytes of queued-but-unresolved requests.",
         )
         # Imported here: repro.fleet imports this module.
-        from ..fleet.backends import InProcessBackend, PoolBackend
+        from ..fleet.backends import InProcessBackend
         from ..fleet.scheduler import FleetScheduler
 
-        registry = self._recorder.registry
         if fleet is None:
-            fleet = [
-                PoolBackend("pool0", workers=pool_workers, registry=registry)
-                if pool_workers
-                else InProcessBackend("cpu0")
-            ]
+            fleet = [InProcessBackend("cpu0")]
         # An adopted scheduler is closed on shutdown; one built here puts
         # its counters in the registry /v1/metrics renders.
         self._fleet = (
             fleet
             if isinstance(fleet, FleetScheduler)
-            else FleetScheduler(list(fleet), registry=registry)
+            else FleetScheduler(list(fleet), registry=self._recorder.registry)
         )
         self._dispatcher = Dispatcher(
             self._queue, self.policy, self._cache, self._recorder, self._fleet
@@ -527,6 +510,11 @@ class AlignmentService:
             # An externally-built scheduler keeps its own registry; splice
             # its families in so /v1/metrics stays the one scrape target.
             text += self._fleet.registry.render()
+        pool = self.pool
+        if pool is not None and pool.registry not in (registry, self._fleet.registry):
+            # So does a pool lane built without either, e.g.
+            # fleet=[PoolBackend("pool0", workers=N)].
+            text += pool.registry.render()
         global_registry = obs.get_registry()
         if global_registry.enabled and global_registry is not registry:
             text += global_registry.render()

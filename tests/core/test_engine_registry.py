@@ -229,7 +229,6 @@ class TestEngineMatrix:
                 fleet.submit(
                     ExtensionSpec.fuse([(prep, None, None)]), prep.scheme,
                     replace(prep.options, engine=engine), prep.tile,
-                    key=f"registry-{engine}-{i}",
                 )
                 for i in range(2)
             ]

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core import run_fastz
-from repro.core.pool import WorkerPool
+from repro.core.pool import ProcessSlots
 from repro.seeding import Anchors
 from repro.workloads.profiles import BENCH_OPTIONS, bench_config
 
@@ -124,13 +124,15 @@ def test_streamed_slices_ship_handles_not_codes(tiny_genome_pair, monkeypatch):
     # The pair is published to shared memory once per call: every slice's
     # shard message carries two handles and its rows, never the codes.
     shipped = []
-    send = WorkerPool._send
+    send = ProcessSlots.send
 
-    def spy(self, slot, job_id, shard_id, key, params, work):
-        shipped.append(pickle.dumps(work, protocol=pickle.HIGHEST_PROTOCOL))
-        return send(self, slot, job_id, shard_id, key, params, work)
+    def spy(self, slot, tag, item):
+        _handler, payloads, _attempt = item
+        for _params, work in payloads:
+            shipped.append(pickle.dumps(work, protocol=pickle.HIGHEST_PROTOCOL))
+        return send(self, slot, tag, item)
 
-    monkeypatch.setattr(WorkerPool, "_send", spy)
+    monkeypatch.setattr(ProcessSlots, "send", spy)
     pair = tiny_genome_pair
     options, kwargs = RUNS["stream"]
     barrier = run_fastz(pair.target, pair.query, bench_config(), options)

@@ -72,8 +72,7 @@ def _spec(prep):
 
 def _submit(fleet, prep, **kwargs):
     return fleet.submit(
-        _spec(prep), prep.scheme, prep.options, prep.tile,
-        key="k", **kwargs,
+        _spec(prep), prep.scheme, prep.options, prep.tile, **kwargs
     )
 
 
@@ -252,8 +251,7 @@ class TestFailure:
         with FleetScheduler([InProcessBackend("cpu0")], hedge_after_s=None) as fleet:
             bad = fleet.submit(
                 ExtensionSpec((object(),), ((0, 0, 1, 1),)),
-                prep.scheme, prep.options, prep.tile,
-                key="bad", weight=1.0,
+                prep.scheme, prep.options, prep.tile, weight=1.0,
             )
             with pytest.raises(Exception) as excinfo:
                 bad.result(timeout=60)
@@ -266,7 +264,7 @@ class TestFailure:
         backend = InProcessBackend("cpu0")
         backend.close()
         with pytest.raises(BackendUnavailable):
-            backend.run(_spec(prep), prep.scheme, prep.options, prep.tile, key="k")
+            backend.run(_spec(prep), prep.scheme, prep.options, prep.tile)
 
 
 class TestValidationAndLifecycle:

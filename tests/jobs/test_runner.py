@@ -6,6 +6,7 @@ alignments of a single-pass ``run_fastz``, including alignments that span
 chunk seams.
 """
 
+import functools
 import json
 import os
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.core import pool
 from repro.core.pipeline import run_fastz
 from repro.genome import SegmentClass, build_pair
 from repro.jobs import JobDigestMismatch, JobOptions, replay, run_wga, runner
@@ -87,6 +89,23 @@ def _lethal_extend_handler(state, payloads, attempt):
     if any(p["id"] == os.environ["LETHAL_TASK"] for p in payloads):
         os._exit(1)
     return _REAL_EXTEND_HANDLER(state, payloads, attempt)
+
+
+def _pid_logging(fn):
+    """``fn``, appending its name and its process id to ``HANDLER_PIDS_FILE``.
+
+    The wrapper keeps ``fn``'s module and name, so once it replaces ``fn``
+    on the runner module a message pickles it by reference and a forked
+    worker finds it there.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(state, payloads, attempt):
+        with open(os.environ["HANDLER_PIDS_FILE"], "a") as handle:
+            handle.write(f"{fn.__name__} {os.getpid()}\n")
+        return fn(state, payloads, attempt)
+
+    return wrapper
 
 
 def journal_task_records(job_dir):
@@ -226,6 +245,44 @@ class TestFusedExtend:
         assert report.n_extend_tasks > 1
         # One unit of every extend task, one fastz.extend span.
         assert calls.read_text().split() == ["1"]
+
+class TestWorkerGroup:
+    """A job forks its workers once: both phases run on one group."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_group_runs_seed_and_extend(
+        self, pair, config, reference, workers, tmp_path, monkeypatch
+    ):
+        groups = []
+        init = pool.ProcessSlots.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            groups.append(self.pids)
+
+        monkeypatch.setattr(pool.ProcessSlots, "__init__", recording_init)
+        ran = tmp_path / "pids"
+        monkeypatch.setenv("HANDLER_PIDS_FILE", str(ran))
+        for name in ("_seed_handler", "_extend_handler"):
+            monkeypatch.setattr(runner, name, _pid_logging(getattr(runner, name)))
+        report = run_wga(
+            pair.target, pair.query, config,
+            job=options(workers=workers), job_dir=tmp_path / "job",
+        )
+        assert report.alignments == reference
+        assert len(groups) == 1 and len(groups[0]) == workers
+        calls = [line.split() for line in ran.read_text().splitlines()]
+        assert {name for name, _ in calls} == {"_seed_handler", "_extend_handler"}
+        assert {int(pid) for _, pid in calls} <= set(groups[0])
+        # A rerun finds every task journaled and forks no workers.
+        groups.clear()
+        resumed = run_wga(
+            pair.target, pair.query, config,
+            job=options(workers=workers), job_dir=tmp_path / "job",
+        )
+        assert resumed.resumed and resumed.alignments == reference
+        assert groups == []
+
 
 class TestResume:
     def test_completed_job_skips_everything(self, pair, config, tmp_path):

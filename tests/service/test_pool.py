@@ -21,8 +21,8 @@ from repro.core.pipeline import (
     extend_suffixes_batched,
     prepare_fastz,
 )
-from repro.core.pool import plan_shards
-from repro.fleet import InProcessBackend, PoolBackend
+from repro.core.pool import MAX_REDISPATCH, ProcessSlots, plan_shards
+from repro.fleet import PoolBackend
 from repro.genome import SegmentClass, build_pair
 from repro.lastz.config import LastzConfig
 from repro.scoring import default_scheme
@@ -56,35 +56,44 @@ def _rows(result):
     ]
 
 
-def _run_service(pairs, **kwargs):
+def _pool_lane(workers):
+    """Service kwargs for a pool lane of ``workers`` processes (0: none)."""
+    return {"fleet": [PoolBackend("pool0", workers=workers)]} if workers else {}
+
+
+def _run_service(pairs, workers=0, **kwargs):
     """Align every pair on a fresh service; returns comparable tuples."""
     outs = []
-    with AlignmentService(max_wait_ms=1.0, config=CONFIG, **kwargs) as service:
+    with AlignmentService(
+        max_wait_ms=1.0, config=CONFIG, **_pool_lane(workers), **kwargs
+    ) as service:
         for target, query in pairs:
             outs.append(_rows(service.align(target, query, timeout_s=300)))
         stats = service.stats()
     return outs, stats
 
 
-def _extend(pool, prep, key="k"):
+def _extend(pool, prep):
     """One request's anchors through the pool; no digests, so codes ship inline."""
     return pool.extend_spec(
         ExtensionSpec.fuse([(prep, None, None)]),
-        prep.scheme, prep.options, prep.tile, key=key,
+        prep.scheme, prep.options, prep.tile,
     )
 
 
 @pytest.fixture()
 def shipped(monkeypatch):
-    """Pickled size of the shard work of every pool message sent."""
+    """Pickled size of the ``(sources, rows)`` of every shard message sent."""
     sizes = []
-    send = WorkerPool._send
+    send = ProcessSlots.send
 
-    def spy(self, slot, job_id, shard_id, key, params, work):
-        sizes.append(len(pickle.dumps(work, protocol=pickle.HIGHEST_PROTOCOL)))
-        return send(self, slot, job_id, shard_id, key, params, work)
+    def spy(self, slot, tag, item):
+        _handler, payloads, _attempt = item
+        for _params, work in payloads:
+            sizes.append(len(pickle.dumps(work, protocol=pickle.HIGHEST_PROTOCOL)))
+        return send(self, slot, tag, item)
 
-    monkeypatch.setattr(WorkerPool, "_send", spy)
+    monkeypatch.setattr(ProcessSlots, "send", spy)
     return sizes
 
 
@@ -147,18 +156,7 @@ class TestWorkerPool:
         pool = WorkerPool(1)
         try:
             empty = ExtensionSpec((), ())
-            assert pool.extend_spec(empty, None, None, 16, key="k") == []
-        finally:
-            pool.close()
-
-    def test_warm_cache_ships_params_once(self, prep):
-        pool = WorkerPool(1)
-        try:
-            _extend(pool, prep)
-            assert "k" in pool._seen[0]
-            # Second dispatch reuses the worker-resident params.
-            _extend(pool, prep)
-            assert pool.dispatches == 2
+            assert pool.extend_spec(empty, None, None, 16) == []
         finally:
             pool.close()
 
@@ -187,13 +185,49 @@ class TestWorkerPool:
             WorkerPool(0)
 
 
+class TestPoolPolicy:
+    """Each shard is a task on the dispatch loop: a death re-dispatches it,
+    an error fails it at once."""
+
+    def test_raising_shard_is_dispatched_once(self, prep, shipped):
+        codes = np.random.default_rng(3).integers(0, 4, 2_000, dtype=np.uint8)
+        codes[500:600] = 99
+        spec = ExtensionSpec((codes,), ((0, 0, 550, 550),))
+        pool = WorkerPool(1)
+        try:
+            with pytest.raises(IndexError, match="alphabet"):
+                pool.extend_spec(spec, prep.scheme, prep.options, prep.tile)
+            stats = pool.stats()
+        finally:
+            pool.close()
+        assert len(shipped) == 1
+        assert stats["redispatches"] == 0 and stats["respawns"] == 0
+
+    def test_lethal_shard_is_dispatched_until_pool_error(
+        self, prep, shipped, monkeypatch
+    ):
+        monkeypatch.setenv(KILL_ENV, ",".join(str(i) for i in range(64)))
+        pool = WorkerPool(1)
+        try:
+            with pytest.raises(PoolError) as excinfo:
+                _extend(pool, prep)
+            stats = pool.stats()
+        finally:
+            pool.close()
+        assert type(excinfo.value) is PoolError
+        assert len(shipped) == MAX_REDISPATCH + 1
+        assert stats["redispatches"] == MAX_REDISPATCH
+        assert stats["respawns"] == MAX_REDISPATCH + 1
+        assert stats["alive"] == 1
+
+
 class TestServiceEquivalence:
     def test_bit_identical_across_worker_counts(self):
         pairs = _pairs(n=4)
-        baseline, base_stats = _run_service(pairs, pool_workers=0)
+        baseline, base_stats = _run_service(pairs)
         for workers in (1, 2, 4):
-            outs, stats = _run_service(pairs, pool_workers=workers)
-            assert outs == baseline, f"pool_workers={workers} diverged"
+            outs, stats = _run_service(pairs, workers)
+            assert outs == baseline, f"pool lane of {workers} workers diverged"
             assert stats.completed == base_stats.completed
             assert stats.failed == 0
             assert stats.pool["workers"] == workers
@@ -203,25 +237,19 @@ class TestServiceEquivalence:
     def test_pool_section_in_stats_dict(self):
         (target, query), = _pairs(n=1)
         with AlignmentService(
-            max_wait_ms=1.0, config=CONFIG, pool_workers=2
+            max_wait_ms=1.0, config=CONFIG, **_pool_lane(2)
         ) as service:
             service.align(target, query, timeout_s=300)
             payload = service.stats().as_dict()
+            metrics = service.metrics_text()
         assert payload["pool"]["workers"] == 2
         assert payload["pool"]["respawns"] == 0
-
-    def test_pool_workers_with_fleet_rejected(self):
-        # The fleet brings its own lanes; pool_workers would spawn
-        # processes no batch is ever routed to.
-        with pytest.raises(ValueError, match="pool_workers"):
-            AlignmentService(pool_workers=2, fleet=[InProcessBackend("cpu0")])
+        # The lane's own registry reaches /v1/metrics.
+        assert "repro_service_pool_shards_total" in metrics
 
 
-#: The two ways a service gets a two-worker pool lane.
-POOL_LANES = {
-    "pool_workers": lambda: {"pool_workers": 2},
-    "fleet": lambda: {"fleet": [PoolBackend("pool0", workers=2)]},
-}
+#: The way a service gets a two-worker pool lane.
+POOL_LANES = {"fleet": lambda: _pool_lane(2)}
 
 
 @pytest.mark.parametrize("lane", POOL_LANES.values(), ids=POOL_LANES.keys())
@@ -275,9 +303,9 @@ class TestFaultTolerance:
         # pool must respawn it, re-dispatch the shard, and the request
         # must still complete with the in-process answer.
         pairs = _pairs(n=2)
-        baseline, _ = _run_service(pairs, pool_workers=0)
+        baseline, _ = _run_service(pairs)
         monkeypatch.setenv(KILL_ENV, "0")
-        outs, stats = _run_service(pairs, pool_workers=2)
+        outs, stats = _run_service(pairs, 2)
         assert outs == baseline
         assert stats.failed == 0
         assert stats.pool["respawns"] >= 1
@@ -286,9 +314,9 @@ class TestFaultTolerance:
 
     def test_idle_worker_killed_between_batches(self):
         pairs = _pairs(n=2)
-        baseline, _ = _run_service(pairs, pool_workers=0)
+        baseline, _ = _run_service(pairs)
         with AlignmentService(
-            max_wait_ms=1.0, config=CONFIG, pool_workers=2
+            max_wait_ms=1.0, config=CONFIG, **_pool_lane(2)
         ) as service:
             first = service.align(*pairs[0], timeout_s=300)
             victim = service.pool.worker_pids[0]
@@ -315,10 +343,10 @@ class TestFaultTolerance:
         # completes anyway.  Only the batch degrades, not the lane: once
         # the hook is cleared the next request is served by the pool.
         pairs = _pairs(n=2)
-        baseline, _ = _run_service(pairs, pool_workers=0)
+        baseline, _ = _run_service(pairs)
         monkeypatch.setenv(KILL_ENV, ",".join(str(i) for i in range(64)))
         with AlignmentService(
-            max_wait_ms=1.0, config=CONFIG, pool_workers=2
+            max_wait_ms=1.0, config=CONFIG, **_pool_lane(2)
         ) as service:
             first = service.align(*pairs[0], timeout_s=300)
             stats = service.stats()
@@ -345,7 +373,7 @@ class TestFaultTolerance:
         from repro.seeding import Anchors
 
         with AlignmentService(
-            max_wait_ms=1.0, config=CONFIG, pool_workers=2
+            max_wait_ms=1.0, config=CONFIG, **_pool_lane(2)
         ) as service:
             with pytest.raises(Exception):
                 service.align(

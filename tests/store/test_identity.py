@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.fleet import PoolBackend
 from repro.service import AlignmentService
 from repro.store import ReferenceStore
 
@@ -42,7 +43,9 @@ class TestServiceIdentity:
     def test_pool_workers(self, tiny_genome_pair, registered):
         store, t_digest, q_digest = registered
         pair = tiny_genome_pair
-        with AlignmentService(store=store, pool_workers=4) as service:
+        with AlignmentService(
+            store=store, fleet=[PoolBackend("pool0", workers=4)]
+        ) as service:
             by_bytes = service.align(pair.target.codes, pair.query.codes)
             by_ref = service.align(target_ref=t_digest, query_ref=q_digest)
         assert _records(by_ref) == _records(by_bytes)
