@@ -32,7 +32,7 @@ import numpy as np
 
 from .core.options import FASTZ_FULL, FastzOptions
 from .core.pipeline import FastzResult, run_fastz
-from .genome.sequence import Sequence
+from .genome.sequence import Sequence, as_codes
 from .lastz.config import LastzConfig
 from .seeding import Anchors
 
@@ -63,19 +63,6 @@ def resolve_options(
     if isinstance(options, FastzOptions):
         return options
     return FastzOptions.from_mapping(options)
-
-
-def _as_alignable(value):
-    """Accept a :class:`~repro.store.StoredReference` anywhere a sequence goes.
-
-    A stored reference decodes lazily into a :class:`Sequence`; anything
-    else passes through untouched so array/Sequence callers pay nothing.
-    """
-    from .store.store import StoredReference
-
-    if isinstance(value, StoredReference):
-        return value.sequence()
-    return value
 
 
 def register_reference(
@@ -122,7 +109,7 @@ def align(
     ``workers`` deals anchors into LPT-balanced shards across a per-call
     :class:`~repro.core.pool.WorkerPool`, with bit-identical results.  Either side may be a
     :class:`~repro.store.StoredReference` (decoded lazily from the
-    store's 2-bit file).
+    store's 2-bit file); a stored target seeds from its persisted table.
 
     ``on_partial`` streams the run: it receives a
     :class:`~repro.core.pipeline.StreamPartial` after each slice of
@@ -130,8 +117,8 @@ def align(
     same.
     """
     return run_fastz(
-        _as_alignable(target),
-        _as_alignable(query),
+        target,
+        query,
         config,
         resolve_options(options),
         anchors=anchors,
@@ -248,8 +235,7 @@ def _as_dna_text(sequence: Sequence | np.ndarray | str) -> str:
         return sequence
     from .genome.alphabet import decode
 
-    codes = sequence.codes if isinstance(sequence, Sequence) else sequence
-    return decode(np.asarray(codes))
+    return decode(as_codes(sequence))
 
 
 class Client:

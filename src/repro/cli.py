@@ -134,16 +134,15 @@ def _add_batch_size_arg(parser: argparse.ArgumentParser) -> None:
 def _load_side(spec: str, args: argparse.Namespace):
     """Resolve one sequence argument: FASTA path or ``ref:<digest-prefix>``.
 
-    Returns ``(sequence, stored_or_none)`` — the stored handle lets
-    callers reach the digest and the persistent seed-table cache.
+    A ``ref:`` spec gives the stored handle itself, which goes wherever a
+    sequence goes; as a target it seeds from its persisted table.
     """
     if spec.startswith("ref:"):
         from .store import ReferenceStore
 
         store = ReferenceStore(_store_root(args))
-        stored = store.get(store.resolve(spec[len("ref:"):]))
-        return stored.sequence(), stored
-    return read_fasta(spec)[0], None
+        return store.get(store.resolve(spec[len("ref:"):]))
+    return read_fasta(spec)[0]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -451,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _align_command(args: argparse.Namespace) -> int:
-    target, _ = _load_side(args.target, args)
-    query, _ = _load_side(args.query, args)
+    target = _load_side(args.target, args)
+    query = _load_side(args.query, args)
     config = _config_from_args(args, traceback=not args.no_cigar)
 
     fastz_like = args.engine == "fastz" or args.engine.startswith("fastz-")
@@ -656,33 +655,18 @@ def _trace_command(args: argparse.Namespace) -> int:
     from .analysis.traffic import traffic_report
     from .obs.tracing import render_span_tree
 
-    target, stored = _load_side(args.target, args)
-    query, _ = _load_side(args.query, args)
+    # A store-backed target seeds from its persisted table: a cold run
+    # builds and persists it (one fastz.seed_table span in the trace), a
+    # warm run loads it and shows no build.
+    target = _load_side(args.target, args)
+    query = _load_side(args.query, args)
     config = _config_from_args(args)
     options = FastzOptions(engine=args.engine, batch_size=args.batch_size)
 
-    # A store-backed target consults the persistent seed-table cache: on
-    # a warm run the table loads here and the fastz.seed_table span never
-    # appears in the trace; on a cold run the pipeline builds it inline
-    # (the span shows up) and we persist it afterwards for next time.
-    seed_table = None
-    if stored is not None:
-        seed_table = stored.store.load_seed_table(
-            stored.digest,
-            k=config.seed_length,
-            spaced_pattern=config.spaced_pattern,
-        )
-
     registry, tracer = obs.enable()
     try:
-        result = run_fastz(target, query, config, options, seed_table=seed_table)
+        result = run_fastz(target, query, config, options)
         root = tracer.last_root("fastz.run")
-        if stored is not None and seed_table is None:
-            stored.store.seed_table(
-                stored.digest,
-                k=config.seed_length,
-                spaced_pattern=config.spaced_pattern,
-            )
     finally:
         obs.disable()
 
@@ -766,8 +750,8 @@ def _wga_command(args: argparse.Namespace) -> int:
     from .jobs import JobOptions
     from .lastz.output import write_general, write_maf
 
-    target, _ = _load_side(args.target, args)
-    query, _ = _load_side(args.query, args)
+    target = _load_side(args.target, args)
+    query = _load_side(args.query, args)
     config = _config_from_args(args)
     say = (lambda _msg: None) if args.quiet else (
         lambda msg: print(f"# {msg}", file=sys.stderr)

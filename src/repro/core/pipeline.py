@@ -48,11 +48,12 @@ from ..align.batch import batch_wavefront_extend
 from ..align.engines import get_engine, register_engine
 from ..align.extend import combine_alignment
 from ..align.wavefront import WavefrontResult, wavefront_extend
-from ..genome.sequence import Sequence
+from ..genome.sequence import Sequence, as_codes
 from ..lastz.config import LastzConfig
 from ..lastz.pipeline import select_anchors
 from ..scoring import ScoringScheme
 from ..seeding import Anchors
+from ..store import StoredReference
 from .binning import assign_bin, assign_bins, bin_histogram
 from .options import FASTZ_FULL, FastzOptions
 from .task import FastzTask, TaskArrays, tasks_to_arrays
@@ -560,33 +561,28 @@ class ExtensionSpec:
 
 
 def prepare_fastz(
-    target: Sequence | np.ndarray,
-    query: Sequence | np.ndarray,
+    target: Sequence | StoredReference | np.ndarray,
+    query: Sequence | StoredReference | np.ndarray,
     config: LastzConfig | None = None,
     options: FastzOptions = FASTZ_FULL,
     *,
     anchors: Anchors | None = None,
-    seed_table=None,
 ) -> PreparedRequest:
-    """Stage a request: encode, select anchors, sort, fix the eager tile.
+    """Stage a request: decode, select anchors, sort, fix the eager tile.
 
-    ``seed_table`` is an optional prebuilt target-side
-    :class:`~repro.seeding.SeedTable` (the reference store's persistent
-    cache); it skips the table-build half of seeding, bit-identically.
-    Ignored when ``anchors`` are given.
+    A :class:`~repro.store.StoredReference` side decodes here, and a
+    stored target seeds from its store's persisted table
+    (:func:`~repro.lastz.pipeline.select_anchors`).
     """
     config = config or LastzConfig()
     with obs.span("fastz.prepare") as sp:
-        t_codes = np.asarray(target.codes if isinstance(target, Sequence) else target)
-        q_codes = np.asarray(query.codes if isinstance(query, Sequence) else query)
+        t_codes, q_codes = as_codes(target), as_codes(query)
 
         if anchors is None:
             with obs.span(
                 "fastz.seeding", target_bp=len(t_codes), query_bp=len(q_codes)
             ):
-                anchors = select_anchors(
-                    t_codes, q_codes, config, target_table=seed_table
-                )
+                anchors = select_anchors(target, query, config)
         order = np.lexsort((anchors.target_pos, anchors.query_pos))
         anchors = anchors.take(order)
         sp.set(anchors=len(anchors.target_pos))
@@ -711,15 +707,14 @@ class StreamPartial:
 
 
 def run_fastz(
-    target: Sequence | np.ndarray,
-    query: Sequence | np.ndarray,
+    target: Sequence | StoredReference | np.ndarray,
+    query: Sequence | StoredReference | np.ndarray,
     config: LastzConfig | None = None,
     options: FastzOptions = FASTZ_FULL,
     *,
     anchors: Anchors | None = None,
     keep_extensions: bool = False,
     workers: int | None = None,
-    seed_table=None,
     on_partial: Callable[[StreamPartial], None] | None = None,
     should_abort: Callable[[], bool] | None = None,
 ) -> FastzResult:
@@ -751,9 +746,7 @@ def run_fastz(
     """
     with obs.span("fastz.run", engine=options.engine) as sp:
         t0 = time.perf_counter()
-        prepared = prepare_fastz(
-            target, query, config, options, anchors=anchors, seed_table=seed_table
-        )
+        prepared = prepare_fastz(target, query, config, options, anchors=anchors)
         scheme, tile = prepared.scheme, prepared.tile
         n_anchors = prepared.n_anchors
         if on_partial is not None:

@@ -14,7 +14,17 @@ import numpy as np
 
 from .alphabet import decode, encode, is_valid_codes, reverse_complement
 
-__all__ = ["Sequence"]
+__all__ = ["Sequence", "as_codes"]
+
+
+def as_codes(sequence) -> np.ndarray:
+    """The code array of a :class:`Sequence`, a stored reference or bare codes.
+
+    Anything with a ``codes`` attribute (a :class:`Sequence`, or a
+    :class:`~repro.store.StoredReference`, which decodes on first touch)
+    gives that array; anything else is taken as codes already.
+    """
+    return np.asarray(getattr(sequence, "codes", sequence))
 
 
 @dataclass(frozen=True)

@@ -248,19 +248,21 @@ class _ExitAfter:
 # Phase handlers (module-level: every message pickles its handler by
 # reference, and ``run_wga`` looks both up when it calls ``run_tasks``)
 #
-# Both take the job's worker-group state ``(t_codes, q_codes, config,
+# Both take the job's worker-group state ``(target, query, config,
 # options)``, which travels once per worker: inherited without a copy
-# under ``fork``, pickled once at spawn under other start methods.
+# under ``fork``, pickled once at spawn under other start methods.  A
+# side may be a stored reference: the worker that seeds reads a stored
+# target's persisted table, and keeps it until the group closes.
 # ---------------------------------------------------------------------------
 
 
 def _seed_handler(state, payloads: list, attempt: int) -> list[dict]:
     """Select the whole pair's anchors, exactly as the single pass does."""
-    t_codes, q_codes, config, _options = state
+    target, query, config, _options = state
     out = []
     for payload in payloads:
         _maybe_inject_fault(f"s:{payload['id']}", attempt)
-        anchors = select_anchors(t_codes, q_codes, config)
+        anchors = select_anchors(target, query, config)
         out.append(
             {"at": anchors.target_pos.tolist(), "aq": anchors.query_pos.tolist()}
         )
@@ -274,15 +276,15 @@ def _extend_handler(state, payloads: list, attempt: int) -> list[dict]:
     finishes a pair, and every member's suffixes go to the engine in one
     call: the records are the single pass's records for those anchors.
     """
-    t_codes, q_codes, config, options = state
+    target, query, config, options = state
     # Any member's injected fault fails the whole unit; the scheduler then
     # splits it and the member fails alone, exactly as an unfused task.
     for payload in payloads:
         _maybe_inject_fault(f"e:{payload['id']}", attempt)
     members = [
         prepare_fastz(
-            t_codes,
-            q_codes,
+            target,
+            query,
             config,
             options,
             anchors=Anchors(
@@ -511,7 +513,7 @@ def run_wga(
         # extend unit run on workers forked once for the job, when its
         # first task is due, so a fully journaled job forks none.
         with Journal(journal_path, fsync=job.fsync) as journal, closing(
-            _JobGroup(job.workers, (target.codes, query.codes, config, options))
+            _JobGroup(job.workers, (target, query, config, options))
         ) as group:
             if not resumed:
                 journal.append(
@@ -620,9 +622,9 @@ def run_wga(
                 if seed_skipped:
                     say("[seed] resuming: anchors already journaled")
                 # On the job's workers (inline only at workers=0), so the
-                # whole target's word table (16 B per base) does not grow
-                # the coordinator's heap, which lives through the extend
-                # phase.
+                # whole target's word table (16 B per base), built or read
+                # from the store, does not grow the coordinator's heap,
+                # which lives through the extend phase.
                 if seed_tasks:
                     outcomes = run_tasks(
                         seed_tasks,

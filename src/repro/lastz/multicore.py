@@ -15,12 +15,14 @@ innovations apply to multicores).  Two things are provided here:
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..genome.sequence import Sequence
+from ..genome.sequence import Sequence, as_codes
 from ..seeding import Anchors
+from ..store import StoredReference
 from .config import LastzConfig
 from .cpu_model import CpuSpec, RYZEN_3950X, multicore_seconds, sequential_seconds
 from .pipeline import LastzResult, run_gapped_lastz, select_anchors
@@ -67,17 +69,21 @@ class MulticoreResult:
         return seq / par if par > 0 else float("inf")
 
 
-def _run_partition(args: tuple) -> LastzResult:
-    """Top-level worker entry (must be picklable for process pools)."""
-    t_codes, q_codes, config, t_pos, q_pos = args
-    return run_gapped_lastz(
-        t_codes, q_codes, config, anchors=Anchors(t_pos, q_pos)
-    )
+def _run_partitions(state, payloads: list, _attempt: int) -> list[LastzResult]:
+    """Run the sequential pipeline on each partition's anchors.
+
+    A :func:`~repro.core.pool.run_tasks` handler (module-level, so workers
+    get it by reference); ``state`` is ``(t_codes, q_codes, config)``.
+    """
+    t_codes, q_codes, config = state
+    return [
+        run_gapped_lastz(t_codes, q_codes, config, anchors=part) for part in payloads
+    ]
 
 
 def run_multicore_lastz(
-    target: Sequence | np.ndarray,
-    query: Sequence | np.ndarray,
+    target: Sequence | StoredReference | np.ndarray,
+    query: Sequence | StoredReference | np.ndarray,
     config: LastzConfig | None = None,
     *,
     anchors: Anchors | None = None,
@@ -89,35 +95,36 @@ def run_multicore_lastz(
     By default workers execute in-process (deterministic and cheap): the
     point is the *partitioning semantics* — who extends what, which work
     reduction survives.  With ``use_os_processes=True`` the partitions run
-    on a real :class:`concurrent.futures.ProcessPoolExecutor`, which is the
-    actual deployment shape of the paper's multicore baseline (results are
-    identical; wall-clock depends on the host, which is why speedups come
-    from the cost model rather than from timing this Python code).
+    as one :func:`~repro.core.pool.run_tasks` call on a group of up to 8
+    worker processes, which is the actual deployment shape of the paper's
+    multicore baseline (results are identical; wall-clock depends on the
+    host, which is why speedups come from the cost model rather than from
+    timing this Python code).  A partition that fails raises.
     """
     if processes <= 0:
         raise ValueError("processes must be positive")
     config = config or LastzConfig()
-    t_codes = np.asarray(target.codes if isinstance(target, Sequence) else target)
-    q_codes = np.asarray(query.codes if isinstance(query, Sequence) else query)
-
     if anchors is None:
-        anchors = select_anchors(t_codes, q_codes, config)
-
+        anchors = select_anchors(target, query, config)
+    state = (as_codes(target), as_codes(query), config)
     n = len(anchors)
-    partitions = []
-    for w in range(processes):
-        idx = np.arange(w, n, processes)
-        part = anchors.take(idx)
-        partitions.append(
-            (t_codes, q_codes, config, part.target_pos, part.query_pos)
-        )
+    parts = [anchors.take(np.arange(w, n, processes)) for w in range(processes)]
 
     if use_os_processes:
-        import concurrent.futures
+        # Imported here: repro.core imports this package.
+        from ..core.pool import TaskSpec, open_slots, run_tasks
 
-        max_workers = min(processes, 8)  # don't oversubscribe the host
-        with concurrent.futures.ProcessPoolExecutor(max_workers=max_workers) as pool:
-            worker_results = list(pool.map(_run_partition, partitions))
+        tasks = [TaskSpec(str(w), part) for w, part in enumerate(parts)]
+        # At most 8 processes: don't oversubscribe the host.
+        slots = open_slots(min(processes, 8), state, name="repro-multicore")
+        with closing(slots):
+            outcomes = run_tasks(tasks, _run_partitions, slots)
+        failed = [outcome for outcome in outcomes.values() if not outcome.ok]
+        if failed:
+            raise RuntimeError(
+                f"partition {failed[0].task_id} failed: {failed[0].error}"
+            )
+        worker_results = [outcomes[task.task_id].value for task in tasks]
     else:
-        worker_results = [_run_partition(p) for p in partitions]
+        worker_results = _run_partitions(state, parts, 1)
     return MulticoreResult(worker_results=worker_results, processes=processes)

@@ -22,8 +22,9 @@ import numpy as np
 from ..align.alignment import Alignment
 from ..align.extend import AnchorExtension, extend_anchor
 from ..align.ydrop import ydrop_extend
-from ..genome.sequence import Sequence
+from ..genome.sequence import Sequence, as_codes
 from ..seeding import Anchors, collapse_diagonal, find_seeds
+from ..store import StoredReference
 from .config import LastzConfig
 
 __all__ = ["TaskRecord", "LastzResult", "AlignmentIndex", "run_gapped_lastz", "select_anchors"]
@@ -120,28 +121,32 @@ class LastzResult:
 
 
 def select_anchors(
-    target: Sequence | np.ndarray,
-    query: Sequence | np.ndarray,
+    target: Sequence | StoredReference | np.ndarray,
+    query: Sequence | StoredReference | np.ndarray,
     config: LastzConfig,
-    *,
-    target_table=None,
 ) -> Anchors:
     """Stage 1+2: discover seeds and thin them into anchors.
 
-    ``target_table`` is an optional prebuilt
-    :class:`~repro.seeding.SeedTable` (e.g. from the reference store's
-    persistent cache); when given, the target-side table build inside
-    :func:`find_seeds` is skipped, bit-identically.
+    The one place that decides where the target's sorted seed table comes
+    from: a :class:`~repro.store.StoredReference` target reads its
+    store's persisted table (loaded, or built once and persisted), and
+    any other target has its table built inside :func:`find_seeds`.  The
+    anchors are bit-identical either way.
     """
-    t_codes = target.codes if isinstance(target, Sequence) else target
-    q_codes = query.codes if isinstance(query, Sequence) else query
+    table = None
+    if isinstance(target, StoredReference):
+        table = target.store.seed_table(
+            target.digest,
+            k=config.seed_length,
+            spaced_pattern=config.spaced_pattern,
+        )
     seeds = find_seeds(
-        t_codes,
-        q_codes,
+        as_codes(target),
+        as_codes(query),
         k=config.seed_length,
         spaced_pattern=config.spaced_pattern,
         max_word_count=config.max_word_count,
-        target_table=target_table,
+        target_table=table,
     )
     return collapse_diagonal(
         seeds, window=config.collapse_window, diag_band=config.diag_band
@@ -149,8 +154,8 @@ def select_anchors(
 
 
 def run_gapped_lastz(
-    target: Sequence | np.ndarray,
-    query: Sequence | np.ndarray,
+    target: Sequence | StoredReference | np.ndarray,
+    query: Sequence | StoredReference | np.ndarray,
     config: LastzConfig | None = None,
     *,
     anchors: Anchors | None = None,
@@ -170,11 +175,9 @@ def run_gapped_lastz(
         Retain the raw per-anchor extension objects (tests use them).
     """
     config = config or LastzConfig()
-    t_codes = np.asarray(target.codes if isinstance(target, Sequence) else target)
-    q_codes = np.asarray(query.codes if isinstance(query, Sequence) else query)
-
     if anchors is None:
-        anchors = select_anchors(t_codes, q_codes, config)
+        anchors = select_anchors(target, query, config)
+    t_codes, q_codes = as_codes(target), as_codes(query)
 
     # Sequential scan order: by query position then target position.
     order = np.lexsort((anchors.target_pos, anchors.query_pos))

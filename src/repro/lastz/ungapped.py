@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..genome.sequence import Sequence
+from ..genome.sequence import Sequence, as_codes
 from ..seeding import Anchors, ungapped_filter
+from ..store import StoredReference
 from .config import LastzConfig
 from .pipeline import LastzResult, run_gapped_lastz, select_anchors
 
@@ -46,8 +47,8 @@ class UngappedLastzResult:
 
 
 def run_ungapped_lastz(
-    target: Sequence | np.ndarray,
-    query: Sequence | np.ndarray,
+    target: Sequence | StoredReference | np.ndarray,
+    query: Sequence | StoredReference | np.ndarray,
     config: LastzConfig | None = None,
     *,
     anchors: Anchors | None = None,
@@ -55,11 +56,9 @@ def run_ungapped_lastz(
 ) -> UngappedLastzResult:
     """Run seed -> ungapped filter -> gapped extension."""
     config = config or LastzConfig()
-    t_codes = np.asarray(target.codes if isinstance(target, Sequence) else target)
-    q_codes = np.asarray(query.codes if isinstance(query, Sequence) else query)
-
     if anchors is None:
-        anchors = select_anchors(t_codes, q_codes, config)
+        anchors = select_anchors(target, query, config)
+    t_codes, q_codes = as_codes(target), as_codes(query)
     candidates = len(anchors)
 
     surviving, hsp_scores = ungapped_filter(anchors, t_codes, q_codes, config.scheme)

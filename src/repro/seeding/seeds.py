@@ -214,14 +214,16 @@ def build_seed_table(
 
     The target half of :func:`find_seeds`, which builds its table here
     when none is passed in, so matching against a prebuilt table is
-    bit-identical to the inline path.
+    bit-identical to the inline path.  Every build, inline or for the
+    reference store, is one ``fastz.seed_table`` span.
     """
-    words, valid, span = pack_words(
-        codes, k=k, spaced_pattern=spaced_pattern, mask=mask
-    )
-    pos_all = np.flatnonzero(valid)
-    w, positions = _sort_by_word(words[pos_all], pos_all, words.shape[0])
-    return SeedTable(words=w, positions=positions, span=span)
+    with obs.span("fastz.seed_table", target_bp=len(codes)):
+        words, valid, span = pack_words(
+            codes, k=k, spaced_pattern=spaced_pattern, mask=mask
+        )
+        pos_all = np.flatnonzero(valid)
+        w, positions = _sort_by_word(words[pos_all], pos_all, words.shape[0])
+        return SeedTable(words=w, positions=positions, span=span)
 
 
 def find_seeds(
@@ -276,13 +278,9 @@ def find_seeds(
                 f"these seeding parameters need span {span}"
             )
     else:
-        # Build the sorted target table here.  The span makes the cost
-        # visible in traces; on the store path it disappears because a
-        # cached table is passed in instead.
-        with obs.span("fastz.seed_table", target_bp=len(target)):
-            target_table = build_seed_table(
-                target, k=k, spaced_pattern=spaced_pattern, mask=target_mask
-            )
+        target_table = build_seed_table(
+            target, k=k, spaced_pattern=spaced_pattern, mask=target_mask
+        )
     t_w_sorted = target_table.words
     t_pos_sorted = target_table.positions
 

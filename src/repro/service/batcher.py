@@ -50,11 +50,17 @@ from ..core.pipeline import (
     finish_fastz,
     prepare_fastz,
 )
+from ..store import StoredReference
 from .cache import ResultCache
 from .request import AlignmentRequest
 from .stats import StatsRecorder
 
 __all__ = ["BatchPolicy", "DeadlineExceeded", "Dispatcher", "Pending"]
+
+
+def _digest(side) -> str | None:
+    """A stored side's content digest (it names the side's codes in pool dispatch)."""
+    return side.digest if isinstance(side, StoredReference) else None
 
 
 class DeadlineExceeded(Exception):
@@ -230,7 +236,6 @@ class Dispatcher:
                                 request.config,
                                 request.options,
                                 anchors=request.anchors,
-                                seed_table=request.seed_table,
                             ),
                         )
                     )
@@ -261,7 +266,7 @@ class Dispatcher:
         first = prepared[0][1]
         scheme, options, tile = first.scheme, first.options, first.tile
         spec = ExtensionSpec.fuse(
-            (prep, pending.request.target_digest, pending.request.query_digest)
+            (prep, _digest(pending.request.target), _digest(pending.request.query))
             for pending, prep in prepared
         )
         priority = min(pending.priority for pending, _ in prepared)

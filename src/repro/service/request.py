@@ -25,10 +25,11 @@ from functools import cached_property
 import numpy as np
 
 from ..core.options import FastzOptions
-from ..genome.sequence import Sequence
+from ..genome.sequence import as_codes
 from ..lastz.config import LastzConfig
 from ..scoring import ScoringScheme
 from ..seeding import Anchors
+from ..store import StoredReference
 
 __all__ = ["AlignmentRequest", "scheme_digest"]
 
@@ -67,10 +68,11 @@ def _config_digest(config: LastzConfig) -> str:
     return h.hexdigest()
 
 
-def _as_codes(sequence: Sequence | np.ndarray) -> np.ndarray:
-    codes = np.asarray(
-        sequence.codes if isinstance(sequence, Sequence) else sequence
-    )
+def _side(sequence):
+    """A stored reference as given; anything else as one-dimensional codes."""
+    if isinstance(sequence, StoredReference):
+        return sequence
+    codes = as_codes(sequence)
     if codes.ndim != 1:
         raise ValueError("sequence codes must be one-dimensional")
     return codes
@@ -78,53 +80,44 @@ def _as_codes(sequence: Sequence | np.ndarray) -> np.ndarray:
 
 @dataclass
 class AlignmentRequest:
-    """One caller's alignment job, normalised to code arrays.
+    """One caller's alignment job: each side codes or a stored reference.
 
-    Store-backed requests additionally carry the reference's content
-    digest (``target_digest``/``query_digest``) and an optional prebuilt
-    seed table from the store's persistent cache.  Neither changes the
-    alignment result — the digest keys the cache cheaply and names the
-    sequence for shared-memory pool dispatch, and the table only skips
-    the table-build stage.
+    A :class:`~repro.store.StoredReference` side stays a lazy handle: it
+    decodes, and as a target seeds from its store's persisted table, when
+    the request is prepared (on the service's dispatcher thread), not
+    when it is built.  Its content digest keys the cache cheaply and
+    names the sequence for shared-memory pool dispatch.
     """
 
-    target: np.ndarray
-    query: np.ndarray
+    target: np.ndarray | StoredReference
+    query: np.ndarray | StoredReference
     config: LastzConfig
     options: FastzOptions
     anchors: Anchors | None = field(default=None)
-    #: Reference-store content digests, when the request came in by ref.
-    target_digest: str | None = field(default=None)
-    query_digest: str | None = field(default=None)
-    #: Prebuilt target-side seed table (store cache); skips table build.
-    seed_table: object | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self.target = _as_codes(self.target)
-        self.query = _as_codes(self.query)
+        self.target = _side(self.target)
+        self.query = _side(self.query)
 
     @property
     def nbytes(self) -> int:
-        """Sequence payload size — the admission-control cost of a request."""
-        return int(self.target.nbytes) + int(self.query.nbytes)
+        """Sequence payload size, a byte per base — the admission-control cost."""
+        return len(self.target) + len(self.query)
 
     @cached_property
     def cache_key(self) -> str:
         """Digest of everything that determines the alignment result.
 
-        Sides that arrived by reference hash the store digest instead of
-        the codes — same discriminating power (the digest *is* a content
-        hash) without touching megabytes of sequence per lookup.
+        Stored sides hash the store digest instead of the codes — same
+        discriminating power (the digest *is* a content hash) without
+        decoding or touching megabytes of sequence per lookup.
         """
         h = hashlib.sha256()
-        if self.target_digest is not None:
-            h.update(b"ref:" + self.target_digest.encode() + b"\x00")
-        else:
-            _digest_update(h, self.target)
-        if self.query_digest is not None:
-            h.update(b"ref:" + self.query_digest.encode() + b"\x00")
-        else:
-            _digest_update(h, self.query)
+        for side in (self.target, self.query):
+            if isinstance(side, StoredReference):
+                h.update(b"ref:" + side.digest.encode() + b"\x00")
+            else:
+                _digest_update(h, side)
         if self.anchors is None:
             h.update(b"anchors:none\x00")
         else:

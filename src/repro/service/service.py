@@ -50,7 +50,7 @@ from ..core.pool import WorkerPool
 from ..genome.sequence import Sequence
 from ..lastz.config import LastzConfig
 from ..seeding import Anchors
-from ..store import ReferenceStore
+from ..store import ReferenceStore, StoredReference
 from .batcher import BatchPolicy, DeadlineExceeded, Dispatcher, Pending
 from .cache import ResultCache
 from .request import AlignmentRequest
@@ -114,10 +114,11 @@ class AlignmentService:
         LRU result-cache capacity (0 disables caching).
     store:
         A :class:`~repro.store.ReferenceStore` (or its root path) backing
-        align-by-digest submissions (``target_ref``/``query_ref``): codes
-        come off the store's mmap, the persisted seed table skips the
-        table-build stage, and a pool lane publishes the codes to shared
-        memory once so shard dispatch carries digests + windows.
+        align-by-digest submissions (``target_ref``/``query_ref``): a
+        submission holds the stored handle, whose codes decode from the
+        store's mmap, and whose target seeds from its persisted table,
+        when the dispatcher prepares it; a pool lane publishes the codes
+        to shared memory once so shard dispatch carries digests + windows.
         ``None`` (default) rejects by-ref submissions.
     config, options:
         Defaults applied to submissions that do not bring their own.
@@ -230,21 +231,19 @@ class AlignmentService:
         )[0]
 
     def _resolve_side(
-        self,
-        value: Sequence | np.ndarray | None,
-        ref: str | None,
-        config: LastzConfig,
-        *,
-        target_side: bool,
-        anchors: Anchors | None,
-    ) -> tuple:
-        """One side's (codes, digest, seed table) from value/ref."""
+        self, value: Sequence | np.ndarray | None, ref: str | None
+    ) -> Sequence | np.ndarray | StoredReference:
+        """One side: the value as given, or the stored reference ``ref`` names.
+
+        An unknown digest fails here; the handle decodes later, where the
+        request is prepared.
+        """
         if ref is None:
             if value is None:
                 raise ValueError(
                     "each side needs either a sequence or a reference digest"
                 )
-            return value, None, None
+            return value
         if value is not None:
             raise ValueError(
                 "give a sequence or a reference digest per side, not both"
@@ -253,15 +252,7 @@ class AlignmentService:
             raise ValueError(
                 "align-by-ref requires a service configured with store="
             )
-        stored = self._store.get(ref)
-        table = None
-        if target_side and anchors is None:
-            table = self._store.seed_table(
-                stored.digest,
-                k=config.seed_length,
-                spaced_pattern=config.spaced_pattern,
-            )
-        return stored.codes, stored.digest, table
+        return self._store.get(ref)
 
     def _submit(
         self,
@@ -282,22 +273,12 @@ class AlignmentService:
         queued); :meth:`align` uses it to mark work abandoned when the
         caller's result wait times out.
         """
-        config = config or self.default_config
-        t_codes, t_digest, seed_table = self._resolve_side(
-            target, target_ref, config, target_side=True, anchors=anchors
-        )
-        q_codes, q_digest, _ = self._resolve_side(
-            query, query_ref, config, target_side=False, anchors=anchors
-        )
         request = AlignmentRequest(
-            target=t_codes,
-            query=q_codes,
-            config=config,
+            target=self._resolve_side(target, target_ref),
+            query=self._resolve_side(query, query_ref),
+            config=config or self.default_config,
             options=options or self.default_options,
             anchors=anchors,
-            target_digest=t_digest,
-            query_digest=q_digest,
-            seed_table=seed_table,
         )
         with self._lock:
             if self._closed:
@@ -418,30 +399,22 @@ class AlignmentService:
         :meth:`align` with the same inputs.  ``should_abort`` is polled
         before each slice (the HTTP layer's graceful drain hooks in here)
         and aborts with :class:`~repro.core.pipeline.StreamAborted`.
-        By-ref sides resolve against the store, and a by-ref target's
-        cached seed table skips the table build.
+        By-ref sides resolve against the store, and a by-ref target seeds
+        from its persisted table, as in :meth:`align`.
         """
         with self._lock:
             if self._closed:
                 raise ServiceClosed("service is shut down")
-        config = config or self.default_config
-        options = options or self.default_options
-
-        t_codes, _, seed_table = self._resolve_side(
-            target, target_ref, config, target_side=True, anchors=None
-        )
-        q_codes, _, _ = self._resolve_side(
-            query, query_ref, config, target_side=False, anchors=None
-        )
+        target = self._resolve_side(target, target_ref)
+        query = self._resolve_side(query, query_ref)
         self._recorder.record_submitted()
         start = time.monotonic()
         try:
             result = run_fastz(
-                t_codes,
-                q_codes,
-                config,
-                options,
-                seed_table=seed_table,
+                target,
+                query,
+                config or self.default_config,
+                options or self.default_options,
                 on_partial=on_partial,
                 should_abort=should_abort,
             )

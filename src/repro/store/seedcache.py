@@ -25,7 +25,7 @@ import numpy as np
 
 from .. import obs
 from ..seeding import SeedTable
-from .twobit import STORE_VERSION
+from .twobit import STORE_VERSION, atomic_write
 
 __all__ = ["load_table", "save_table", "seed_params_key", "table_span"]
 
@@ -73,17 +73,14 @@ def table_span(*, k: int = 19, spaced_pattern: str | None = None) -> int:
 
 
 def save_table(path: str | Path, table: SeedTable) -> None:
-    """Persist a seed table atomically (tmp + rename)."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
+    """Persist a seed table atomically (:func:`~repro.store.twobit.atomic_write`)."""
+    with atomic_write(path) as handle:
         np.savez(
             handle,
             words=np.asarray(table.words, dtype=np.uint64),
             positions=np.asarray(table.positions, dtype=np.int64),
             span=np.int64(table.span),
         )
-    tmp.replace(path)
 
 
 def load_table(

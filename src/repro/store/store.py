@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -98,10 +99,12 @@ def reference_digest(codes: np.ndarray, mask_runs=()) -> str:
 class StoredReference:
     """Lazy handle over one registered reference.
 
-    Quacks enough like :class:`~repro.genome.sequence.Sequence` (``name``,
-    ``codes``, ``__len__``) for the pipeline and the jobs runner to use it
-    directly; the codes decode from the mmap on first touch and stay
-    cached on the handle.
+    Goes wherever a :class:`~repro.genome.sequence.Sequence` goes: it has
+    ``name``, ``codes`` and ``__len__``, so every pipeline, the service,
+    the job runner and the CLI take it as given.  The codes decode from
+    the mmap on first touch and stay cached on the handle, and as a
+    target it seeds from the store's persisted table
+    (:func:`~repro.lastz.pipeline.select_anchors`).
     """
 
     def __init__(
@@ -202,8 +205,24 @@ class ReferenceStore:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        # One lock guards both LRU caches, which the event loop, stream
+        # threads, the service dispatcher and inline job seeding share.
+        # It is never held across file I/O or a build.
+        self._lock = threading.Lock()
         self._refs: dict[str, StoredReference] = {}
         self._tables: dict[tuple[str, str], SeedTable] = {}
+
+    def __reduce__(self):
+        # A copy in another process reopens the root, without the lock or caches.
+        return ReferenceStore, (self.root,)
+
+    def _remember(self, cache: dict, key, value, entries: int) -> None:
+        """Make ``value`` the most recent entry of ``cache``; evict past ``entries``."""
+        with self._lock:
+            cache.pop(key, None)
+            cache[key] = value
+            while len(cache) > entries:
+                cache.pop(next(iter(cache)))
 
     # -- paths -------------------------------------------------------------
     def _shard_dir(self, digest: str) -> Path:
@@ -254,11 +273,10 @@ class ReferenceStore:
             "n_runs": [[int(a), int(b)] for a, b in n_runs],
             "mask_runs": [[int(a), int(b)] for a, b in mask_runs],
         }
-        meta_path = self._meta_path(digest)
-        tmp = meta_path.with_name(meta_path.name + ".tmp")
-        tmp.write_text(json.dumps(meta, indent=1) + "\n", encoding="ascii")
-        tmp.replace(meta_path)
-        self._refs.pop(digest, None)
+        with twobit.atomic_write(self._meta_path(digest)) as handle:
+            handle.write((json.dumps(meta, indent=1) + "\n").encode("ascii"))
+        with self._lock:
+            self._refs.pop(digest, None)
         return digest
 
     # -- lookup ------------------------------------------------------------
@@ -273,9 +291,10 @@ class ReferenceStore:
 
     def get(self, digest: str) -> StoredReference:
         """Open a registered reference (lazy; nothing is decoded yet)."""
-        cached = self._refs.get(digest)
+        with self._lock:
+            cached = self._refs.get(digest)
         if cached is not None:
-            self._refs[digest] = self._refs.pop(digest)  # LRU bump
+            self._remember(self._refs, digest, cached, _REF_CACHE_ENTRIES)
             obs.counter(
                 "repro_store_hits_total", "Reference store lookups served"
             ).inc()
@@ -304,9 +323,7 @@ class ReferenceStore:
             n_runs=meta["n_runs"],
             mask_runs=meta["mask_runs"],
         )
-        self._refs[digest] = ref
-        while len(self._refs) > _REF_CACHE_ENTRIES:
-            self._refs.pop(next(iter(self._refs)))
+        self._remember(self._refs, digest, ref, _REF_CACHE_ENTRIES)
         obs.counter("repro_store_hits_total", "Reference store lookups served").inc()
         return ref
 
@@ -355,9 +372,10 @@ class ReferenceStore:
             digest
         ).exists():
             raise UnknownReference(digest)
-        self._refs.pop(digest, None)
-        for key in [k for k in self._tables if k[0] == digest]:
-            self._tables.pop(key)
+        with self._lock:
+            self._refs.pop(digest, None)
+            for key in [k for k in self._tables if k[0] == digest]:
+                self._tables.pop(key)
         shard = self._shard_dir(digest)
         for path in shard.glob(f"{digest}.*"):
             path.unlink(missing_ok=True)
@@ -395,41 +413,26 @@ class ReferenceStore:
         Cache key = store format version + seeding parameters.  The table
         is built *without* the reference's soft-mask — exactly what the
         inline pipeline computes, preserving by-ref / by-bytes
-        bit-identity.
+        bit-identity.  Every seeding of a stored target reads its table
+        here (:func:`~repro.lastz.pipeline.select_anchors`).
         """
         key = seedcache.seed_params_key(k=k, spaced_pattern=spaced_pattern)
-        span = seedcache.table_span(k=k, spaced_pattern=spaced_pattern)
-        cached = self._tables.get((digest, key))
-        if cached is not None:
-            self._tables[(digest, key)] = self._tables.pop((digest, key))
-            obs.counter(
-                "repro_store_seed_cache_hits_total",
-                "Seed-table lookups served from cache",
-            ).inc()
-            return cached
         table = self.load_seed_table(digest, k=k, spaced_pattern=spaced_pattern)
         if table is None:
             obs.counter(
                 "repro_store_seed_cache_misses_total",
                 "Seed-table lookups that had to build",
             ).inc()
-            ref = self.get(digest)
-            with obs.span(
-                "store.seed_table_build", digest=digest[:12], key=key
-            ):
-                table = build_seed_table(
-                    ref.codes, k=k, spaced_pattern=spaced_pattern
-                )
+            table = build_seed_table(
+                self.get(digest).codes, k=k, spaced_pattern=spaced_pattern
+            )
             seedcache.save_table(self._seeds_path(digest, key), table)
         else:
             obs.counter(
                 "repro_store_seed_cache_hits_total",
                 "Seed-table lookups served from cache",
             ).inc()
-        assert table.span == span
-        self._tables[(digest, key)] = table
-        while len(self._tables) > _TABLE_CACHE_ENTRIES:
-            self._tables.pop(next(iter(self._tables)))
+        self._remember(self._tables, (digest, key), table, _TABLE_CACHE_ENTRIES)
         return table
 
     def load_seed_table(
@@ -441,7 +444,8 @@ class ReferenceStore:
     ) -> SeedTable | None:
         """Pure cache read: the persisted table or ``None``, never a build."""
         key = seedcache.seed_params_key(k=k, spaced_pattern=spaced_pattern)
-        cached = self._tables.get((digest, key))
+        with self._lock:
+            cached = self._tables.get((digest, key))
         if cached is not None:
             return cached
         return seedcache.load_table(

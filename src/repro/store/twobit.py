@@ -22,7 +22,10 @@ a truncated or overwritten file is a clean error, never wrong codes.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +37,7 @@ __all__ = [
     "MAGIC",
     "STORE_VERSION",
     "TwoBitError",
+    "atomic_write",
     "open_packed",
     "pack_codes",
     "read_header",
@@ -136,16 +140,32 @@ def mask_from_runs(runs, length: int) -> np.ndarray:
     return flags
 
 
-def write_twobit(path: str | Path, codes: np.ndarray) -> None:
-    """Write a packed file atomically (tmp + rename)."""
-    codes = np.asarray(codes, dtype=np.uint8)
+@contextmanager
+def atomic_write(path: str | Path):
+    """Write ``path`` atomically: yield a binary handle, then rename over it.
+
+    The temporary file beside ``path`` is named for this process and
+    thread, so writers of the same file (two processes persisting one
+    seed table, say) never share one; each rename is atomic, and the last
+    one wins.  On an error the temporary file is removed and ``path`` is
+    left as it was.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
+    tmp = path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident():x}.tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            yield handle
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def write_twobit(path: str | Path, codes: np.ndarray) -> None:
+    """Write a packed file atomically (:func:`atomic_write`)."""
+    codes = np.asarray(codes, dtype=np.uint8)
+    with atomic_write(path) as handle:
         handle.write(_HEADER.pack(MAGIC, STORE_VERSION, codes.size))
         handle.write(pack_codes(codes).tobytes())
-        handle.flush()
-    tmp.replace(path)
 
 
 def read_header(path: str | Path) -> int:

@@ -56,6 +56,33 @@ def homologous_pair(rng):
     return make_homologous_pair(rng)
 
 
+@pytest.fixture()
+def table_builds(monkeypatch, tmp_path):
+    """Spy on ``build_seed_table``; returns a callable giving the call count.
+
+    Every call appends a line to a file, so builds in forked job workers
+    count too.  Patches the two names it is called by: ``find_seeds``'
+    inline build and the reference store's.
+    """
+    import os
+
+    import repro.seeding.seeds as seeds
+    import repro.store.store as store_module
+
+    log = tmp_path / "table-builds.log"
+    log.touch()
+    real = seeds.build_seed_table
+
+    def spy(*args, **kwargs):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(seeds, "build_seed_table", spy)
+    monkeypatch.setattr(store_module, "build_seed_table", spy)
+    return lambda: len(log.read_text().splitlines())
+
+
 @pytest.fixture(scope="session")
 def tiny_genome_pair():
     """A small synthetic chromosome pair with known planted homology."""

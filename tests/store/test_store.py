@@ -1,5 +1,9 @@
 """Reference store behaviour: registration, lookup, corruption, seed cache."""
 
+import multiprocessing
+import pickle
+import sys
+import threading
 import time
 
 import numpy as np
@@ -15,6 +19,7 @@ from repro.store import (
     UnknownReference,
     reference_digest,
 )
+from repro.store.seedcache import load_table, save_table
 from repro.store.twobit import runs_from_mask
 from repro.workloads import build_benchmark_pair, get_benchmark
 
@@ -75,6 +80,20 @@ class TestRegistration:
         assert ref.name == "chrX"
         np.testing.assert_array_equal(ref.codes, seq.codes)
         np.testing.assert_array_equal(ref.sequence().codes, seq.codes)
+
+    def test_handle_pickles_into_another_process(self, store, rng):
+        # Job worker state under a non-fork start method: the copy's
+        # store reopens the root, without the lock or the caches.
+        codes = rng.integers(0, 4, size=1000).astype(np.uint8)
+        ref = store.get(store.add(codes))
+        store.seed_table(ref.digest, k=11)
+        copy = pickle.loads(pickle.dumps(ref))
+        assert copy.store is not store and copy.store.root == store.root
+        np.testing.assert_array_equal(copy.codes, codes)
+        np.testing.assert_array_equal(
+            copy.store.seed_table(ref.digest, k=11).words,
+            store.seed_table(ref.digest, k=11).words,
+        )
 
     def test_mask_roundtrip(self, store):
         codes, mask = encode_with_mask("acgtACGTacgt" * 10)
@@ -197,6 +216,75 @@ class TestSeedCache:
         assert fresh.load_seed_table(digest, k=13) is None
         rebuilt = fresh.seed_table(digest, k=13)
         np.testing.assert_array_equal(rebuilt.words, table.words)
+
+
+    def test_two_processes_persist_one_table(self, tmp_path):
+        # Two writers of one file (two job seed workers persisting the
+        # same table) each write their own temporary file; a shared one
+        # made the loser's rename fail.
+        path = tmp_path / "ref.seeds-v1-k5.npz"
+        ctx = multiprocessing.get_context()
+        procs = [
+            ctx.Process(target=_persist_table, args=(path, 300)) for _ in range(2)
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+        assert [proc.exitcode for proc in procs] == [0, 0]
+        table = load_table(path, expect_span=5)
+        np.testing.assert_array_equal(table.words, _small_table().words)
+        assert list(tmp_path.iterdir()) == [path]  # no temporary file left
+
+
+def _small_table():
+    codes = np.random.default_rng(3).integers(0, 4, size=2000).astype(np.uint8)
+    return build_seed_table(codes, k=5)
+
+
+def _persist_table(path, rounds: int) -> None:
+    table = _small_table()
+    for _ in range(rounds):
+        save_table(path, table)
+
+
+class TestConcurrentLookups:
+    def test_threads_share_the_caches(self, store, rng):
+        """Concurrent ``get`` and ``seed_table`` lookups never trip the LRUs.
+
+        The event loop, stream threads, the service dispatcher and inline
+        job seeding look references up at once; an unlocked pop-then-set
+        LRU bump raised ``KeyError`` here.
+        """
+        digests = [
+            store.add(rng.integers(0, 4, size=500).astype(np.uint8))
+            for _ in range(3)
+        ]
+        expected = {d: (store.get(d), store.seed_table(d, k=11)) for d in digests}
+        errors = []
+
+        def lookups() -> None:
+            try:
+                for i in range(5_000):
+                    digest = digests[i % 3]
+                    ref, table = expected[digest]
+                    assert store.get(digest) is ref
+                    assert store.seed_table(digest, k=11) is table
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=lookups) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
 
 class TestDegradeObservability:

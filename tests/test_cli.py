@@ -342,22 +342,52 @@ class TestRefs:
 
 
 class TestAlignByRef:
-    def test_ref_spec_matches_fasta(self, fasta_pair, tmp_path, capsys):
+    def test_ref_spec_matches_fasta(
+        self, fasta_pair, tmp_path, capsys, table_builds
+    ):
         t, q = fasta_pair
         store = str(tmp_path / "store")
-        main(["refs", "add", t, "--store", store])
+        main(["refs", "add", t, "--store", store, "--precompute-seeds"])
         digest = capsys.readouterr().out.split()[0]
 
         main(["align", t, q, "--engine", "fastz", *_FAST])
         by_bytes = capsys.readouterr().out
+        built = table_builds()
         main(
             ["align", f"ref:{digest[:12]}", q, "--store", store,
              "--engine", "fastz", *_FAST]
         )
         by_ref = capsys.readouterr().out
         assert by_ref == by_bytes
+        # The table refs add prebuilt is the one align seeds from.
+        assert table_builds() == built
 
-    def test_trace_cold_then_warm_seed_span(self, fasta_pair, tmp_path, capsys):
+    def test_wga_ref_spec_matches_fasta(
+        self, fasta_pair, tmp_path, capsys, table_builds
+    ):
+        t, q = fasta_pair
+        store = str(tmp_path / "store")
+        main(["refs", "add", t, q, "--store", store, "--precompute-seeds"])
+        t_ref, q_ref = (
+            f"ref:{line.split()[0]}" for line in capsys.readouterr().out.splitlines()
+        )
+        args = ["--chunk-size", "10000", "--quiet", *_FAST]
+        by_bytes, by_ref = tmp_path / "bytes.tsv", tmp_path / "ref.tsv"
+        assert main([
+            "wga", t, q, "--job-dir", str(tmp_path / "a"),
+            "--output", str(by_bytes), *args,
+        ]) == 0
+        built = table_builds()
+        assert main([
+            "wga", t_ref, q_ref, "--store", store, "--job-dir", str(tmp_path / "b"),
+            "--output", str(by_ref), *args,
+        ]) == 0
+        assert by_ref.read_bytes() == by_bytes.read_bytes()
+        assert table_builds() == built
+
+    def test_trace_cold_then_warm_seed_span(
+        self, fasta_pair, tmp_path, capsys, table_builds
+    ):
         t, q = fasta_pair
         store = str(tmp_path / "store")
         main(["refs", "add", t, "--store", store])
@@ -366,7 +396,21 @@ class TestAlignByRef:
         assert main(["trace", f"ref:{digest}", q, "--store", store, *_FAST]) == 0
         cold = capsys.readouterr().out
         assert "fastz.seed_table" in cold
+        # Built once, by the seeding that persists it.
+        assert table_builds() == 1
 
         assert main(["trace", f"ref:{digest}", q, "--store", store, *_FAST]) == 0
         warm = capsys.readouterr().out
         assert "fastz.seed_table" not in warm
+        assert table_builds() == 1
+
+        # The result lines after the span tree are the by-bytes run's.
+        assert main(["trace", t, q, *_FAST]) == 0
+        by_bytes = capsys.readouterr().out
+
+        def results(out):
+            keys = ("anchors:", "alignments:", "eager fraction:", "bins ")
+            return [line for line in out.splitlines() if line.startswith(keys)]
+
+        assert len(results(by_bytes)) == 4
+        assert results(cold) == results(warm) == results(by_bytes)
